@@ -168,7 +168,7 @@ def _analyze_one(H: HalfspaceRep) -> dict:
     counts = {}
     for _, dim in lattice.faces:
         counts[str(dim)] = counts.get(str(dim), 0) + 1
-    fan = normal_fan(H)
+    fan = normal_fan(H, lattice)
     preds = fan_predicates(fan)
     return {
         "n": H.dimension,

@@ -24,6 +24,7 @@ from .errors import (
     FanNotComplete,
     FanNotSimplicial,
     InvalidConfiguration,
+    ToolkitError,
 )
 from .fan import (
     Fan,
@@ -169,7 +170,7 @@ def config_validate(config: VectorConfiguration,
         try:
             fan = _fan_from(config, triangulation)
             complete = fan_is_complete(fan)
-        except Exception:
+        except ToolkitError:
             complete = None
     equivalence = None
     if balanced and complete is not None:

@@ -44,6 +44,11 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---- field ----------------------------------------------------------------
 
 def field_to_doc(field: RealAlgebraicField) -> dict:
@@ -108,7 +113,7 @@ def polytope_from_doc(doc, field=None) -> HalfspaceRep:
     field = field if field is not None else field_from_doc(doc.get("field"))
     n = doc.get("n")
     facets_doc = doc.get("facets")
-    if not isinstance(n, int) or not isinstance(facets_doc, list):
+    if not _is_int(n) or not isinstance(facets_doc, list):
         raise ParseError("polytope document needs integer n and facets")
     facets = []
     for f in facets_doc:
@@ -135,9 +140,9 @@ def fan_from_doc(doc, field=None) -> Fan:
     n = doc.get("n")
     rays_doc = doc.get("rays")
     cones_doc = doc.get("cones")
-    if not isinstance(n, int) or not isinstance(rays_doc, list) \
+    if not _is_int(n) or not isinstance(rays_doc, list) \
             or not isinstance(cones_doc, list):
-        raise ParseError("fan document needs n, rays, and cones")
+        raise ParseError("fan document needs integer n, rays, and cones")
     rays = [vector_from_doc(field, r, n) for r in rays_doc]
     cones = [_indices_from_doc(c, len(rays)) for c in cones_doc]
     generating = Fan(n, rays, cones)
@@ -152,8 +157,10 @@ def _indices_from_doc(doc, count) -> tuple:
         raise ParseError("index set must be a list")
     out = []
     for i in doc:
-        if not isinstance(i, int) or not 1 <= i <= count:
-            raise ParseError(f"index {i!r} out of range 1..{count}")
+        if not _is_int(i):
+            raise ParseError(f"index {i!r} is not an integer")
+        if not 1 <= i <= count:
+            raise ParseError(f"index {i} out of range 1..{count}")
         out.append(i - 1)
     return tuple(out)
 
@@ -174,6 +181,8 @@ def quasilattice_from_doc(doc, field=None) -> Quasilattice:
     if not isinstance(gens_doc, list) or not gens_doc:
         raise ParseError("quasilattice document needs generators")
     n = doc.get("n")
+    if n is not None and not _is_int(n):
+        raise ParseError("quasilattice dimension n must be an integer")
     return Quasilattice([vector_from_doc(field, g, n) for g in gens_doc])
 
 
@@ -202,6 +211,8 @@ def triple_to_doc(triple: FundamentalTriple) -> dict:
 def triple_from_doc(doc) -> FundamentalTriple:
     field = field_from_doc(doc.get("field"))
     n = doc.get("n")
+    if n is not None and not _is_int(n):
+        raise ParseError("triple dimension n must be an integer")
     if "polytope" in doc:
         body_doc = dict(doc["polytope"])
         body_doc.setdefault("n", n)
@@ -244,14 +255,12 @@ def configuration_from_doc(doc):
     field = field_from_doc(doc.get("field"))
     n = doc.get("n")
     vectors_doc = doc.get("vectors")
-    if not isinstance(n, int) or not isinstance(vectors_doc, list):
-        raise ParseError("configuration document needs n and vectors")
+    if not _is_int(n) or not isinstance(vectors_doc, list):
+        raise ParseError("configuration document needs integer n and vectors")
     vectors = [vector_from_doc(field, v, n) for v in vectors_doc]
-    ghosts_doc = doc.get("ghosts", [])
-    ghosts = tuple(i - 1 for i in ghosts_doc) if ghosts_doc else ()
-    for g in ghosts:
-        if not 0 <= g < len(vectors):
-            raise ParseError("ghost index out of range")
+    ghosts_doc = doc.get("ghosts")
+    ghosts = (_indices_from_doc(ghosts_doc, len(vectors))
+              if ghosts_doc is not None else ())
     config = VectorConfiguration(n, vectors, ghosts)
     tri_doc = doc.get("triangulation")
     triangulation = None

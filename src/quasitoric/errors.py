@@ -43,6 +43,10 @@ class VariableBudgetExceeded(ToolkitError):
 
 # ---- polytopes and fans ----
 
+class InvalidPolytope(ToolkitError):
+    """Facet data violates halfspace construction rules."""
+
+
 class UnboundedPolytope(ToolkitError):
     """Halfspace intersection admits a recession direction."""
 

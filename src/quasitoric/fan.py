@@ -8,6 +8,13 @@ separation argument for the pairwise-intersection axiom.  Completeness is
 implemented for n <= 3 (angular ordering in the plane, wall counting in
 space); every cone here is assumed pointed, which holds for all normal
 fans of bounded polytopes.
+
+Validity uses the standard fan lemma (Ziegler, Lectures on Polytopes,
+Ch. 7): a collection closed under faces in which every cone is a face of
+a maximal cone is a fan as soon as every two maximal cones meet in a
+common face.  "Maximal" is taken in the face order, not by index sets:
+the cones checked pairwise are those that are no proper face of another
+cone, and every cone is a face of one of them.
 """
 
 from __future__ import annotations
@@ -19,7 +26,12 @@ from typing import NamedTuple, Optional
 from .errors import DimensionTooHigh, InvalidFan, RedundantFacet
 from .linalg import dot, mat_rank, solve_unique
 from .lp import strict_lp_feasible
-from .polytope import HalfspaceRep, face_lattice, vertices_from_halfspaces
+from .polytope import (
+    FaceLattice,
+    HalfspaceRep,
+    face_lattice,
+    vertices_from_halfspaces,
+)
 
 
 class Fan:
@@ -205,14 +217,17 @@ def redundant_facets_lp(H: HalfspaceRep):
     return redundant
 
 
-def normal_fan(H: HalfspaceRep) -> Fan:
+def normal_fan(H: HalfspaceRep,
+               lattice: Optional[FaceLattice] = None) -> Fan:
     """Rays are the facet normals with input scaling preserved; cones are
-    spanned by the normals of the facets containing each face."""
+    spanned by the normals of the facets containing each face.  lattice,
+    when given, is the face lattice of H, already computed by the
+    caller."""
     bad = redundant_facets_lp(H)
     if bad:
         raise RedundantFacet(f"facets {bad} are redundant; strip them first")
-    V = vertices_from_halfspaces(H)
-    lattice = face_lattice(H, V)
+    if lattice is None:
+        lattice = face_lattice(H, vertices_from_halfspaces(H))
     cones = {tuple(sorted(face)) for face, _ in lattice.faces}
     return Fan(H.dimension, H.normals, cones)
 
@@ -235,12 +250,22 @@ def fan_is_simplicial(fan: Fan) -> bool:
 
 
 def fan_is_valid(fan: Fan) -> bool:
-    """Face closure plus the pairwise-intersection axiom."""
+    """Face closure plus the pairwise-intersection axiom.
+
+    By the fan lemma (Ziegler, Lectures on Polytopes, Ch. 7) the axiom
+    need only be checked on pairs of cones that are maximal in the face
+    order, i.e. no proper face of another cone: proper faces have fewer
+    rays and a face of a face is a face, so every cone is a face of such
+    a cone.  Maximality by index sets would not do: with rays e1, (1,1),
+    e2 and cones (0,1,2) and (1,), the cone (1,) is an index subset of
+    (0,1,2) but not a face of it, and must be checked against it."""
     cone_set = set(fan.cones)
     for cone in fan.cones:
         if not fan.cone_faces(cone) <= cone_set:
             return False
-    for a, b in itertools.combinations(fan.cones, 2):
+    proper = set().union(*(fan.cone_faces(c) - {c} for c in fan.cones))
+    candidates = [c for c in fan.cones if c not in proper]
+    for a, b in itertools.combinations(candidates, 2):
         if not cones_meet_in_common_face(fan.rays, a, b, fan.field,
                                          fan._membership_cache):
             return False

@@ -36,7 +36,7 @@ def parse_rational(text: RationalLike) -> Fraction:
     """Parse integer or "p/q" text into a Fraction."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:

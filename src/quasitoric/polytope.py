@@ -19,6 +19,7 @@ from .errors import (
     DegenerateDimension,
     DimensionTooHigh,
     FacetBudgetExceeded,
+    InvalidPolytope,
     NotFullDimensional,
     UnboundedPolytope,
 )
@@ -35,7 +36,7 @@ class HalfspaceRep:
 
     def __init__(self, dimension: int, facets: Sequence[tuple]):
         if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidPolytope("dimension must be >= 1")
         if not facets:
             raise DegenerateDimension("no facets")
         normals = []
@@ -43,9 +44,9 @@ class HalfspaceRep:
         for normal, offset in facets:
             vec = tuple(normal)
             if len(vec) != dimension:
-                raise ValueError("normal length disagrees with dimension")
+                raise InvalidPolytope("normal length disagrees with dimension")
             if all(x.is_zero() for x in vec):
-                raise ValueError("zero normal")
+                raise InvalidPolytope("zero normal")
             normals.append(vec)
             offsets.append(offset)
         self.dimension = dimension

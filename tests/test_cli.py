@@ -170,6 +170,43 @@ class TestErrorHandling:
         assert err.strip().splitlines() == [
             "NotSquarefree: gcd with derivative has degree 1"]
 
+    def test_zero_facet_normal_single_line(self, capsys, tmp_path, corpus):
+        doc = json.loads((corpus("square") / "polytope.json").read_text())
+        doc["facets"][0]["normal"] = [["0"], ["0"]]
+        path = tmp_path / "zero-normal.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == ["InvalidPolytope: zero normal"]
+
+    @pytest.mark.parametrize("ghosts,message", [
+        ([True], "ParseError: index True is not an integer"),
+        (["x"], "ParseError: index 'x' is not an integer"),
+    ])
+    def test_bad_ghost_entry_single_line(self, capsys, tmp_path, corpus,
+                                         ghosts, message):
+        directory = corpus("hirzebruch", a="2/1")
+        doc = json.loads((directory / "configuration.json").read_text())
+        doc["ghosts"] = ghosts
+        path = tmp_path / "bad-ghosts.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate-config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [message]
+
+    def test_boolean_dimension_single_line(self, capsys, tmp_path, corpus):
+        doc = json.loads((corpus("interval") / "polytope.json").read_text())
+        doc["n"] = True
+        path = tmp_path / "bool-n.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "ParseError: polytope document needs integer n and facets"]
+
 
 class TestEnvironmentResolution:
     def test_corpus_env_fallback(self, corpus, capsys, monkeypatch,

@@ -41,6 +41,23 @@ def build(field, data):
 
 
 class TestValidate:
+    def test_completeness_domain_error_reads_null(self):
+        # vectors 0 and 1 are positive multiples, so no fan can be built
+        config = VectorConfiguration(
+            2, [qvec(1, 0), qvec(2, 0), qvec(0, 1), qvec(-1, -1)])
+        report = config_validate(config, Triangulation([(0, 2), (1, 3)]))
+        assert report.complete is None
+
+    def test_completeness_program_error_propagates(self, monkeypatch):
+        def broken(fan):
+            raise RuntimeError("not a domain error")
+        monkeypatch.setattr("quasitoric.configuration.fan_is_complete",
+                            broken)
+        k = pentagon_field()
+        config, tri = build(k, thick_rhombus_configuration_data(k))
+        with pytest.raises(RuntimeError):
+            config_validate(config, tri)
+
     def test_thick_rhombus_balanced_odd(self):
         k = pentagon_field()
         config, tri = build(k, thick_rhombus_configuration_data(k))

@@ -115,3 +115,54 @@ class TestIndexConvention:
         doc["triangulation"] = [[0, 1]]
         with pytest.raises(ParseError):
             docs.configuration_from_doc(doc)
+
+
+class TestExactSchema:
+    """true and false are JSON booleans, never the integers 1 and 0."""
+
+    @pytest.mark.parametrize("doc,load", [
+        (corpus_entry("interval", "sqrt2")["polytope.json"],
+         docs.polytope_from_doc),
+        (corpus_entry("interval", "sqrt2")["quasilattice.json"],
+         docs.quasilattice_from_doc),
+        (corpus_entry("interval", "sqrt2")["triple.json"],
+         docs.triple_from_doc),
+        ({"n": 1, "rays": [[["1"]], [["-1"]]], "cones": [[1], [2]]},
+         docs.fan_from_doc),
+        ({"n": 1, "vectors": [[["1"]], [["-1"]], [["1"]]],
+          "triangulation": [[1], [2]]},
+         docs.configuration_from_doc),
+    ])
+    def test_boolean_dimension_rejected(self, doc, load):
+        assert doc["n"] == 1
+        load(doc)
+        with pytest.raises(ParseError, match="integer"):
+            load({**doc, "n": True})
+
+    def test_boolean_index_rejected(self):
+        doc = dict(corpus_entry("hirzebruch", "sqrt2")["configuration.json"])
+        doc["triangulation"] = [[True, 2], [1, 3], [2, 4], [3, 4]]
+        with pytest.raises(ParseError, match="not an integer"):
+            docs.configuration_from_doc(doc)
+
+    def test_boolean_ghost_rejected(self):
+        doc = dict(corpus_entry("hirzebruch", "sqrt2")["configuration.json"])
+        doc["ghosts"] = [True]
+        with pytest.raises(ParseError, match="not an integer"):
+            docs.configuration_from_doc(doc)
+
+    def test_text_ghost_rejected(self):
+        doc = dict(corpus_entry("hirzebruch", "sqrt2")["configuration.json"])
+        doc["ghosts"] = ["x"]
+        with pytest.raises(ParseError, match="not an integer"):
+            docs.configuration_from_doc(doc)
+
+    def test_out_of_range_ghost_rejected(self):
+        doc = dict(corpus_entry("hirzebruch", "sqrt2")["configuration.json"])
+        doc["ghosts"] = [6]
+        with pytest.raises(ParseError, match="out of range"):
+            docs.configuration_from_doc(doc)
+
+    def test_boolean_rational_rejected(self):
+        with pytest.raises(ParseError):
+            docs.element_from_doc(Q, [True])

@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, qvec
 from quasitoric.corpus import (
@@ -16,6 +19,7 @@ from quasitoric.corpus import (
 from quasitoric.errors import DimensionTooHigh, InvalidFan, RedundantFacet
 from quasitoric.fan import (
     Fan,
+    cones_meet_in_common_face,
     fan_is_complete,
     fan_is_simplicial,
     fan_is_valid,
@@ -25,6 +29,7 @@ from quasitoric.fan import (
     normal_fan,
     positively_proportional,
 )
+from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
     HalfspaceRep,
     halfspaces_from_vertices,
@@ -145,6 +150,16 @@ class TestPredicates:
         # the ray (1,) is a face of (0,1) but missing from the fan
         assert not fan_is_valid(fan)
 
+    def test_index_subset_that_is_not_a_face_invalid(self):
+        # (1,1) lies inside cone(e1, e2): (1,) is an index subset of the
+        # maximal cone (0,1,2) but not one of its faces, so the collection
+        # is face-closed yet not a fan
+        fan = Fan(2, [qvec(1, 0), qvec(1, 1), qvec(0, 1)],
+                  [(0, 1, 2), (0,), (2,), (1,)])
+        assert fan.maximal_cones() == ((0, 1, 2),)
+        assert (1,) not in fan.cone_faces((0, 1, 2))
+        assert not fan_is_valid(fan)
+
     def test_completeness_dimension_guard(self):
         k = Q
         rays = [tuple(k.element(1 if i == j else 0) for j in range(4))
@@ -258,3 +273,58 @@ class TestPolytopality:
                 found = True
                 break
         assert not found
+
+
+# ---------------------------------------------------------------------------
+# the maximal-pair check against the all-pairs definition
+# ---------------------------------------------------------------------------
+
+def all_pairs_valid(fan):
+    """The fan axioms checked literally: face closure, and every two cones
+    (faces included) meeting in a common face."""
+    cone_set = set(fan.cones)
+    if any(not fan.cone_faces(c) <= cone_set for c in fan.cones):
+        return False
+    return all(cones_meet_in_common_face(fan.rays, a, b, fan.field)
+               for a, b in itertools.combinations(fan.cones, 2))
+
+
+def is_pointed(rays, cone):
+    return strict_lp_feasible([(rays[i], Q.zero, ">") for i in cone],
+                              len(rays[0]), Q) is not None
+
+
+def primitive(v):
+    """The direction of a nonzero integer vector."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+@st.composite
+def small_fans(draw):
+    """Random rays in a small box and random pointed cones on them,
+    closed under faces."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(-2, 2), min_size=n,
+                      max_size=n).filter(any)
+    raw = draw(st.lists(coords, min_size=n + 1, max_size=6,
+                        unique_by=primitive))
+    rays = [qvec(*r) for r in raw]
+    # cones as ray-index bit masks, at most n + 1 rays each
+    masks = draw(st.lists(st.integers(1, 2 ** len(rays) - 1),
+                          min_size=2, max_size=4, unique=True))
+    subsets = [tuple(i for i in range(len(rays)) if mask >> i & 1)
+               for mask in masks]
+    cones = [c for c in subsets if len(c) <= n + 1 and is_pointed(rays, c)]
+    generating = Fan(n, rays, cones)
+    closed = set()
+    for cone in generating.cones:
+        closed |= generating.cone_faces(cone)
+    return Fan(n, rays, closed)
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_fans())
+def test_maximal_pairs_agree_with_all_pairs(fan):
+    assert fan_is_valid(fan) == all_pairs_valid(fan)

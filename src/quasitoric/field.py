@@ -12,6 +12,9 @@ chains make root counting (and hence isolation) decidable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, attrgetter, neg, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -67,28 +70,8 @@ def _deg(p: Sequence[Fraction]) -> int:
     return len(p) - 1
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return _trim([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    ])
-
-
 def _poly_neg(p):
     return tuple(-c for c in p)
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
 
 
 def _poly_divmod(p, q):
@@ -122,24 +105,6 @@ def _poly_gcd(p, q):
     return a
 
 
-def _poly_xgcd(p, q):
-    """Return (g, s, t) with s*p + t*q = g, g the monic gcd."""
-    a, b = _trim(p), _trim(q)
-    sa, sb = (Fraction(1),), ()
-    ta, tb = (), (Fraction(1),)
-    while b:
-        quo, rem = _poly_divmod(a, b)
-        a, b = b, rem
-        sa, sb = sb, _poly_add(sa, _poly_neg(_poly_mul(quo, sb)))
-        ta, tb = tb, _poly_add(ta, _poly_neg(_poly_mul(quo, tb)))
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-        sa = tuple(c / lead for c in sa)
-        ta = tuple(c / lead for c in ta)
-    return a, sa, ta
-
-
 def _poly_derivative(p):
     return _trim([i * c for i, c in enumerate(p)][1:])
 
@@ -152,15 +117,27 @@ def _poly_eval(p, x: Fraction) -> Fraction:
 
 
 def _interval_eval(p, lo: Fraction, hi: Fraction):
-    """Evaluate p over [lo, hi] by interval Horner; returns (min, max)."""
+    """Evaluate p over [lo, hi] by interval Horner; returns (min, max).
+
+    Runs on integers: with lo = l/q and hi = h/q, the k-th Horner value
+    times q^(k-1) is an integer, and scaling by a positive number keeps
+    the min and max."""
     if lo == hi:
         v = _poly_eval(p, lo)
         return v, v
-    alo = ahi = Fraction(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+    nums, den = _integer_form(p)
+    q = lcm(lo.denominator, hi.denominator)
+    l = lo.numerator * (q // lo.denominator)
+    h = hi.numerator * (q // hi.denominator)
+    alo = ahi = 0
+    power = 1
+    for c in reversed(nums):
+        cands = (alo * l, alo * h, ahi * l, ahi * h)
+        alo = min(cands) + c * power
+        ahi = max(cands) + c * power
+        power *= q
+    scale = den * power // q
+    return Fraction(alo, scale), Fraction(ahi, scale)
 
 
 def _sturm_chain(p):
@@ -188,6 +165,39 @@ def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
+# integer numerators over one denominator
+# ---------------------------------------------------------------------------
+# Products, inverses and interval evaluation clear an operand's denominators
+# once, work on integer vectors and build the result Fractions at the end
+# (Cohen, A Course in Computational Algebraic Number Theory, 4.2-4.3).
+
+_denominator = attrgetter("denominator")
+
+
+def _integer_form(coeffs) -> tuple[list[int], int]:
+    """(numerators, den) with coeffs[i] == numerators[i] / den."""
+    den = lcm(*map(_denominator, coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduction_table(poly) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(scale, rows) with rows[k] / scale the power-basis coefficients of
+    x^(d+k) modulo the monic poly of degree d, for k = 0 .. d-2.
+
+    Degree 1 has no rows and scale 1."""
+    d = _deg(poly)
+    rows = []
+    row = tuple(-c for c in poly[:-1])  # x^d
+    for _ in range(d - 1):
+        rows.append(row)
+        top = row[-1]
+        row = (top * rows[0][0],) + tuple(
+            c + top * r for c, r in zip(row[:-1], rows[0][1:]))
+    scale = lcm(*[c.denominator for row in rows for c in row])
+    return scale, tuple(tuple(int(c * scale) for c in row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # fields and elements
 # ---------------------------------------------------------------------------
 
@@ -200,7 +210,8 @@ class RealAlgebraicField:
     across threads stays sound.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi")
+    __slots__ = ("minpoly", "_lo", "_hi", "_lo_negative", "_scale",
+                 "_reduce")
 
     def __init__(self, minpoly: Iterable[RationalLike],
                  interval: tuple[RationalLike, RationalLike]):
@@ -229,6 +240,11 @@ class RealAlgebraicField:
         self.minpoly = poly
         self._lo = lo
         self._hi = hi
+        # Sign of the minimal polynomial at lo.  Bisection moves lo only to
+        # a midpoint of the same sign (or onto the root, which ends the
+        # refinement), so the cached sign stays valid.
+        self._lo_negative = _poly_eval(poly, lo) < 0
+        self._scale, self._reduce = _reduction_table(poly)
 
     # -- basic data --
 
@@ -274,7 +290,7 @@ class RealAlgebraicField:
         if vmid == 0:
             # The isolated root is the rational midpoint itself.
             self._lo = self._hi = mid
-        elif (_poly_eval(self.minpoly, lo) < 0) != (vmid < 0):
+        elif self._lo_negative != (vmid < 0):
             self._hi = mid
         else:
             self._lo = mid
@@ -358,20 +374,20 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(
-            a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.field,
+                            tuple(map(add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(
-            a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.field,
+                            tuple(map(sub, self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -380,24 +396,74 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _poly_mul(self.coeffs, o.coeffs)
-        _, rem = _poly_divmod(prod, self.field.minpoly)
-        coeffs = list(rem) + [Fraction(0)] * (self.field.degree - len(rem))
-        return FieldElement(self.field, tuple(coeffs))
+        field = self.field
+        a = self.coeffs
+        a_den = lcm(*map(_denominator, a))
+        b, b_den = _integer_form(o.coeffs)
+        d = len(a)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            x = x.numerator * (a_den // x.denominator)  # a in integer form
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        # fold x^(d+k) back through row k of the reduction table; the
+        # table's rows are integers over the denominator scale
+        scale = field._scale
+        for i in range(d):
+            conv[i] *= scale
+        for c, row in zip(conv[d:], field._reduce):
+            if c:
+                for i, r in enumerate(row):
+                    conv[i] += c * r
+        del conv[d:]
+        return FieldElement(field, tuple(
+            map(Fraction, conv, repeat(a_den * b_den * scale))))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """Solve self * u = 1 by fraction-free Gauss-Jordan elimination on
+        the matrix of multiplication by self."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        g, s, _ = _poly_xgcd(_trim(self.coeffs), self.field.minpoly)
-        if _deg(g) > 0:
-            raise NotInvertible(
-                "element shares a factor with the modulus; "
-                "the declared minimal polynomial is reducible")
-        _, rem = _poly_divmod(s, self.field.minpoly)
-        coeffs = list(rem) + [Fraction(0)] * (self.field.degree - len(rem))
-        return FieldElement(self.field, tuple(coeffs))
+        field = self.field
+        num, den = _integer_form(self.coeffs)
+        d = len(num)
+        scale = field._scale
+        # Column j is scale^j * den * (self * alpha^j): integers, each one
+        # alpha times the previous, reduced through x^d = row 0 / scale.
+        cols = [num]
+        for _ in range(d - 1):
+            prev = cols[-1]
+            top = prev[-1]
+            cols.append([scale * c + top * r
+                         for c, r in zip([0] + prev[:-1], field._reduce[0])])
+        # rows of [cols | den * e_0]; the solution w gives u_j = scale^j w_j
+        rows = [[*row, 0] for row in zip(*cols)]
+        rows[0][-1] = den
+        last = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if rows[i][k]), None)
+            if p is None:
+                raise NotInvertible(
+                    "element shares a factor with the modulus; "
+                    "the declared minimal polynomial is reducible")
+            pivot = rows[p]
+            rows[p] = rows[k]
+            rows[k] = pivot
+            pk = pivot[k]
+            # Bareiss step: every entry stays a minor, so // is exact
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    rows[i] = [(pk * x - f * y) // last
+                               for x, y in zip(row, pivot)]
+            last = pk
+        # every diagonal entry is now the last pivot
+        return FieldElement(field, tuple([
+            Fraction(scale ** j * row[-1], last)
+            for j, row in enumerate(rows)]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -429,10 +495,10 @@ class FieldElement:
     # -- equality, ordering, sign --
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -449,17 +515,18 @@ class FieldElement:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.minpoly))
+        # equal elements have equal coefficients, so these alone make a
+        # valid hash; hashing the minimal polynomial too cost more than them
+        return hash(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero()
 
     def sign(self) -> int:
         """Exact sign of the real embedding: -1, 0, or +1."""
-        if self.is_zero():
-            return 0
         if self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
+            head = self.coeffs[0].numerator
+            return (head > 0) - (head < 0)
         poly = _trim(self.coeffs)
         rounds = 0
         while True:

@@ -68,10 +68,6 @@ def rank_kernel_solve(A, b=None) -> LinearSolveResult:
     field = A[0][0].field
     work = [list(row) for row in A]
     rhs = list(b) if b is not None else None
-    # transform tracks the row operations applied to the identity, used for
-    # the inconsistency certificate
-    transform = [[field.one if i == j else field.zero for j in range(rows)]
-                 for i in range(rows)]
 
     pivot_cols = []
     r = 0
@@ -84,20 +80,16 @@ def rank_kernel_solve(A, b=None) -> LinearSolveResult:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        transform[r], transform[pivot] = transform[pivot], transform[r]
         if rhs is not None:
             rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
         inv = work[r][c].inverse()
         work[r] = [inv * x for x in work[r]]
-        transform[r] = [inv * x for x in transform[r]]
         if rhs is not None:
             rhs[r] = inv * rhs[r]
         for i in range(rows):
             if i != r and not work[i][c].is_zero():
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                transform[i] = [x - f * y
-                                for x, y in zip(transform[i], transform[r])]
                 if rhs is not None:
                     rhs[i] = rhs[i] - f * rhs[r]
         pivot_cols.append(c)
@@ -118,17 +110,17 @@ def rank_kernel_solve(A, b=None) -> LinearSolveResult:
     solution = None
     certificate = None
     if rhs is not None:
-        consistent = True
-        for i in range(rank, rows):
-            if not rhs[i].is_zero():
-                consistent = False
-                certificate = tuple(transform[i])
-                break
-        if consistent:
+        if all(rhs[i].is_zero() for i in range(rank, rows)):
             sol = [field.zero] * cols
             for i, pc in enumerate(pivot_cols):
                 sol[pc] = rhs[i]
             solution = tuple(sol)
+        else:
+            # b is outside the column space of A, so some vector of the
+            # left kernel (y with y*A = 0) is not orthogonal to it
+            certificate = next(
+                y for y in rank_kernel_solve(transpose(A)).kernel
+                if not dot(y, b).is_zero())
     return LinearSolveResult(rank, kernel, solution, certificate)
 
 

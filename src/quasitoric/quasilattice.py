@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import NotSpanning
+from .errors import NotSpanning, ParseError
 from .fan import normal_fan
 from .field import rational_field
 from .linalg import (
@@ -72,7 +72,7 @@ class Quasilattice:
         self.field = generators[0][0].field
         for g in generators:
             if len(g) != self.dimension:
-                raise ValueError("generator length disagrees with dimension")
+                raise ParseError("generator length disagrees with dimension")
         if mat_rank([list(row) for row in zip(*generators)]) \
                 != self.dimension:
             raise NotSpanning("generators do not span R^n")

@@ -207,6 +207,20 @@ class TestErrorHandling:
         assert err.strip().splitlines() == [
             "ParseError: polytope document needs integer n and facets"]
 
+    def test_ragged_quasilattice_single_line(self, capsys, tmp_path, corpus):
+        square = corpus("square")
+        doc = json.loads((square / "quasilattice.json").read_text())
+        del doc["n"]
+        doc["generators"][0] = [["1"]]
+        path = tmp_path / "ragged-ql.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "quasirational",
+                             str(square / "polytope.json"), "--ql", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "ParseError: generator length disagrees with dimension"]
+
 
 class TestEnvironmentResolution:
     def test_corpus_env_fallback(self, corpus, capsys, monkeypatch,

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasitoric.corpus import pentagon_field
 from quasitoric.errors import (
     DivisionByZero,
     MixedFields,
@@ -223,6 +226,52 @@ class TestFieldAxioms:
             z = random_element(k, rng)
             if x < y:
                 assert x + z < y + z
+
+
+def schoolbook_product(k, a, b):
+    """Independent product oracle: full polynomial product of the
+    coefficient lists, then the remainder by the monic minimal polynomial."""
+    d = k.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(k.minpoly):
+            prod[top - d + i] -= c * m
+    return tuple(prod[:d])
+
+
+PRODUCT_FIELDS = (
+    rational_field(),
+    RealAlgebraicField(["-2", "0", "1"], ("1", "2")),
+    pentagon_field(),
+)
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_product_and_inverse_match_oracle(data):
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    coeff_lists = st.lists(small_rationals, min_size=k.degree,
+                           max_size=k.degree)
+    a_coeffs = data.draw(coeff_lists)
+    b_coeffs = data.draw(coeff_lists)
+    a, b = k.element(a_coeffs), k.element(b_coeffs)
+    product = a * b
+    assert product.coeffs == schoolbook_product(k, a_coeffs, b_coeffs)
+    if not a.is_zero():
+        inverse = a.inverse()
+        assert a * inverse == 1
+        elements = (product, inverse)
+    else:
+        elements = (product,)
+    for x in elements:
+        assert len(x.coeffs) == k.degree
+        assert all(type(c) is Fraction for c in x.coeffs)
 
 
 class TestRefinement:

@@ -19,7 +19,7 @@ from .configuration import (
     config_validate,
     decode,
 )
-from .errors import ToolkitError
+from .errors import InternalInvariantError, ToolkitError
 from .fan import (
     Fan,
     FanPredicates,
@@ -73,6 +73,7 @@ __all__ = [
     "FundamentalTriple",
     "GaleDualConfiguration",
     "HalfspaceRep",
+    "InternalInvariantError",
     "Quasilattice",
     "RayWitness",
     "RealAlgebraicField",

@@ -3,9 +3,12 @@
 Every command reads UTF-8 JSON documents, prints one machine-readable
 JSON report to standard output, and exits 0; any domain error prints a
 single `ErrorClass: message` line to standard error and exits 1 (usage
-errors exit 2, as usual for argparse).  Indices in reports are 1-based,
-matching the document convention.  When a file argument does not exist
-and QUASITORIC_CORPUS is set, the path is retried below that directory.
+errors exit 2, as usual for argparse).  A failed internal invariant, a bug
+rather than a verdict on the input, prints one
+`InternalInvariantError: message` line and exits 3.  Indices in reports
+are 1-based, matching the document convention.  When a file argument does
+not exist and QUASITORIC_CORPUS is set, the path is retried below that
+directory.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ from pathlib import Path
 from . import documents as docs
 from .configuration import augment, config_validate
 from .corpus import ENTRY_NAMES, corpus_entry
-from .errors import FieldMismatch, ParseError, ToolkitError
+from .errors import (
+    FieldMismatch,
+    InternalInvariantError,
+    ParseError,
+    ToolkitError,
+)
 from .fan import fan_predicates, is_polytopal, normal_fan
 from .field import parse_rational
 from .gale import chamber_check, gale_dual
@@ -44,6 +52,9 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except InternalInvariantError as exc:
+        print(f"InternalInvariantError: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(docs.dumps(report))
     return 0
 

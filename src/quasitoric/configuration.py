@@ -23,6 +23,7 @@ from typing import Optional
 from .errors import (
     FanNotComplete,
     FanNotSimplicial,
+    InternalInvariantError,
     InvalidConfiguration,
     ToolkitError,
 )
@@ -255,8 +256,10 @@ def augment(triple: FundamentalTriple) -> AugmentedTriple:
         return tuple(acc)
 
     def append_ghost(v):
-        assert not all(x.is_zero() for x in v), "ghost must be nonzero"
-        assert ql.contains(v) is not None, "ghost must lie in Q"
+        if all(x.is_zero() for x in v):
+            raise InternalInvariantError("ghost must be nonzero")
+        if ql.contains(v) is None:
+            raise InternalInvariantError("ghost must lie in Q")
         ghosts.append(len(vectors))
         vectors.append(tuple(v))
 
@@ -291,10 +294,13 @@ def augment(triple: FundamentalTriple) -> AugmentedTriple:
     config = VectorConfiguration(n, vectors, ghosts)
     triangulation = Triangulation(body.cones)
     final = config.vector_sum()
-    assert all(x.is_zero() for x in final), "augmented sum must vanish"
-    assert (config.count - n) % 2 == 1, "augmented defect must be odd"
-    assert all(integral_membership(config.vectors, g) is not None
-               for g in ql.generators), "vectors must Z-span Q"
-    assert all(ql.contains(v) is not None for v in config.vectors), \
-        "every vector must lie in Q"
+    if not all(x.is_zero() for x in final):
+        raise InternalInvariantError("augmented sum must vanish")
+    if (config.count - n) % 2 != 1:
+        raise InternalInvariantError("augmented defect must be odd")
+    if not all(integral_membership(config.vectors, g) is not None
+               for g in ql.generators):
+        raise InternalInvariantError("vectors must Z-span Q")
+    if not all(ql.contains(v) is not None for v in config.vectors):
+        raise InternalInvariantError("every vector must lie in Q")
     return AugmentedTriple(config, triangulation, ql)

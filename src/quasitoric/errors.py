@@ -9,6 +9,12 @@ class ToolkitError(Exception):
     """Base class for all domain errors."""
 
 
+class InternalInvariantError(Exception):
+    """An internal invariant failed: a bug in the toolkit, never a verdict
+    on the input.  Not a ToolkitError, which callers may catch as a domain
+    verdict, and not an AssertionError, so it is raised under python -O."""
+
+
 # ---- real algebraic fields ----
 
 class NotSquarefree(ToolkitError):

@@ -23,7 +23,12 @@ import itertools
 from functools import cmp_to_key
 from typing import NamedTuple, Optional
 
-from .errors import DimensionTooHigh, InvalidFan, RedundantFacet
+from .errors import (
+    DimensionTooHigh,
+    InternalInvariantError,
+    InvalidFan,
+    RedundantFacet,
+)
 from .linalg import dot, mat_rank, solve_unique
 from .lp import strict_lp_feasible
 from .polytope import (
@@ -400,8 +405,9 @@ def is_polytopal(fan: Fan) -> Optional[tuple]:
         return None
     H = HalfspaceRep(n, list(zip(fan.rays, witness)))
     rebuilt = normal_fan(H)
-    assert set(rebuilt.cones) == set(fan.cones), \
-        "witness reconstruction changed the fan combinatorics"
+    if set(rebuilt.cones) != set(fan.cones):
+        raise InternalInvariantError(
+            "witness reconstruction changed the fan combinatorics")
     return witness
 
 

@@ -2,23 +2,25 @@
 
 A field handle carries a monic squarefree minimal polynomial with rational
 coefficients together with an isolating interval for one of its real roots.
-Elements are dense power-basis polynomials in alpha with Fraction
-coefficients, so equality is coefficient equality and every arithmetic
-operation is exact.  Sign determination refines the isolating interval by
-bisection until interval evaluation of the element excludes zero; Sturm
-chains make root counting (and hence isolation) decidable.
+Elements are dense power-basis polynomials in alpha, stored as integer
+numerators over one positive denominator in lowest terms, so equality is
+equality of that pair and every arithmetic operation is exact.  Sign
+determination refines the isolating interval by bisection until interval
+evaluation of the element excludes zero; Sturm chains make root counting
+(and hence isolation) decidable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, attrgetter, neg, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import (
     DivisionByZero,
+    InternalInvariantError,
     MixedFields,
     MultipleRootsInInterval,
     NoRootInInterval,
@@ -116,16 +118,13 @@ def _poly_eval(p, x: Fraction) -> Fraction:
     return acc
 
 
-def _interval_eval(p, lo: Fraction, hi: Fraction):
-    """Evaluate p over [lo, hi] by interval Horner; returns (min, max).
+def _interval_eval(nums, den: int, lo: Fraction, hi: Fraction):
+    """Evaluate the polynomial with coefficients nums[i] / den over
+    [lo, hi] by interval Horner; returns (min, max).
 
     Runs on integers: with lo = l/q and hi = h/q, the k-th Horner value
     times q^(k-1) is an integer, and scaling by a positive number keeps
     the min and max."""
-    if lo == hi:
-        v = _poly_eval(p, lo)
-        return v, v
-    nums, den = _integer_form(p)
     q = lcm(lo.denominator, hi.denominator)
     l = lo.numerator * (q // lo.denominator)
     h = hi.numerator * (q // hi.denominator)
@@ -167,17 +166,21 @@ def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
 # ---------------------------------------------------------------------------
 # integer numerators over one denominator
 # ---------------------------------------------------------------------------
-# Products, inverses and interval evaluation clear an operand's denominators
-# once, work on integer vectors and build the result Fractions at the end
-# (Cohen, A Course in Computational Algebraic Number Theory, 4.2-4.3).
+# An element keeps its coefficients as integer numerators over one common
+# denominator, so sums, products, inverses and interval evaluation run on
+# integer vectors and reduce the result by one gcd (Cohen, A Course in
+# Computational Algebraic Number Theory, 4.2-4.3).
 
 _denominator = attrgetter("denominator")
 
 
-def _integer_form(coeffs) -> tuple[list[int], int]:
-    """(numerators, den) with coeffs[i] == numerators[i] / den."""
+def _integer_form(coeffs) -> tuple[tuple[int, ...], int]:
+    """(numerators, den) in lowest terms with coeffs[i] == numerators[i] / den.
+
+    With den the lcm of the denominators, the coefficient whose denominator
+    carries the highest power of a prime p gets a numerator prime to p."""
     den = lcm(*map(_denominator, coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
 
 
 def _reduction_table(poly) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -211,7 +214,7 @@ class RealAlgebraicField:
     """
 
     __slots__ = ("minpoly", "_lo", "_hi", "_lo_negative", "_scale",
-                 "_reduce")
+                 "_reduce", "_pad")
 
     def __init__(self, minpoly: Iterable[RationalLike],
                  interval: tuple[RationalLike, RationalLike]):
@@ -245,6 +248,8 @@ class RealAlgebraicField:
         # refinement), so the cached sign stays valid.
         self._lo_negative = _poly_eval(poly, lo) < 0
         self._scale, self._reduce = _reduction_table(poly)
+        # zero numerators after the constant term of a rational element
+        self._pad = (0,) * (_deg(poly) - 1)
 
     # -- basic data --
 
@@ -308,7 +313,7 @@ class RealAlgebraicField:
         element of an equivalent field into this field."""
         if isinstance(value, FieldElement):
             if value.field is self or self.same_field(value.field):
-                return FieldElement(self, value.coeffs)
+                return FieldElement(self, value.num, value.den)
             raise MixedFields("element belongs to a different field")
         if isinstance(value, (int, Fraction, str)):
             coeffs = [parse_rational(value)]
@@ -320,25 +325,23 @@ class RealAlgebraicField:
                 raise ParseError(
                     f"coefficient list longer than field degree {self.degree}")
             coeffs = list(extra)
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        num, den = _integer_form(coeffs)
+        return FieldElement(self, num + (0,) * (self.degree - len(num)), den)
 
     @property
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement(self, (0,) + self._pad, 1)
 
     @property
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement(self, (1,) + self._pad, 1)
 
     @property
     def alpha(self) -> "FieldElement":
         """The isolated root as an element."""
         if self.degree == 1:
             return self.element(-self.minpoly[0])
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, (0, 1) + self._pad[1:], 1)
 
 
 def rational_field() -> RealAlgebraicField:
@@ -347,13 +350,23 @@ def rational_field() -> RealAlgebraicField:
 
 
 class FieldElement:
-    """Immutable power-basis element of a RealAlgebraicField."""
+    """Immutable power-basis element of a RealAlgebraicField.
 
-    __slots__ = ("field", "coeffs")
+    Coefficient i is num[i] / den, with den > 0 and gcd(den, *num) == 1, so
+    every value has exactly one (num, den).  Build elements with
+    RealAlgebraicField.element; the constructor takes the pair as given."""
 
-    def __init__(self, field: RealAlgebraicField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: RealAlgebraicField, num: tuple[int, ...],
+                 den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.num, repeat(self.den)))
 
     # -- coercion --
 
@@ -362,10 +375,16 @@ class FieldElement:
             if other.field is self.field:
                 return other
             if self.field.same_field(other.field):
-                return FieldElement(self.field, other.coeffs)
+                return FieldElement(self.field, other.num, other.den)
             raise MixedFields("operands belong to different fields")
-        if isinstance(other, (int, Fraction)):
-            return self.field.element(other)
+        if isinstance(other, int):
+            if isinstance(other, bool):
+                raise ParseError(f"not a rational: {other!r}")
+            return FieldElement(self.field, (other,) + self.field._pad, 1)
+        if isinstance(other, Fraction):
+            return FieldElement(self.field,
+                                (other.numerator,) + self.field._pad,
+                                other.denominator)
         return None
 
     # -- ring structure --
@@ -374,20 +393,26 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(map(add, self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        if a == b:
+            return _reduced(self.field, tuple(map(add, self.num, o.num)), a)
+        return _reduced(self.field, tuple([
+            x * b + y * a for x, y in zip(self.num, o.num)]), a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(map(neg, self.coeffs)))
+        return FieldElement(self.field, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            tuple(map(sub, self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        if a == b:
+            return _reduced(self.field, tuple(map(sub, self.num, o.num)), a)
+        return _reduced(self.field, tuple([
+            x * b - y * a for x, y in zip(self.num, o.num)]), a * b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -397,13 +422,13 @@ class FieldElement:
         if o is None:
             return NotImplemented
         field = self.field
-        a = self.coeffs
-        a_den = lcm(*map(_denominator, a))
-        b, b_den = _integer_form(o.coeffs)
-        d = len(a)
+        b = o.num
+        d = len(b)
+        if d == 1:
+            # Q: the table is empty, and skipping its loops pays
+            return _reduced(field, (self.num[0] * b[0],), self.den * o.den)
         conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            x = x.numerator * (a_den // x.denominator)  # a in integer form
+        for i, x in enumerate(self.num):
             if x:
                 for j, y in enumerate(b, i):
                     conv[j] += x * y
@@ -417,8 +442,7 @@ class FieldElement:
                 for i, r in enumerate(row):
                     conv[i] += c * r
         del conv[d:]
-        return FieldElement(field, tuple(
-            map(Fraction, conv, repeat(a_den * b_den * scale))))
+        return _reduced(field, tuple(conv), self.den * o.den * scale)
 
     __rmul__ = __mul__
 
@@ -428,12 +452,17 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         field = self.field
-        num, den = _integer_form(self.coeffs)
+        num = self.num
         d = len(num)
+        if d == 1:
+            # Q: the inverse of n/den is den/n, already in lowest terms
+            n = num[0]
+            return FieldElement(field, (self.den if n > 0 else -self.den,),
+                                abs(n))
         scale = field._scale
         # Column j is scale^j * den * (self * alpha^j): integers, each one
         # alpha times the previous, reduced through x^d = row 0 / scale.
-        cols = [num]
+        cols = [list(num)]
         for _ in range(d - 1):
             prev = cols[-1]
             top = prev[-1]
@@ -441,7 +470,7 @@ class FieldElement:
                          for c, r in zip([0] + prev[:-1], field._reduce[0])])
         # rows of [cols | den * e_0]; the solution w gives u_j = scale^j w_j
         rows = [[*row, 0] for row in zip(*cols)]
-        rows[0][-1] = den
+        rows[0][-1] = self.den
         last = 1
         for k in range(d):
             p = next((i for i in range(k, d) if rows[i][k]), None)
@@ -460,10 +489,11 @@ class FieldElement:
                     rows[i] = [(pk * x - f * y) // last
                                for x, y in zip(row, pivot)]
             last = pk
-        # every diagonal entry is now the last pivot
-        return FieldElement(field, tuple([
-            Fraction(scale ** j * row[-1], last)
-            for j, row in enumerate(rows)]))
+        # every diagonal entry is now the last pivot; keep den positive
+        sign = 1 if last > 0 else -1
+        return _reduced(field, tuple([
+            sign * scale ** j * row[-1] for j, row in enumerate(rows)]),
+            sign * last)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -495,29 +525,32 @@ class FieldElement:
     # -- equality, ordering, sign --
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, FieldElement) \
-            else other
-        if o is None or not isinstance(o, FieldElement):
-            return NotImplemented
-        if o.field is not self.field and not self.field.same_field(o.field):
-            return False
-        return self.coeffs == o.coeffs
+        if isinstance(other, FieldElement):
+            if other.field is not self.field \
+                    and not self.field.same_field(other.field):
+                return False
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        # equal elements have equal coefficients, so these alone make a
-        # valid hash; hashing the minimal polynomial too cost more than them
-        return hash(self.coeffs)
+        # equal elements have equal (num, den), so these alone make a valid
+        # hash; hashing the minimal polynomial too cost more than them
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -525,13 +558,12 @@ class FieldElement:
     def sign(self) -> int:
         """Exact sign of the real embedding: -1, 0, or +1."""
         if self.is_rational():
-            head = self.coeffs[0].numerator
+            head = self.num[0]
             return (head > 0) - (head < 0)
-        poly = _trim(self.coeffs)
         rounds = 0
         while True:
             lo, hi = self.field.interval
-            vlo, vhi = _interval_eval(poly, lo, hi)
+            vlo, vhi = _interval_eval(self.num, self.den, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -544,12 +576,17 @@ class FieldElement:
                     "the declared minimal polynomial is reducible")
             rounds += 1
             if rounds == _REDUCIBILITY_CHECK_AFTER:
-                g = _poly_gcd(poly, self.field.minpoly)
-                if _deg(g) > 0 and _count_roots(g, lo, hi) > 0:
-                    raise NotInvertible(
-                        "element vanishes at alpha; the declared minimal "
-                        "polynomial is reducible")
+                self._check_not_root(lo, hi)
             self.field.refine()
+
+    def _check_not_root(self, lo: Fraction, hi: Fraction) -> None:
+        """Raise NotInvertible if the element vanishes at a root of the
+        minimal polynomial in [lo, hi]."""
+        g = _poly_gcd(_trim(self.coeffs), self.field.minpoly)
+        if _deg(g) > 0 and _count_roots(g, lo, hi) > 0:
+            raise NotInvertible(
+                "element vanishes at alpha; the declared minimal "
+                "polynomial is reducible")
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -570,24 +607,18 @@ class FieldElement:
 
     def floor(self) -> int:
         if self.is_rational():
-            c = self.coeffs[0]
-            return c.numerator // c.denominator
-        poly = _trim(self.coeffs)
+            return self.num[0] // self.den
         rounds = 0
         while True:
             lo, hi = self.field.interval
-            vlo, vhi = _interval_eval(poly, lo, hi)
+            vlo, vhi = _interval_eval(self.num, self.den, lo, hi)
             flo = vlo.numerator // vlo.denominator
             fhi = vhi.numerator // vhi.denominator
             if flo == fhi:
                 return flo
             rounds += 1
             if rounds == _REDUCIBILITY_CHECK_AFTER:
-                g = _poly_gcd(poly, self.field.minpoly)
-                if _deg(g) > 0 and _count_roots(g, lo, hi) > 0:
-                    raise NotInvertible(
-                        "element vanishes at alpha; the declared minimal "
-                        "polynomial is reducible")
+                self._check_not_root(lo, hi)
             self.field.refine()
 
     def decimal(self, significant: int = 12) -> str:
@@ -614,7 +645,9 @@ class FieldElement:
             n //= 10
             e += 1
         digits = str(n)
-        assert len(digits) == significant
+        if len(digits) != significant:
+            raise InternalInvariantError(
+                f"rounding gave {len(digits)} digits, not {significant}")
         if e >= significant:
             body = digits + "0" * (e - significant + 1)
         elif e >= 0:
@@ -629,6 +662,16 @@ class FieldElement:
         terms = " + ".join(f"{c}*a^{i}" if i else str(c)
                            for i, c in enumerate(self.coeffs) if c != 0)
         return f"FieldElement({terms})"
+
+
+def _reduced(field: RealAlgebraicField, num: tuple[int, ...],
+             den: int) -> FieldElement:
+    """The element num / den (den > 0) in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple([x // g for x in num])
+        den //= g
+    return FieldElement(field, num, den)
 
 
 def _round_half_even(x: Fraction) -> int:

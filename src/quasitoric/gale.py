@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .configuration import Triangulation, VectorConfiguration
-from .errors import NotBalanced, NotOdd, NotSpanning
+from .errors import InternalInvariantError, NotBalanced, NotOdd, NotSpanning
 from .linalg import dot, rank_kernel_solve, rref_rows
 from .lp import strict_lp_feasible
 
@@ -56,20 +56,25 @@ def gale_dual(config: VectorConfiguration,
     if result.rank != n:
         raise NotSpanning("configuration vectors do not span R^n")
     kernel = result.kernel
-    assert len(kernel) == defect
+    if len(kernel) != defect:
+        raise InternalInvariantError("kernel dimension must equal p - n")
     ones = tuple(field.one for _ in range(p))
     for row in matrix:
-        assert dot(row, ones).is_zero(), "balanced kernel must contain ones"
+        if not dot(row, ones).is_zero():
+            raise InternalInvariantError("balanced kernel must contain ones")
     projected = []
     for vec in kernel:
         first = vec[0]
         projected.append(tuple(x - first * o for x, o in zip(vec, ones)))
     echelon = rref_rows(projected)
     m = (defect - 1) // 2
-    assert len(echelon) == 2 * m, "ones-complement must have rank 2m"
+    if len(echelon) != 2 * m:
+        raise InternalInvariantError("ones-complement must have rank 2m")
     for b in echelon:
         for row in matrix:
-            assert dot(row, b).is_zero()
+            if not dot(row, b).is_zero():
+                raise InternalInvariantError(
+                    "Gale vectors must lie in the kernel")
     points = []
     for j in range(p):
         re = tuple(echelon[2 * i][j] for i in range(m))

@@ -52,15 +52,14 @@ class LinearSolveResult(NamedTuple):
     rank: int
     kernel: list  # kernel basis vectors, reduced-echelon parametrization
     solution: Optional[tuple]  # present iff the system is consistent
-    certificate: Optional[tuple]  # row y with y*A = 0, y.b != 0 when not
 
 
 def rank_kernel_solve(A, b=None) -> LinearSolveResult:
     """Exact elimination on A (optionally augmented by b).
 
     Returns the rank, a deterministic reduced-echelon kernel basis, and,
-    when b is given, either a particular solution (free variables zero) or
-    an inconsistency certificate row.
+    when b is given, a particular solution (free variables zero) or None
+    when the system is inconsistent (see inconsistency_certificate).
     """
     if not A:
         raise ValueError("matrix must have at least one row")
@@ -108,20 +107,22 @@ def rank_kernel_solve(A, b=None) -> LinearSolveResult:
         kernel.append(tuple(vec))
 
     solution = None
-    certificate = None
-    if rhs is not None:
-        if all(rhs[i].is_zero() for i in range(rank, rows)):
-            sol = [field.zero] * cols
-            for i, pc in enumerate(pivot_cols):
-                sol[pc] = rhs[i]
-            solution = tuple(sol)
-        else:
-            # b is outside the column space of A, so some vector of the
-            # left kernel (y with y*A = 0) is not orthogonal to it
-            certificate = next(
-                y for y in rank_kernel_solve(transpose(A)).kernel
-                if not dot(y, b).is_zero())
-    return LinearSolveResult(rank, kernel, solution, certificate)
+    if rhs is not None and all(rhs[i].is_zero() for i in range(rank, rows)):
+        sol = [field.zero] * cols
+        for i, pc in enumerate(pivot_cols):
+            sol[pc] = rhs[i]
+        solution = tuple(sol)
+    return LinearSolveResult(rank, kernel, solution)
+
+
+def inconsistency_certificate(A, b) -> Optional[tuple]:
+    """A row y with y*A = 0 and y.b != 0, or None when A x = b is
+    consistent.
+
+    b is outside the column space of A exactly when some vector of the left
+    kernel (y with y*A = 0) is not orthogonal to it."""
+    return next((y for y in rank_kernel_solve(transpose(A)).kernel
+                 if not dot(y, b).is_zero()), None)
 
 
 def solve_unique(A, b):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import VariableBudgetExceeded
+from .errors import InternalInvariantError, VariableBudgetExceeded
 
 VARIABLE_BUDGET = 16
 
@@ -157,10 +157,13 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
             witness[v] = hi - one
         else:
             cmp = (hi - lo).sign()
-            assert cmp >= 0, "Fourier-Motzkin produced an empty interval"
+            if cmp < 0:
+                raise InternalInvariantError(
+                    "Fourier-Motzkin produced an empty interval")
             if cmp == 0:
-                assert not (lo_strict or hi_strict), \
-                    "Fourier-Motzkin produced an empty open interval"
+                if lo_strict or hi_strict:
+                    raise InternalInvariantError(
+                        "Fourier-Motzkin produced an empty open interval")
                 witness[v] = lo
             else:
                 witness[v] = (lo + hi) / 2
@@ -176,7 +179,8 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
         diff = (val - rhs).sign()
         ok = diff == 0 if rel == "=" else (diff > 0 if rel == ">"
                                            else diff >= 0)
-        assert ok, "witness failed the exact recheck"
+        if not ok:
+            raise InternalInvariantError("witness failed the exact recheck")
     return tuple(witness)
 
 

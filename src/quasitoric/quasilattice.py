@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import NotSpanning, ParseError
+from .errors import InternalInvariantError, NotSpanning, ParseError
 from .fan import normal_fan
 from .field import rational_field
 from .linalg import (
@@ -197,8 +197,8 @@ def ray_generator(ql: Quasilattice, direction) -> Optional[RayWitness]:
         t = w[pivot] / direction[pivot]
         if t.is_zero():
             continue
-        assert all((w[i] - t * direction[i]).is_zero() for i in range(n)), \
-            "lattice row left the ray span"
+        if not all((w[i] - t * direction[i]).is_zero() for i in range(n)):
+            raise InternalInvariantError("lattice row left the ray span")
         if t.sign() < 0:
             row = [-x for x in row]
             w = tuple(-x for x in w)

@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from .errors import (
     CountMismatch,
+    InternalInvariantError,
     NormalNotInQuasilattice,
     NormalWrongDirection,
     SingularVertexFrame,
@@ -166,5 +167,6 @@ def _finite_order(images, n) -> int:
     for i in range(n):
         index *= D[i][i]
     order, remainder = divmod(denom ** n, index)
-    assert remainder == 0, "group order index must divide D^n"
+    if remainder != 0:
+        raise InternalInvariantError("group order index must divide D^n")
     return order

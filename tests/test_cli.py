@@ -221,6 +221,18 @@ class TestErrorHandling:
         assert err.strip().splitlines() == [
             "ParseError: generator length disagrees with dimension"]
 
+    def test_failed_invariant_exits_3(self, capsys, corpus, monkeypatch):
+        directory = corpus("thin-rhombus")
+        # a membership test that never finds a combination breaks the
+        # postcondition that the augmented vectors Z-span the quasilattice
+        monkeypatch.setattr("quasitoric.configuration.integral_membership",
+                            lambda vectors, target: None)
+        code, out, err = run(capsys, "augment", str(directory / "triple.json"))
+        assert code == 3
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "InternalInvariantError: vectors must Z-span Q"]
+
 
 class TestEnvironmentResolution:
     def test_corpus_env_fallback(self, corpus, capsys, monkeypatch,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,47 @@ def test_product_and_inverse_match_oracle(data):
     for x in elements:
         assert len(x.coeffs) == k.degree
         assert all(type(c) is Fraction for c in x.coeffs)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_representation_is_canonical(data):
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    coeff_lists = st.lists(small_rationals, min_size=k.degree,
+                           max_size=k.degree)
+    a_coeffs = data.draw(coeff_lists)
+    b_coeffs = data.draw(coeff_lists)
+    a, b = k.element(a_coeffs), k.element(b_coeffs)
+    # sums, differences and negation against coefficient-wise Fractions
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a_coeffs, b_coeffs))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(a_coeffs, b_coeffs))
+    assert (-a).coeffs == tuple(-x for x in a_coeffs)
+    elements = [a, b, a + b, a - b, -a, a * b, (a + b) - b]
+    if not a.is_zero():
+        elements.append(a.inverse())
+    for x in elements:
+        # one (num, den) per value: den positive, the pair in lowest terms
+        assert x.den > 0
+        assert gcd(x.den, *x.num) == 1
+        assert len(x.num) == k.degree
+        y = k.element(list(x.coeffs))
+        assert x == y and hash(x) == hash(y)
+    # one rational value built from an int, a Fraction, "p/q" text and
+    # arithmetic, including arithmetic whose irrational parts cancel
+    n = data.draw(st.integers(-50, 50))
+    r = data.draw(small_rationals)
+    same_int = [k.element(n), k.element(Fraction(n)), k.element(str(n)),
+                k.one * n, k.zero + n, (a + n) - a, (a * 2 + n) - a - a]
+    text = f"{r.numerator}/{r.denominator}"
+    same_fraction = [k.element(r), k.element(text),
+                     k.element(r.numerator) / r.denominator, k.one * r,
+                     r + k.zero, (a + r) - a, (a - r) * -1 + a]
+    for same, value in ((same_int, n), (same_fraction, r)):
+        for x in same:
+            assert x == same[0] and hash(x) == hash(same[0])
+            assert x == value
+            assert x.coeffs == (Fraction(value),) + (Fraction(0),) * (
+                k.degree - 1)
 
 
 class TestRefinement:

@@ -6,6 +6,7 @@ from quasitoric.field import RealAlgebraicField, rational_field
 from quasitoric.linalg import (
     dot,
     hnf,
+    inconsistency_certificate,
     integer_kernel,
     integer_solve,
     mat_rank,
@@ -111,11 +112,12 @@ class TestRankKernelSolve:
         b = qvec([1, 3])
         res = rank_kernel_solve(A, b)
         assert res.solution is None
-        y = res.certificate
+        y = inconsistency_certificate(A, b)
         # y*A = 0 and y.b != 0
         for j in range(2):
             assert (y[0] * A[0][j] + y[1] * A[1][j]).is_zero()
         assert not (y[0] * b[0] + y[1] * b[1]).is_zero()
+        assert inconsistency_certificate(A, qvec([1, 2])) is None
 
     def test_solve_unique(self):
         A = qmat([[2, 1], [1, 3]])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, attrgetter, neg, sub
+from operator import attrgetter, neg
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -394,8 +394,6 @@ class FieldElement:
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
-        if a == b:
-            return _reduced(self.field, tuple(map(add, self.num, o.num)), a)
         return _reduced(self.field, tuple([
             x * b + y * a for x, y in zip(self.num, o.num)]), a * b)
 
@@ -409,8 +407,6 @@ class FieldElement:
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
-        if a == b:
-            return _reduced(self.field, tuple(map(sub, self.num, o.num)), a)
         return _reduced(self.field, tuple([
             x * b - y * a for x, y in zip(self.num, o.num)]), a * b)
 

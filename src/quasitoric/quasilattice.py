@@ -37,10 +37,11 @@ def _flatten_rows(vectors, degree):
     """Rational rows of the flattened presentation: one row per
     (coordinate, power-basis index) pair, one column per vector."""
     n = len(vectors[0])
+    coeffs = [[x.coeffs for x in v] for v in vectors]
     rows = []
     for i in range(n):
         for k in range(degree):
-            rows.append([v[i].coeffs[k] for v in vectors])
+            rows.append([c[i][k] for c in coeffs])
     return rows
 
 
@@ -120,11 +121,7 @@ def integral_membership(vectors, target) -> Optional[tuple]:
     including the target's entry, then solves over Z."""
     degree = vectors[0][0].field.degree
     rows = _flatten_rows(vectors, degree)
-    n = len(vectors[0])
-    target_flat = []
-    for i in range(n):
-        for k in range(degree):
-            target_flat.append(target[i].coeffs[k])
+    target_flat = [c for x in target for c in x.coeffs]
     A = []
     b = []
     for row, t in zip(rows, target_flat):
@@ -164,11 +161,12 @@ def ray_generator(ql: Quasilattice, direction) -> Optional[RayWitness]:
     for _ in range(degree - 1):
         alpha_powers.append(alpha_powers[-1] * field.alpha)
     for i in range(n):
+        generated = [g[i].coeffs for g in ql.generators]
+        scaled = [(a * direction[i]).coeffs for a in alpha_powers]
         for k in range(degree):
-            row = [_Q.element(g[i].coeffs[k]) for g in ql.generators]
-            for m in range(degree):
-                scaled = alpha_powers[m] * direction[i]
-                row.append(_Q.element(-scaled.coeffs[k]))
+            row = [_Q.element(c[k]) for c in generated]
+            for c in scaled:
+                row.append(_Q.element(-c[k]))
             rows.append(row)
     kernel = rank_kernel_solve(rows).kernel
     basis_x = [vec[:p] for vec in kernel]

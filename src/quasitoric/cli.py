@@ -25,10 +25,11 @@ from .corpus import ENTRY_NAMES, corpus_entry
 from .errors import (
     FieldMismatch,
     InternalInvariantError,
+    InvalidFan,
     ParseError,
     ToolkitError,
 )
-from .fan import fan_predicates, is_polytopal, normal_fan
+from .fan import fan_is_valid, fan_predicates, is_polytopal, normal_fan
 from .field import parse_rational
 from .gale import chamber_check, gale_dual
 from .polytope import (
@@ -274,6 +275,9 @@ def _cmd_augment(args):
         # pass through the normal fan, keeping the declared normals
         fan = normal_fan(triple.body)
         triple = FundamentalTriple(fan, triple.quasilattice, triple.normals)
+    elif not fan_is_valid(triple.body):
+        # completeness is decided only for a fan
+        raise InvalidFan("augment needs a valid fan")
     triple_validate(triple)
     result = augment(triple)
     doc = docs.configuration_to_doc(result.configuration,

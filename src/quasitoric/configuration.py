@@ -129,7 +129,9 @@ class ConfigReport:
 def config_validate(config: VectorConfiguration,
                     triangulation: Triangulation) -> ConfigReport:
     """Exact report on the triangulation axioms, balance, parity,
-    spanning, and the completeness/spanning equivalence."""
+    spanning, and the completeness/spanning equivalence.  Completeness is
+    decided only when the simplices are independent and compatible, that
+    is when they form a fan; otherwise it reads None."""
     n = config.dimension
     p = config.count
     field = config.field
@@ -152,27 +154,24 @@ def config_validate(config: VectorConfiguration,
     indexed = set(triangulation.indexed())
     ghosts_disjoint = not (config.ghosts & indexed)
 
-    cache = {}
-    if n <= 3 and independence:
+    compatibility = covering = complete = None
+    if independence:
+        # fan lemma: simplices are simplicial, so their faces are their
+        # subsets and compatibility need only hold for maximal pairs
+        maximal = triangulation.maximal()
+        cache = {}
         compatibility = all(
             cones_meet_in_common_face(vectors, a, b, field, cache)
-            for a, b in combinations(sorted(triangulation.simplices), 2))
-        maximal = triangulation.maximal()
+            for a, b in combinations(maximal, 2))
         covering = all(
             any(cone_contains_index(vectors, s, i, field, cache)
                 for s in maximal)
             for i in range(p))
-    else:
-        compatibility = None
-        covering = None
-
-    complete = None
-    if n <= 3 and independence:
-        try:
-            fan = _fan_from(config, triangulation)
-            complete = fan_is_complete(fan)
-        except ToolkitError:
-            complete = None
+        if compatibility:
+            try:
+                complete = fan_is_complete(_fan_from(config, triangulation))
+            except ToolkitError:
+                complete = None
     equivalence = None
     if balanced and complete is not None:
         equivalence = (complete == spanning)

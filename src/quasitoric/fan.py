@@ -4,10 +4,11 @@ completeness, and polytopality.
 Cones are stored as sorted tuples of indices into the fan's shared ray
 list.  All predicates reduce to exact LP feasibility: membership of a
 point in a cone, supporting hyperplanes for face enumeration, and the
-separation argument for the pairwise-intersection axiom.  Completeness is
-implemented for n <= 3 (angular ordering in the plane, wall counting in
-space); every cone here is assumed pointed, which holds for all normal
-fans of bounded polytopes.
+separation argument for the pairwise-intersection axiom.  Completeness
+of a valid fan is one wall-pairing test in every dimension: each maximal
+cone is full-dimensional and each of its walls lies in exactly two
+maximal cones.  Every cone here is assumed pointed, which holds for all
+normal fans of bounded polytopes.
 
 Validity uses the standard fan lemma (Ziegler, Lectures on Polytopes,
 Ch. 7): a collection closed under faces in which every cone is a face of
@@ -20,7 +21,6 @@ cone, and every cone is a face of one of them.
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -278,90 +278,39 @@ def fan_is_valid(fan: Fan) -> bool:
 
 
 def fan_is_complete(fan: Fan) -> bool:
+    """Whether the support of a fan is all of R^n.
+
+    Precondition: fan_is_valid(fan).  On a collection that is not a fan
+    the test can answer True wrongly, e.g. for the three 2-cones on rays
+    at 0, 27 and 63 degrees, which cover only a 63-degree sector.
+
+    Wall pairing (Ziegler, Lectures on Polytopes, Ch. 7): every maximal
+    cone is full-dimensional and every wall of a maximal cone lies in
+    exactly two maximal cones.  Two cones of a fan that meet in a wall
+    lie on opposite sides of it, so the support has no boundary and is
+    all of R^n.  The walls of a full-dimensional pointed cone are its
+    inclusion-maximal proper faces.  Walls are matched by ray-index sets,
+    which name each geometric cone once in simplicial and normal fans."""
     n = fan.dimension
-    if n == 1:
-        directions = {fan.rays[c[0]][0].sign()
-                      for c in fan.cones if len(c) == 1}
-        return directions == {1, -1}
-    if n == 2:
-        return _complete_2d(fan)
-    if n == 3:
-        return _complete_3d(fan)
-    raise DimensionTooHigh(f"completeness check needs n <= 3, got {n}")
-
-
-def _angle_class(r) -> int:
-    """0 for the open upper half plane plus the positive x-axis."""
-    s = r[1].sign()
-    if s > 0 or (s == 0 and r[0].sign() > 0):
-        return 0
-    return 1
-
-
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _complete_2d(fan: Fan) -> bool:
-    """Angular ordering: consecutive rays span sectors below pi that are
-    cones of the fan; disjoint interiors then cover the whole circle."""
-    k = fan.ray_count
-    if k < 3:
-        return False
-
-    def cmp(i, j):
-        a, b = fan.rays[i], fan.rays[j]
-        ca, cb = _angle_class(a), _angle_class(b)
-        if ca != cb:
-            return -1 if ca < cb else 1
-        return -_cross2(a, b).sign()
-
-    order = sorted(range(k), key=cmp_to_key(cmp))
-    for i, j in zip(order, order[1:] + order[:1]):
-        if _cross2(fan.rays[i], fan.rays[j]).sign() <= 0:
-            return False
-        if not any(i in c and j in c for c in fan.cones):
-            return False
-    return True
-
-
-def _complete_3d(fan: Fan) -> bool:
-    """Every wall of a maximal cone shared by exactly two maximal cones,
-    and the wall-adjacency graph connected."""
     maximal = fan.maximal_cones()
-    maximal = tuple(c for c in maximal if c)
-    if not maximal:
-        return False
-    for c in maximal:
-        if mat_rank([list(fan.rays[i]) for i in c]) != 3:
-            return False
     wall_owners = {}
-    for idx, cone in enumerate(maximal):
-        for face in fan.cone_faces(cone):
-            if face and mat_rank([list(fan.rays[i]) for i in face]) == 2:
-                wall_owners.setdefault(face, []).append(idx)
-    if any(len(owners) != 2 for owners in wall_owners.values()):
-        return False
-    adjacency = {i: set() for i in range(len(maximal))}
-    for a, b in wall_owners.values():
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(maximal)
+    for cone in maximal:
+        if len(cone) < n or mat_rank([list(fan.rays[i])
+                                      for i in cone]) != n:
+            return False
+        proper = fan.cone_faces(cone) - {cone}
+        for face in proper:
+            if not any(set(face) < set(other) for other in proper):
+                wall_owners[face] = wall_owners.get(face, 0) + 1
+    return all(owners == 2 for owners in wall_owners.values())
 
 
 def fan_predicates(fan: Fan) -> FanPredicates:
-    """(valid, simplicial, complete); completeness raises DimensionTooHigh
-    for n > 3 while the other two are always computed."""
+    """(valid, simplicial, complete); complete is decided only for a valid
+    fan, the precondition of fan_is_complete, and is False otherwise."""
     valid = fan_is_valid(fan)
     simplicial = fan_is_simplicial(fan)
-    complete = fan_is_complete(fan)
+    complete = valid and fan_is_complete(fan)
     return FanPredicates(valid, simplicial, complete)
 
 

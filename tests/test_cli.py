@@ -221,6 +221,26 @@ class TestErrorHandling:
         assert err.strip().splitlines() == [
             "ParseError: generator length disagrees with dimension"]
 
+    def test_augment_refuses_a_non_fan(self, capsys, tmp_path):
+        # three 2-cones on rays at 0, 27 and 63 degrees: every ray lies in
+        # two cones, but the cones overlap and cover only one sector
+        rays = [[["1"], ["0"]], [["2"], ["1"]], [["1"], ["2"]]]
+        doc = {
+            "field": {"minpoly": ["0", "1"], "interval": ["-1", "1"]},
+            "n": 2,
+            "fan": {"rays": rays, "cones": [[1, 2], [2, 3], [1, 3]]},
+            "quasilattice": {"generators": [[["1"], ["0"]],
+                                            [["0"], ["1"]]]},
+            "normals": rays,
+        }
+        path = tmp_path / "zig-zag.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "augment", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "InvalidFan: augment needs a valid fan"]
+
     def test_failed_invariant_exits_3(self, capsys, corpus, monkeypatch):
         directory = corpus("thin-rhombus")
         # a membership test that never finds a combination breaks the

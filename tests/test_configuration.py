@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, qvec
 from quasitoric.configuration import (
@@ -28,7 +31,13 @@ from quasitoric.errors import (
     FanNotSimplicial,
     InvalidConfiguration,
 )
-from quasitoric.fan import Fan, fans_equivalent, normal_fan
+from quasitoric.fan import (
+    Fan,
+    cones_meet_in_common_face,
+    fans_equivalent,
+    normal_fan,
+)
+from quasitoric.linalg import mat_rank
 from quasitoric.polytope import HalfspaceRep
 from quasitoric.quasilattice import ql_span
 from quasitoric.triple import FundamentalTriple
@@ -113,6 +122,28 @@ class TestValidate:
         tri = Triangulation([(0, 1)])
         report = config_validate(config, tri)
         assert not report.simplex_independence
+
+    def test_incompatible_triangulation_has_no_completeness_verdict(self):
+        # cone(e1, (1,1)) lies inside cone(e1, e2) without being a face
+        vectors = [qvec(1, 0), qvec(0, 1), qvec(1, 1), qvec(-1, -1)]
+        report = config_validate(VectorConfiguration(2, vectors),
+                                 Triangulation([(0, 1), (0, 2), (1, 3)]))
+        assert report.simplex_independence
+        assert report.cone_compatibility is False
+        assert report.complete is None
+        assert report.completeness_matches_spanning is None
+
+    def test_four_dimensional_coordinate_configuration(self):
+        vectors = [qvec(*(s if j == i else 0 for j in range(4)))
+                   for i in range(4) for s in (1, -1)]
+        orthants = itertools.product(*[(2 * i, 2 * i + 1)
+                                       for i in range(4)])
+        report = config_validate(VectorConfiguration(4, vectors),
+                                 Triangulation(orthants))
+        assert report.cone_compatibility is True
+        assert report.covering is True
+        assert report.complete is True
+        assert report.completeness_matches_spanning is True
 
     def test_triangulation_closure_from_maximal_listing(self):
         tri = Triangulation([(0, 3), (3, 2), (2, 1), (1, 0)])
@@ -247,3 +278,36 @@ class TestAugment:
             back = decode(aug.configuration, aug.triangulation)
             assert set(back.body.cones) == set(triple.body.cones)
             assert back.quasilattice == triple.quasilattice
+
+
+# ---------------------------------------------------------------------------
+# compatibility from maximal simplices against all pairs of simplices
+# ---------------------------------------------------------------------------
+
+@st.composite
+def triangulated_configurations(draw):
+    """Random small vectors (repeats allowed) and random independent
+    simplices on them."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(-2, 2), min_size=n,
+                      max_size=n).filter(any)
+    vectors = [qvec(*v) for v in draw(st.lists(coords, min_size=n,
+                                               max_size=6))]
+    subsets = draw(st.lists(
+        st.lists(st.sampled_from(range(len(vectors))), min_size=1,
+                 max_size=n, unique=True),
+        min_size=2, max_size=6))
+    simplices = [s for s in subsets
+                 if mat_rank([list(vectors[i]) for i in s]) == len(s)]
+    return VectorConfiguration(n, vectors), Triangulation(simplices)
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(triangulated_configurations())
+def test_maximal_pairs_decide_compatibility(case):
+    config, tri = case
+    all_pairs = all(
+        cones_meet_in_common_face(config.vectors, a, b, config.field)
+        for a, b in itertools.combinations(sorted(tri.simplices), 2))
+    assert config_validate(config, tri).cone_compatibility == all_pairs

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, qvec
@@ -16,7 +17,7 @@ from quasitoric.corpus import (
     twisted_cube_fan_data,
     unit_square_facets,
 )
-from quasitoric.errors import DimensionTooHigh, InvalidFan, RedundantFacet
+from quasitoric.errors import InvalidFan, NotFullDimensional, RedundantFacet
 from quasitoric.fan import (
     Fan,
     cones_meet_in_common_face,
@@ -49,6 +50,15 @@ def corpus_polytopes():
         ("trapezoid-sqrt2",
          HalfspaceRep(2, trapezoid_facets(k2, k2.alpha))),
     ]
+
+
+def face_closed(n, rays, cones):
+    """The fan of the given cones and all their faces."""
+    generating = Fan(n, rays, cones)
+    closed = set()
+    for cone in generating.cones:
+        closed |= generating.cone_faces(cone)
+    return Fan(n, rays, closed)
 
 
 class TestFanConstruction:
@@ -160,13 +170,48 @@ class TestPredicates:
         assert (1,) not in fan.cone_faces((0, 1, 2))
         assert not fan_is_valid(fan)
 
-    def test_completeness_dimension_guard(self):
-        k = Q
-        rays = [tuple(k.element(1 if i == j else 0) for j in range(4))
-                for i in range(4)]
-        fan = Fan(4, rays, [(i,) for i in range(4)])
-        with pytest.raises(DimensionTooHigh):
-            fan_is_complete(fan)
+    def test_four_dimensional_coordinate_fan(self):
+        # rays +-e_i and the 16 orthant cones cover R^4; without -e_4 and
+        # its cones the support is the half-space x_4 >= 0
+        rays = [qvec(*(s if j == i else 0 for j in range(4)))
+                for i in range(4) for s in (1, -1)]
+        orthants = list(itertools.product(*[(2 * i, 2 * i + 1)
+                                            for i in range(4)]))
+        fan = face_closed(4, rays, orthants)
+        assert fan_predicates(fan) == (True, True, True)
+        half = face_closed(4, rays[:7], [c for c in orthants if 7 not in c])
+        assert fan_is_valid(half)
+        assert not fan_is_complete(half)
+
+    def test_walls_with_more_rays_than_their_dimension(self):
+        # an extra ray in each quadrant of the plane z = 0 gives every wall
+        # on that plane three rays: the cones over it cover the upper
+        # half-space, and together with those under it all of R^3
+        plane = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0), (-1, 0, 0),
+                 (-1, -1, 0), (0, -1, 0), (1, -1, 0)]
+        rays = [qvec(*r) for r in plane + [(0, 0, 1), (0, 0, -1)]]
+        walls = [(q, q + 1, (q + 2) % 8) for q in range(0, 8, 2)]
+        upper = [w + (8,) for w in walls]
+        lower = [w + (9,) for w in walls]
+        half = face_closed(3, rays, upper)
+        assert fan_is_valid(half)
+        assert not fan_is_complete(half)
+        full = face_closed(3, rays, upper + lower)
+        assert fan_predicates(full) == (True, False, True)
+
+    @pytest.mark.parametrize("rays,cones", [
+        # rays at 0, 27 and 63 degrees, each in two of the three cones,
+        # which cover only the 63-degree sector
+        ([(1, 0), (2, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]),
+        # every second ray of a pentagon joined: the plane covered twice
+        ([(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)],
+         [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)]),
+    ], ids=["zig-zag", "pentagram"])
+    def test_paired_walls_of_a_non_fan(self, rays, cones):
+        fan = face_closed(2, [qvec(*r) for r in rays], cones)
+        assert fan_is_complete(fan)  # outside its precondition
+        preds = fan_predicates(fan)
+        assert not preds.valid and not preds.complete
 
     def test_one_dimensional_completeness(self):
         complete = Fan(1, [qvec(2), qvec(-1)], [(0,), (1,)])
@@ -316,11 +361,7 @@ def small_fans(draw):
     subsets = [tuple(i for i in range(len(rays)) if mask >> i & 1)
                for mask in masks]
     cones = [c for c in subsets if len(c) <= n + 1 and is_pointed(rays, c)]
-    generating = Fan(n, rays, cones)
-    closed = set()
-    for cone in generating.cones:
-        closed |= generating.cone_faces(cone)
-    return Fan(n, rays, closed)
+    return face_closed(n, rays, cones)
 
 
 @settings(max_examples=80, deadline=None, database=None,
@@ -328,3 +369,67 @@ def small_fans(draw):
 @given(small_fans())
 def test_maximal_pairs_agree_with_all_pairs(fan):
     assert fan_is_valid(fan) == all_pairs_valid(fan)
+
+
+# ---------------------------------------------------------------------------
+# the wall-pairing completeness test against independent references
+# ---------------------------------------------------------------------------
+
+def angular_complete_2d(fan):
+    """Completeness of a 2-fan by angular order: consecutive rays span
+    sectors below pi that are cones of the fan."""
+    def upper(r):
+        return r[1].sign() > 0 or (r[1].is_zero() and r[0].sign() > 0)
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    def cmp(i, j):
+        a, b = fan.rays[i], fan.rays[j]
+        if upper(a) != upper(b):
+            return -1 if upper(a) else 1
+        return -cross(a, b).sign()
+
+    k = fan.ray_count
+    if k < 3:
+        return False
+    order = sorted(range(k), key=functools.cmp_to_key(cmp))
+    for i, j in zip(order, order[1:] + order[:1]):
+        if cross(fan.rays[i], fan.rays[j]).sign() <= 0:
+            return False
+        if not any(i in c and j in c for c in fan.cones):
+            return False
+    return True
+
+
+@st.composite
+def normal_fans_minus_one_cone(draw):
+    """The normal fan of a random lattice polytope in dimension 2 or 3,
+    with one maximal cone removed or none; returns (fan, removed)."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    points = draw(st.lists(coords, min_size=n + 1, max_size=n + 4,
+                           unique_by=tuple))
+    try:
+        H = halfspaces_from_vertices([qvec(*p) for p in points])
+    except NotFullDimensional:
+        assume(False)
+    fan = normal_fan(H)
+    maximal = fan.maximal_cones()
+    removed = draw(st.sampled_from((None,) + maximal))
+    if removed is not None:
+        fan = Fan(n, fan.rays, [c for c in fan.cones if c != removed])
+    return fan, removed
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(normal_fans_minus_one_cone())
+def test_wall_pairing_agrees_with_references(case):
+    fan, removed = case
+    assert fan_is_valid(fan)
+    expected = removed is None
+    if fan.dimension == 2:
+        assert angular_complete_2d(fan) == expected
+    assert fan_is_complete(fan) == expected

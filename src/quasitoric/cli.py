@@ -29,7 +29,13 @@ from .errors import (
     ParseError,
     ToolkitError,
 )
-from .fan import fan_is_valid, fan_predicates, is_polytopal, normal_fan
+from .fan import (
+    fan_is_valid,
+    fan_predicates,
+    is_polytopal,
+    normal_fan,
+    redundant_facets_lp,
+)
 from .field import parse_rational
 from .gale import chamber_check, gale_dual
 from .polytope import (
@@ -272,7 +278,12 @@ def _cmd_charts(args):
 def _cmd_augment(args):
     triple = docs.triple_from_doc(_load(args.file))
     if isinstance(triple.body, HalfspaceRep):
-        # pass through the normal fan, keeping the declared normals
+        # pass through the normal fan, keeping the declared normals.  The
+        # redundancy LP's sign decisions narrow the field's isolating
+        # interval, which the configuration document writes (without them
+        # the thin-rhombus triple writes ["9/10", "1"], not ["19/20",
+        # "77/80"]); it goes once fields write their declared interval.
+        redundant_facets_lp(triple.body)
         fan = normal_fan(triple.body)
         triple = FundamentalTriple(fan, triple.quasilattice, triple.normals)
     elif not fan_is_valid(triple.body):

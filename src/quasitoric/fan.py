@@ -2,9 +2,14 @@
 completeness, and polytopality.
 
 Cones are stored as sorted tuples of indices into the fan's shared ray
-list.  All predicates reduce to exact LP feasibility: membership of a
-point in a cone, supporting hyperplanes for face enumeration, and the
-separation argument for the pairwise-intersection axiom.  Completeness
+list.  The normal fan of a certified polytope needs no LP: it is valid
+and complete, and simplicial iff the polytope is simple (Ziegler,
+Lectures on Polytopes, Ch. 7).  normal_fan reads the irredundancy of the
+facets off the polytope's face lattice and marks the fan it builds, and
+the predicates answer for a marked fan by that theorem.  On any other
+fan they reduce to exact LP feasibility: membership of a point in a
+cone, supporting hyperplanes for face enumeration, and the separation
+argument for the pairwise-intersection axiom.  Completeness
 of a valid fan is one wall-pairing test in every dimension: each maximal
 cone is full-dimensional and each of its walls lies in exactly two
 maximal cones.  Every cone here is assumed pointed, which holds for all
@@ -45,9 +50,12 @@ class Fan:
     Construction rejects zero rays and repeated rays (equal up to positive
     scaling); the origin cone () is always included.  Face closure and the
     pairwise-intersection axiom are checked by fan_is_valid, not here.
+    polytope, set by normal_fan only, is the certified polytope whose
+    normal fan this is.
     """
 
-    def __init__(self, dimension: int, rays, cones):
+    def __init__(self, dimension: int, rays, cones,
+                 polytope: Optional[HalfspaceRep] = None):
         rays = tuple(tuple(r) for r in rays)
         if dimension < 1:
             raise InvalidFan("dimension must be >= 1")
@@ -73,8 +81,10 @@ class Fan:
         self.rays = rays
         self.cones = tuple(sorted(cone_set))
         self.field = rays[0][0].field if rays else None
+        self.polytope = polytope
         self._membership_cache = {}
         self._face_cache = {}
+        self._rank_cache = {}
 
     @property
     def ray_count(self) -> int:
@@ -86,6 +96,14 @@ class Fan:
                      if not any(set(c) < set(d) for d in self.cones))
 
     # -- exact cone geometry ------------------------------------------------
+
+    def cone_rank(self, cone) -> int:
+        """Rank of the indexed rays, the dimension of their cone."""
+        cone = tuple(sorted(cone))
+        if cone not in self._rank_cache:
+            self._rank_cache[cone] = (
+                mat_rank([list(self.rays[i]) for i in cone]) if cone else 0)
+        return self._rank_cache[cone]
 
     def cone_contains(self, cone, point) -> bool:
         """Membership of a point in the cone spanned by the indexed rays."""
@@ -105,7 +123,7 @@ class Fan:
             return self._face_cache[cone]
         if not cone:
             faces = {()}
-        elif mat_rank([list(self.rays[i]) for i in cone]) == len(cone):
+        elif self.cone_rank(cone) == len(cone):
             faces = {tuple(sub) for r in range(len(cone) + 1)
                      for sub in itertools.combinations(cone, r)}
         else:
@@ -222,19 +240,29 @@ def redundant_facets_lp(H: HalfspaceRep):
     return redundant
 
 
+def redundant_facets(H: HalfspaceRep, lattice: FaceLattice):
+    """Facets whose removal does not change the polytope, read off its
+    face lattice: facet j is irredundant iff some (n-1)-face has facet set
+    exactly {j}.  Halfspaces defining the same facet share its facet set,
+    so each reads redundant, as in redundant_facets_lp."""
+    irredundant = {j for face in lattice.of_dimension(H.dimension - 1)
+                   if len(face) == 1 for j in face}
+    return [j for j in range(H.facet_count) if j not in irredundant]
+
+
 def normal_fan(H: HalfspaceRep,
                lattice: Optional[FaceLattice] = None) -> Fan:
     """Rays are the facet normals with input scaling preserved; cones are
     spanned by the normals of the facets containing each face.  lattice,
-    when given, is the face lattice of H, already computed by the
-    caller."""
-    bad = redundant_facets_lp(H)
-    if bad:
-        raise RedundantFacet(f"facets {bad} are redundant; strip them first")
+    when given, is the face lattice of H, already computed by the caller;
+    facet irredundancy is read off it."""
     if lattice is None:
         lattice = face_lattice(H, vertices_from_halfspaces(H))
+    bad = redundant_facets(H, lattice)
+    if bad:
+        raise RedundantFacet(f"facets {bad} are redundant; strip them first")
     cones = {tuple(sorted(face)) for face, _ in lattice.faces}
-    return Fan(H.dimension, H.normals, cones)
+    return Fan(H.dimension, H.normals, cones, polytope=H)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +276,12 @@ class FanPredicates(NamedTuple):
 
 
 def fan_is_simplicial(fan: Fan) -> bool:
-    for cone in fan.cones:
-        if cone and mat_rank([list(fan.rays[i]) for i in cone]) != len(cone):
-            return False
-    return True
+    """Every cone spanned by linearly independent rays.  A cone of a
+    normal fan lists the facets containing a face, and the polytope is
+    simple iff no face lies on more than n facets."""
+    if fan.polytope is not None:
+        return all(len(cone) <= fan.dimension for cone in fan.cones)
+    return all(fan.cone_rank(cone) == len(cone) for cone in fan.cones)
 
 
 def fan_is_valid(fan: Fan) -> bool:
@@ -263,7 +293,11 @@ def fan_is_valid(fan: Fan) -> bool:
     rays and a face of a face is a face, so every cone is a face of such
     a cone.  Maximality by index sets would not do: with rays e1, (1,1),
     e2 and cones (0,1,2) and (1,), the cone (1,) is an index subset of
-    (0,1,2) but not a face of it, and must be checked against it."""
+    (0,1,2) but not a face of it, and must be checked against it.
+
+    A normal fan of a polytope is a fan by construction."""
+    if fan.polytope is not None:
+        return True
     cone_set = set(fan.cones)
     for cone in fan.cones:
         if not fan.cone_faces(cone) <= cone_set:
@@ -289,19 +323,23 @@ def fan_is_complete(fan: Fan) -> bool:
     exactly two maximal cones.  Two cones of a fan that meet in a wall
     lie on opposite sides of it, so the support has no boundary and is
     all of R^n.  The walls of a full-dimensional pointed cone are its
-    inclusion-maximal proper faces.  Walls are matched by ray-index sets,
-    which name each geometric cone once in simplicial and normal fans."""
+    inclusion-maximal proper faces.  A wall is keyed by its extreme rays,
+    the rays i of the wall with (i,) a face of the cone, which name each
+    geometric cone once even when a cone lists a ray inside one of its
+    walls.  A normal fan of a polytope is complete by construction."""
+    if fan.polytope is not None:
+        return True
     n = fan.dimension
-    maximal = fan.maximal_cones()
     wall_owners = {}
-    for cone in maximal:
-        if len(cone) < n or mat_rank([list(fan.rays[i])
-                                      for i in cone]) != n:
+    for cone in fan.maximal_cones():
+        if len(cone) < n or fan.cone_rank(cone) != n:
             return False
-        proper = fan.cone_faces(cone) - {cone}
+        faces = fan.cone_faces(cone)
+        proper = faces - {cone}
         for face in proper:
             if not any(set(face) < set(other) for other in proper):
-                wall_owners[face] = wall_owners.get(face, 0) + 1
+                wall = frozenset(i for i in face if (i,) in faces)
+                wall_owners[wall] = wall_owners.get(wall, 0) + 1
     return all(owners == 2 for owners in wall_owners.values())
 
 

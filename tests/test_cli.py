@@ -221,6 +221,24 @@ class TestErrorHandling:
         assert err.strip().splitlines() == [
             "ParseError: generator length disagrees with dimension"]
 
+    @pytest.mark.parametrize("normal,offset,redundant", [
+        ([["2"], ["0"]], ["0"], "[0, 4]"),    # x >= 0 again, scaled
+        ([["-1"], ["-1"]], ["-2"], "[4]"),    # through the vertex (1, 1)
+        ([["1"], ["1"]], ["-5"], "[4]"),      # below every vertex
+    ], ids=["duplicate", "touching", "loose"])
+    def test_redundant_facet_single_line(self, capsys, tmp_path, corpus,
+                                         normal, offset, redundant):
+        doc = json.loads((corpus("square") / "polytope.json").read_text())
+        doc["facets"].append({"normal": normal, "offset": offset})
+        path = tmp_path / "extra-facet.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"RedundantFacet: facets {redundant} are redundant; "
+            "strip them first"]
+
     def test_augment_refuses_a_non_fan(self, capsys, tmp_path):
         # three 2-cones on rays at 0, 27 and 63 degrees: every ray lies in
         # two cones, but the cones overlap and cover only one sector

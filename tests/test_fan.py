@@ -1,13 +1,15 @@
+import collections
 import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, qvec
+from quasitoric import fan as fan_module
 from quasitoric.corpus import (
     pentagon_facets,
     pentagon_field,
@@ -29,10 +31,14 @@ from quasitoric.fan import (
     is_polytopal,
     normal_fan,
     positively_proportional,
+    redundant_facets,
+    redundant_facets_lp,
 )
+from quasitoric.linalg import dot
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
     HalfspaceRep,
+    face_lattice,
     halfspaces_from_vertices,
     is_simple,
     vertices_from_halfspaces,
@@ -52,6 +58,12 @@ def corpus_polytopes():
     ]
 
 
+SQUARE_PYRAMID = [qvec(1, 1, 0), qvec(1, -1, 0), qvec(-1, 1, 0),
+                  qvec(-1, -1, 0), qvec(0, 0, 1)]
+OCTAHEDRON = [qvec(*(s if j == i else 0 for j in range(3)))
+              for i in range(3) for s in (1, -1)]
+
+
 def face_closed(n, rays, cones):
     """The fan of the given cones and all their faces."""
     generating = Fan(n, rays, cones)
@@ -59,6 +71,12 @@ def face_closed(n, rays, cones):
     for cone in generating.cones:
         closed |= generating.cone_faces(cone)
     return Fan(n, rays, closed)
+
+
+def unmarked(fan):
+    """The same rays and cones without the normal-fan mark, so that the
+    predicates decide them by LP and wall pairing."""
+    return Fan(fan.dimension, fan.rays, fan.cones)
 
 
 class TestFanConstruction:
@@ -123,20 +141,21 @@ class TestNormalFan:
 
     def test_normal_fan_always_valid_complete(self):
         for name, H in corpus_polytopes():
-            preds = fan_predicates(normal_fan(H))
+            fan = normal_fan(H)
+            assert fan.polytope is H, name
+            preds = fan_predicates(unmarked(fan))
             assert preds.valid and preds.complete, name
+            assert fan_predicates(fan) == preds, name
 
     def test_simple_iff_simplicial(self):
         for name, H in corpus_polytopes():
             V = vertices_from_halfspaces(H)
-            fan = normal_fan(H)
+            fan = unmarked(normal_fan(H))
             assert is_simple(H, V) == fan_is_simplicial(fan), name
         # nonsimple 3d example
-        pts = [qvec(1, 1, 0), qvec(1, -1, 0), qvec(-1, 1, 0),
-               qvec(-1, -1, 0), qvec(0, 0, 1)]
-        H = halfspaces_from_vertices(pts)
+        H = halfspaces_from_vertices(SQUARE_PYRAMID)
         V = vertices_from_halfspaces(H)
-        fan = normal_fan(H)
+        fan = unmarked(normal_fan(H))
         assert not is_simple(H, V)
         assert not fan_is_simplicial(fan)
         assert fan_is_valid(fan)
@@ -182,6 +201,37 @@ class TestPredicates:
         half = face_closed(4, rays[:7], [c for c in orthants if 7 not in c])
         assert fan_is_valid(half)
         assert not fan_is_complete(half)
+
+    def test_cone_listing_a_ray_inside_its_wall(self):
+        # the octant fan with (1,1,0) listed in the (+,+,+) cone: that
+        # cone's wall on z = 0 has the index set of e1, e2 and (1,1,0),
+        # the (+,+,-) cone's wall that of e1 and e2, one geometric cone
+        rays = [qvec(1, 0, 0), qvec(0, 1, 0), qvec(0, 0, 1),
+                qvec(-1, 0, 0), qvec(0, -1, 0), qvec(0, 0, -1),
+                qvec(1, 1, 0)]
+        octants = [c + (6,) if c == (0, 1, 2) else c
+                   for c in itertools.product((0, 3), (1, 4), (2, 5))]
+        fan = face_closed(3, rays, octants)
+        assert (0, 1, 6) in fan.cone_faces((0, 1, 2, 6))
+        assert (6,) not in fan.cones
+        assert fan_predicates(fan) == (True, False, True)
+
+    def test_one_rank_per_cone(self, monkeypatch):
+        ranked = collections.Counter()
+        rank = fan_module.mat_rank
+
+        def counting_rank(rows):
+            ranked[tuple(map(tuple, rows))] += 1
+            return rank(rows)
+
+        monkeypatch.setattr(fan_module, "mat_rank", counting_rank)
+        for H in [HalfspaceRep(2, pentagon_facets(pentagon_field())),
+                  halfspaces_from_vertices(SQUARE_PYRAMID)]:
+            fan = unmarked(normal_fan(H))
+            fan_predicates(fan)
+            fan_is_simplicial(fan)
+            assert ranked and max(ranked.values()) == 1
+            ranked.clear()
 
     def test_walls_with_more_rays_than_their_dimension(self):
         # an extra ray in each quadrant of the plane z = 0 gives every wall
@@ -417,8 +467,7 @@ def normal_fans_minus_one_cone(draw):
     fan = normal_fan(H)
     maximal = fan.maximal_cones()
     removed = draw(st.sampled_from((None,) + maximal))
-    if removed is not None:
-        fan = Fan(n, fan.rays, [c for c in fan.cones if c != removed])
+    fan = Fan(n, fan.rays, [c for c in fan.cones if c != removed])
     return fan, removed
 
 
@@ -433,3 +482,66 @@ def test_wall_pairing_agrees_with_references(case):
     if fan.dimension == 2:
         assert angular_complete_2d(fan) == expected
     assert fan_is_complete(fan) == expected
+
+
+# ---------------------------------------------------------------------------
+# normal-fan verdicts from the polytope certificate against the LP path
+# ---------------------------------------------------------------------------
+
+@st.composite
+def polytopes_with_extra_facets(draw):
+    """The hull of random lattice points in dimension 2 or 3, maybe cut
+    through the middle by one more halfspace, plus up to two halfspaces
+    that do not change it: a scaled copy of a facet, one through a vertex,
+    or one below every vertex."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    points = draw(st.lists(coords, min_size=n + 1, max_size=n + 3,
+                           unique_by=tuple))
+    try:
+        H = halfspaces_from_vertices([qvec(*p) for p in points])
+    except NotFullDimensional:
+        assume(False)
+    facets = list(zip(H.normals, H.offsets))
+
+    def values(normal):
+        return sorted((dot(v, normal).as_fraction()
+                       for v in vertices_from_halfspaces(H).vertices))
+
+    if draw(st.booleans()):
+        normal = qvec(*draw(coords.filter(any)))
+        low, *_, high = values(normal)
+        assume(low < high)
+        facets.append((normal, Q.element((low + high) / 2)))
+        H = HalfspaceRep(n, facets)
+    kinds = st.sampled_from(["duplicate", "touching", "loose"])
+    for kind in draw(st.lists(kinds, max_size=2)):
+        if kind == "duplicate":
+            normal, offset = draw(st.sampled_from(facets))
+            scale = Q.element(draw(st.integers(1, 3)))
+            facets.append((tuple(scale * x for x in normal), scale * offset))
+        else:
+            normal = qvec(*draw(coords.filter(any)))
+            low = values(normal)[0]
+            facets.append((normal, Q.element(low if kind == "touching"
+                                             else low - 1)))
+    draw(st.randoms(use_true_random=False)).shuffle(facets)
+    return HalfspaceRep(n, facets)
+
+
+@settings(max_examples=50, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(polytopes_with_extra_facets())
+@example(halfspaces_from_vertices(SQUARE_PYRAMID))
+@example(halfspaces_from_vertices(OCTAHEDRON))
+def test_certificate_agrees_with_lp(H):
+    V = vertices_from_halfspaces(H)
+    lattice = face_lattice(H, V)
+    redundant = redundant_facets(H, lattice)
+    assert redundant == redundant_facets_lp(H)
+    if not redundant:
+        fan = normal_fan(H, lattice)
+        preds = fan_predicates(fan)
+        assert preds == (True, is_simple(H, V), True)
+        assert preds == fan_predicates(unmarked(fan))

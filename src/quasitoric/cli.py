@@ -44,7 +44,7 @@ from .polytope import (
     is_simple,
     vertices_from_halfspaces,
 )
-from .quasilattice import ray_generator
+from .quasilattice import body_rays, ray_generator
 from .render import RenderSpec, render_svg
 from .triple import FundamentalTriple, chart_groups, triple_validate
 
@@ -231,12 +231,11 @@ def _cmd_quasirational(args):
     kind = docs.document_kind(body_doc)
     if kind == "polytope":
         body = docs.polytope_from_doc(body_doc, body_field)
-        rays = normal_fan(body).rays
     elif kind == "fan":
         body = docs.fan_from_doc(body_doc, body_field)
-        rays = body.rays
     else:
         raise ParseError("quasirational needs a polytope or fan document")
+    rays = body_rays(body)
     ql = docs.quasilattice_from_doc(ql_doc, body_field)
     ray_reports = []
     overall = True

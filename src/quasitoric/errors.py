@@ -61,12 +61,9 @@ class DegenerateDimension(ToolkitError):
     """Halfspace intersection is not full-dimensional."""
 
 
-class FacetBudgetExceeded(ToolkitError):
-    """More facets than the vertex-enumeration guard allows."""
-
-
 class DimensionTooHigh(ToolkitError):
-    """Operation only implemented in low ambient dimension."""
+    """Operation only implemented in low ambient dimension: rendering,
+    which draws planar bodies only."""
 
 
 class NotFullDimensional(ToolkitError):

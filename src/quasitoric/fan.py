@@ -7,9 +7,10 @@ and complete, and simplicial iff the polytope is simple (Ziegler,
 Lectures on Polytopes, Ch. 7).  normal_fan reads the irredundancy of the
 facets off the polytope's face lattice and marks the fan it builds, and
 the predicates answer for a marked fan by that theorem.  On any other
-fan they reduce to exact LP feasibility: membership of a point in a
-cone, supporting hyperplanes for face enumeration, and the separation
-argument for the pairwise-intersection axiom.  Completeness
+fan they reduce to exact LP feasibility, membership of a point in a
+cone and the separation argument for the pairwise-intersection axiom,
+and to the faces of each cone, which polytope.extreme_rays enumerates
+in any dimension.  Completeness
 of a valid fan is one wall-pairing test in every dimension: each maximal
 cone is full-dimensional and each of its walls lies in exactly two
 maximal cones.  Every cone here is assumed pointed, which holds for all
@@ -28,18 +29,16 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .errors import (
-    DimensionTooHigh,
-    InternalInvariantError,
-    InvalidFan,
-    RedundantFacet,
-)
-from .linalg import dot, mat_rank, solve_unique
+from .errors import InternalInvariantError, InvalidFan
+from .linalg import dot, mat_rank, rref_rows, solve_unique
 from .lp import strict_lp_feasible
 from .polytope import (
     FaceLattice,
     HalfspaceRep,
+    extreme_rays,
     face_lattice,
+    intersection_closure,
+    require_irredundant,
     vertices_from_halfspaces,
 )
 
@@ -115,9 +114,11 @@ class Fan:
     def cone_faces(self, cone):
         """All faces of a cone, as ray-index tuples.
 
-        Simplicial cones: every index subset.  Otherwise subsets that admit
-        a supporting hyperplane (exact LP); requires n <= 3 to stay within
-        desk scale, and pointed cones."""
+        Simplicial cones: every index subset.  Otherwise the cone itself
+        and every intersection of its facets, each facet the set of rays
+        on it: the zero sets of the extreme rays of the dual cone, taken
+        in coordinates of the span of the rays (the pivot coordinates of
+        their reduced echelon form), where the dual is pointed."""
         cone = tuple(sorted(cone))
         if cone in self._face_cache:
             return self._face_cache[cone]
@@ -127,24 +128,15 @@ class Fan:
             faces = {tuple(sub) for r in range(len(cone) + 1)
                      for sub in itertools.combinations(cone, r)}
         else:
-            if self.dimension > 3:
-                raise DimensionTooHigh(
-                    "face enumeration of non-simplicial cones needs n <= 3")
-            field = self.field
-            faces = {cone}
-            for r in range(len(cone)):
-                for sub in itertools.combinations(cone, r):
-                    inside = set(sub)
-                    constraints = []
-                    for i in cone:
-                        ray = self.rays[i]
-                        if i in inside:
-                            constraints.append((ray, field.zero, "="))
-                        else:
-                            constraints.append((ray, field.zero, ">"))
-                    if strict_lp_feasible(constraints, self.dimension,
-                                          field) is not None:
-                        faces.add(tuple(sub))
+            rays = [self.rays[i] for i in cone]
+            span = [next(k for k, x in enumerate(row) if not x.is_zero())
+                    for row in rref_rows(rays)]
+            facets = {frozenset(cone[p] for p in zero) for _, zero in
+                      extreme_rays([tuple(r[k] for k in span)
+                                    for r in rays])}
+            faces = {tuple(sorted(face))
+                     for face in intersection_closure(facets)}
+            faces.add(cone)
         self._face_cache[cone] = faces
         return faces
 
@@ -240,16 +232,6 @@ def redundant_facets_lp(H: HalfspaceRep):
     return redundant
 
 
-def redundant_facets(H: HalfspaceRep, lattice: FaceLattice):
-    """Facets whose removal does not change the polytope, read off its
-    face lattice: facet j is irredundant iff some (n-1)-face has facet set
-    exactly {j}.  Halfspaces defining the same facet share its facet set,
-    so each reads redundant, as in redundant_facets_lp."""
-    irredundant = {j for face in lattice.of_dimension(H.dimension - 1)
-                   if len(face) == 1 for j in face}
-    return [j for j in range(H.facet_count) if j not in irredundant]
-
-
 def normal_fan(H: HalfspaceRep,
                lattice: Optional[FaceLattice] = None) -> Fan:
     """Rays are the facet normals with input scaling preserved; cones are
@@ -258,9 +240,7 @@ def normal_fan(H: HalfspaceRep,
     facet irredundancy is read off it."""
     if lattice is None:
         lattice = face_lattice(H, vertices_from_halfspaces(H))
-    bad = redundant_facets(H, lattice)
-    if bad:
-        raise RedundantFacet(f"facets {bad} are redundant; strip them first")
+    require_irredundant(H, lattice)
     cones = {tuple(sorted(face)) for face, _ in lattice.faces}
     return Fan(H.dimension, H.normals, cones, polytope=H)
 

@@ -14,7 +14,7 @@ from .field import FieldElement
 
 
 # ---------------------------------------------------------------------------
-# small vector helpers over a field
+# vectors over a field
 # ---------------------------------------------------------------------------
 
 def dot(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
@@ -22,26 +22,6 @@ def dot(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
     return acc
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u) -> bool:
-    return all(a.is_zero() for a in u)
 
 
 # ---------------------------------------------------------------------------

@@ -3,31 +3,29 @@
 A HalfspaceRep is the bounded full-dimensional set
 {mu : <mu, X_j> >= lambda_j}; both properties are certified at
 construction (recession-direction LPs for boundedness, a strict interior
-LP for full dimension).  Vertex enumeration solves every n-subset of the
-facet system; hulls are implemented for n <= 3 only, which covers every
-shipped example.
+LP for full dimension).  One exact double-description engine,
+extreme_rays, serves every dimension: vertex enumeration is the extreme
+rays of the homogenized cone of a HalfspaceRep, a hull the extreme rays
+of the cone of inequalities valid on a point set, and fan.Fan.cone_faces
+reads the facets of a cone off the extreme rays of its dual.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import (
     DegenerateDimension,
-    DimensionTooHigh,
-    FacetBudgetExceeded,
+    InternalInvariantError,
     InvalidPolytope,
     NotFullDimensional,
+    RedundantFacet,
     UnboundedPolytope,
 )
-from .field import FieldElement
-from .linalg import dot, mat_rank, rank_kernel_solve, vec_sub
+from .linalg import dot, mat_rank, rref_rows
 from .lp import strict_lp_feasible
-
-FACET_BUDGET = 30
 
 
 class HalfspaceRep:
@@ -106,82 +104,125 @@ class FaceLattice:
         return [f for f, dim in self.faces if dim == d]
 
 
-def vertices_from_halfspaces(H: HalfspaceRep) -> VertexRep:
-    """Enumerate all n-subsets of facets, keep feasible unique solutions.
+def extreme_rays(rows) -> list:
+    """Extreme rays of the pointed cone {y : <h_j, y> >= 0}, one (ray,
+    zero set) pair per ray: the ray scaled so that its first nonzero
+    coordinate is +-1, and the frozenset of the j with <h_j, ray> = 0.
+    The rows must span the space, which makes the cone pointed;
+    NotFullDimensional otherwise.
 
-    Active sets record every facet satisfied with equality, so vertices of
-    nonsimple polytopes carry more than n indices."""
-    n = H.dimension
-    d = H.facet_count
-    if d > FACET_BUDGET:
-        raise FacetBudgetExceeded(f"{d} facets exceed budget {FACET_BUDGET}")
-    seen = {}
-    order = []
-    for subset in itertools.combinations(range(d), n):
-        A = [list(H.normals[j]) for j in subset]
-        b = [H.offsets[j] for j in subset]
-        res = rank_kernel_solve(A, b)
-        if res.rank < n or res.solution is None:
+    Incremental double description with the combinatorial adjacency test
+    (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon, Double
+    description method revisited, 1996).  The first linearly independent
+    rows in index order cut out a simplicial cone, whose rays are the
+    columns of their inverse; the other rows follow in index order.  Row
+    h keeps the rays r with <h, r> >= 0 and adds, for each pair on
+    opposite sides, the point of their segment on h, provided the two are
+    adjacent: no third ray vanishes on every row both vanish on.  Each
+    returned ray is then checked against every row exactly."""
+    dim = len(rows[0])
+    field = rows[0][0].field
+    # [rows^T | identity] reduces to [R | E] with E the inverse of the
+    # seed rows, transposed: the pivots of R pick the seed, and row i of
+    # E is the ray off the i-th seed row
+    reduced = rref_rows([column + tuple(field.one if k == i else field.zero
+                                        for k in range(dim))
+                         for i, column in enumerate(zip(*rows))])
+    seed = [next(c for c, x in enumerate(row) if not x.is_zero())
+            for row in reduced]
+    if seed[-1] >= len(rows):
+        raise NotFullDimensional("rows do not span the space: the cone "
+                                 "is not pointed")
+    seeded = sum(1 << j for j in seed)
+    # (ray, zero set as a bit mask over the rows added so far)
+    rays = [(_scaled(row[len(rows):]), seeded & ~(1 << j))
+            for row, j in zip(reduced, seed)]
+    for j, h in enumerate(rows):
+        bit = 1 << j
+        if seeded & bit:
             continue
-        mu = res.solution
-        values = [(dot(mu, H.normals[j]) - H.offsets[j]).sign()
-                  for j in range(d)]
-        if any(v < 0 for v in values):
-            continue
-        active = frozenset(j for j in range(d) if values[j] == 0)
-        if mu not in seen:
-            seen[mu] = active
-            order.append(mu)
-    vertices = tuple(order)
-    active_sets = tuple(seen[v] for v in vertices)
-    used = set().union(*active_sets) if active_sets else set()
-    redundant = tuple(j for j in range(d) if j not in used)
-    return VertexRep(vertices, active_sets, redundant)
+        kept, above, below = [], [], []
+        for ray, zero in rays:
+            value = dot(h, ray)
+            side = value.sign()
+            if side > 0:
+                kept.append((ray, zero))
+                above.append((ray, zero, value))
+            elif side < 0:
+                below.append((ray, zero, value))
+            else:
+                kept.append((ray, zero | bit))
+        zeros = [zero for _, zero in rays]
+        for r_up, z_up, v_up in above:
+            for r_down, z_down, v_down in below:
+                common = z_up & z_down
+                if common.bit_count() < dim - 2 or sum(
+                        1 for z in zeros if common & z == common) > 2:
+                    continue
+                kept.append((_scaled([v_up * a - v_down * b
+                                      for a, b in zip(r_down, r_up)]),
+                             common | bit))
+        rays = kept
+    checked = []
+    for ray, mask in rays:
+        signs = [dot(h, ray).sign() for h in rows]
+        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
+        if min(signs) < 0 or mask != sum(1 << j for j in zero):
+            raise InternalInvariantError(
+                "extreme ray fails its exact recheck")
+        checked.append((ray, zero))
+    return checked
+
+
+def vertices_from_halfspaces(H: HalfspaceRep) -> VertexRep:
+    """Vertices with their active sets, every facet through the vertex, so
+    vertices of nonsimple polytopes carry more than n indices.
+
+    The vertices v are the extreme rays (1, v) of the cone
+    {(t, x) : <a_j, x> >= b_j t}, which has no other point with t <= 0
+    than the origin because H is bounded; the active set is the zero set.
+
+    Vertices are listed in the order in which a scan of the n-subsets of
+    facets in index order first meets them, i.e. by the lexicographically
+    smallest n-subset of the active set with independent normals.  That
+    is the order of the sorted active sets: where those of v and w first
+    differ, say at a in v's, the facets before a are active at both, and
+    a is independent of them (else it would be active at w), so the
+    subset of v takes a where that of w takes a larger index."""
+    rows = [(-b,) + a for a, b in zip(H.normals, H.offsets)]
+    found = []
+    for ray, active in extreme_rays(rows):
+        if ray[0] != H.field.one:
+            raise InternalInvariantError("vertex ray off the chart t = 1")
+        found.append((ray[1:], active))
+    found.sort(key=lambda item: sorted(item[1]))
+    active_sets = tuple(active for _, active in found)
+    used = set().union(*active_sets)
+    redundant = tuple(j for j in range(H.facet_count) if j not in used)
+    return VertexRep(tuple(v for v, _ in found), active_sets, redundant)
 
 
 def halfspaces_from_vertices(points: Sequence[tuple]) -> HalfspaceRep:
-    """Exact irredundant hull for n <= 3, facets oriented inward and
-    ordered canonically (sorted by scaled normal/offset)."""
-    pts = []
-    for p in points:
-        t = tuple(p)
-        if t not in pts:
-            pts.append(t)
+    """Exact irredundant hull, facets oriented inward and ordered
+    canonically (normal scaled to a leading coordinate +-1, sorted by
+    normal and offset).
+
+    The facets <w, x> >= -c are the extreme rays (c, w) of the cone
+    {(c, w) : c + <p, w> >= 0} of inequalities valid on the points, which
+    is pointed iff the points span the ambient space affinely."""
+    pts = [tuple(p) for p in points]
     if not pts:
         raise NotFullDimensional("no points")
-    n = len(pts[0])
-    if n > 3:
-        raise DimensionTooHigh(f"hull not implemented for n = {n}")
-    field = pts[0][0].field
-    if len(pts) < n + 1 or _affine_rank(pts) < n:
-        raise NotFullDimensional("points do not span the ambient space")
-    if n == 1:
-        lo = min(pts, key=cmp_to_key(_cmp_vec))[0]
-        hi = max(pts, key=cmp_to_key(_cmp_vec))[0]
-        facets = [((field.one,), lo), ((-field.one,), -hi)]
-    elif n == 2:
-        facets = _hull_2d(pts, field)
-    else:
-        facets = _hull_3d(pts, field)
-    facets = _canonical_facets(facets)
-    return HalfspaceRep(n, facets)
+    rows = [(pts[0][0].field.one,) + p for p in pts]
+    facets = [(ray[1:], -ray[0]) for ray, _ in extreme_rays(rows)]
+    return HalfspaceRep(len(pts[0]), _canonical_facets(facets))
 
 
 def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
     """Faces generated from vertex active sets, closed under intersection;
     dimension is n minus the rank of the active normals."""
     n = H.dimension
-    sets = {frozenset(a) for a in V.active}
-    frontier = set(sets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in sets:
-                c = a & b
-                if c not in sets and c not in new:
-                    new.add(c)
-        sets |= new
-        frontier = new
+    sets = intersection_closure({frozenset(a) for a in V.active})
     sets.add(frozenset())
     faces = []
     for s in sets:
@@ -194,24 +235,48 @@ def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
     return FaceLattice(n, tuple(faces))
 
 
+def intersection_closure(generators) -> set:
+    """Every intersection of one or more of the given frozensets."""
+    closed = set(generators)
+    frontier = closed
+    while frontier:
+        frontier = {a & b for a in frontier for b in generators} - closed
+        closed |= frontier
+    return closed
+
+
 def is_simple(H: HalfspaceRep, V: VertexRep) -> bool:
     """Each vertex meets exactly n facets."""
     return all(len(a) == H.dimension for a in V.active)
+
+
+def redundant_facets(H: HalfspaceRep, lattice: FaceLattice):
+    """Facets whose removal does not change the polytope, read off its
+    face lattice: facet j is irredundant iff some (n-1)-face has facet set
+    exactly {j}.  Halfspaces defining the same facet share its facet set,
+    so each reads redundant, as in fan.redundant_facets_lp."""
+    irredundant = {j for face in lattice.of_dimension(H.dimension - 1)
+                   if len(face) == 1 for j in face}
+    return [j for j in range(H.facet_count) if j not in irredundant]
+
+
+def require_irredundant(H: HalfspaceRep, lattice: FaceLattice) -> None:
+    """Raise RedundantFacet unless every facet of H is irredundant;
+    lattice is the face lattice of H."""
+    bad = redundant_facets(H, lattice)
+    if bad:
+        raise RedundantFacet(f"facets {bad} are redundant; strip them first")
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
-def _affine_rank(pts):
-    if len(pts) < 2:
-        return 0
-    rows = [list(vec_sub(p, pts[0])) for p in pts[1:]]
-    return mat_rank(rows)
-
-
-def _cmp_elem(a: FieldElement, b: FieldElement) -> int:
-    return (a - b).sign()
+def _scaled(ray) -> tuple:
+    """The positive multiple of ray whose first nonzero coordinate is +-1."""
+    lead = next(x for x in ray if not x.is_zero())
+    scale = abs(lead).inverse()
+    return tuple(scale * x for x in ray)
 
 
 def _cmp_vec(u, v) -> int:
@@ -222,67 +287,7 @@ def _cmp_vec(u, v) -> int:
     return 0
 
 
-def _cross2(o, a, b):
-    return ((a[0] - o[0]) * (b[1] - o[1])
-            - (a[1] - o[1]) * (b[0] - o[0]))
-
-
-def _hull_2d(pts, field):
-    pts = sorted(pts, key=cmp_to_key(_cmp_vec))
-    lower = []
-    for p in pts:
-        while len(lower) > 1 and _cross2(lower[-2], lower[-1], p).sign() <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) > 1 and _cross2(upper[-2], upper[-1], p).sign() <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]  # counterclockwise
-    facets = []
-    for p, q in zip(hull, hull[1:] + hull[:1]):
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        normal = (-dy, dx)  # inward for a counterclockwise boundary
-        facets.append((normal, dot(p, normal)))
-    return facets
-
-
-def _cross3(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
-def _hull_3d(pts, field):
-    facets = []
-    seen = set()
-    for i, j, k in itertools.combinations(range(len(pts)), 3):
-        normal = _cross3(vec_sub(pts[j], pts[i]), vec_sub(pts[k], pts[i]))
-        if all(x.is_zero() for x in normal):
-            continue
-        offset = dot(pts[i], normal)
-        signs = {(dot(p, normal) - offset).sign() for p in pts}
-        if -1 in signs and 1 in signs:
-            continue
-        if -1 in signs:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        key = _canonical_key(normal, offset)
-        if key in seen:
-            continue
-        seen.add(key)
-        facets.append((normal, offset))
-    return facets
-
-
-def _canonical_key(normal, offset):
-    lead = next(x for x in normal if not x.is_zero())
-    scale = abs(lead).inverse()
-    return tuple(scale * x for x in normal) + (scale * offset,)
-
-
 def _canonical_facets(facets):
-    keyed = [(_canonical_key(n, o), (n, o)) for n, o in facets]
-    keyed.sort(key=cmp_to_key(lambda a, b: _cmp_vec(a[0], b[0])))
-    return [(n, o) for _, (n, o) in keyed]
+    keys = sorted((_scaled(tuple(n) + (o,)) for n, o in facets),
+                  key=cmp_to_key(_cmp_vec))
+    return [(key[:-1], key[-1]) for key in keys]

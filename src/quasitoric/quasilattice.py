@@ -16,7 +16,6 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, NotSpanning, ParseError
-from .fan import normal_fan
 from .field import rational_field
 from .linalg import (
     integer_kernel,
@@ -24,7 +23,12 @@ from .linalg import (
     mat_rank,
     rank_kernel_solve,
 )
-from .polytope import HalfspaceRep
+from .polytope import (
+    HalfspaceRep,
+    face_lattice,
+    require_irredundant,
+    vertices_from_halfspaces,
+)
 
 _Q = rational_field()
 
@@ -215,13 +219,17 @@ def _combination(generators, coefficients, field, n):
 
 def is_quasirational(body, ql: Quasilattice) -> bool:
     """Whether every generating ray of the body's fan meets the
-    quasilattice (for polytopes, the normal fan is used)."""
+    quasilattice (for polytopes, the rays of the normal fan: the facet
+    normals)."""
     rays = body_rays(body)
     return all(ray_generator(ql, ray) is not None for ray in rays)
 
 
 def body_rays(body):
-    """Facet normals of a polytope or the rays of a fan, in index order."""
+    """Facet normals of a polytope or the rays of a fan, in index order;
+    raises RedundantFacet for a polytope with a redundant facet."""
     if isinstance(body, HalfspaceRep):
-        return normal_fan(body).rays
+        require_irredundant(body,
+                            face_lattice(body, vertices_from_halfspaces(body)))
+        return body.normals
     return body.rays

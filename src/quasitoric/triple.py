@@ -27,8 +27,14 @@ from .errors import (
 from .fan import Fan, fan_is_simplicial, positively_proportional
 from .field import FieldElement
 from .linalg import rank_kernel_solve, snf
-from .polytope import HalfspaceRep, is_simple, vertices_from_halfspaces
-from .quasilattice import Quasilattice, body_rays
+from .polytope import (
+    HalfspaceRep,
+    face_lattice,
+    is_simple,
+    require_irredundant,
+    vertices_from_halfspaces,
+)
+from .quasilattice import Quasilattice
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,12 @@ def triple_validate(triple: FundamentalTriple) -> TripleReport:
     normal is an error.
     """
     body = triple.body
-    rays = body_rays(body)
+    if isinstance(body, HalfspaceRep):
+        V = vertices_from_halfspaces(body)
+        require_irredundant(body, face_lattice(body, V))
+        rays = body.normals
+    else:
+        rays = body.rays
     if len(triple.normals) != len(rays):
         raise CountMismatch(
             f"{len(triple.normals)} normals for {len(rays)} facets/rays")
@@ -76,7 +87,7 @@ def triple_validate(triple: FundamentalTriple) -> TripleReport:
                 f"normal {j} is not a member of the quasilattice")
         witnesses.append(coeffs)
     if isinstance(body, HalfspaceRep):
-        simple = is_simple(body, vertices_from_halfspaces(body))
+        simple = is_simple(body, V)
     else:
         simple = fan_is_simplicial(body)
     warning = None if simple else "stratified case, out of scope"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from quasitoric import polytope
 from quasitoric.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,6 +105,27 @@ class TestWorkflows:
         assert report["valid"] is True
         assert report["simple"] is True
         assert report["normals_span_quasilattice"] is True
+
+    def test_check_triple_enumerates_vertices_once(self, corpus, capsys,
+                                                   monkeypatch):
+        # the normals' count and directions, the irredundancy check and
+        # the simplicity verdict all read one vertex enumeration
+        original = polytope.vertices_from_halfspaces
+        calls = []
+
+        def counting(H):
+            calls.append(H)
+            return original(H)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("quasitoric") and getattr(
+                    module, "vertices_from_halfspaces", None) is original:
+                monkeypatch.setattr(module, "vertices_from_halfspaces",
+                                    counting)
+        directory = corpus("pentagon")
+        calls.clear()
+        run_json(capsys, "check-triple", str(directory / "triple.json"))
+        assert len(calls) == 1
 
     def test_analyze_single(self, corpus, capsys):
         directory = corpus("square")

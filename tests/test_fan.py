@@ -19,6 +19,7 @@ from quasitoric.corpus import (
     twisted_cube_fan_data,
     unit_square_facets,
 )
+from quasitoric.documents import dumps, fan_from_doc, fan_to_doc, parse_json
 from quasitoric.errors import InvalidFan, NotFullDimensional, RedundantFacet
 from quasitoric.fan import (
     Fan,
@@ -31,7 +32,6 @@ from quasitoric.fan import (
     is_polytopal,
     normal_fan,
     positively_proportional,
-    redundant_facets,
     redundant_facets_lp,
 )
 from quasitoric.linalg import dot
@@ -41,6 +41,7 @@ from quasitoric.polytope import (
     face_lattice,
     halfspaces_from_vertices,
     is_simple,
+    redundant_facets,
     vertices_from_halfspaces,
 )
 
@@ -201,6 +202,20 @@ class TestPredicates:
         half = face_closed(4, rays[:7], [c for c in orthants if 7 not in c])
         assert fan_is_valid(half)
         assert not fan_is_complete(half)
+
+    def test_four_dimensional_cross_polytope_fan_document(self):
+        # the normal fan of the 4-d cross-polytope, read back from its
+        # document: 16 rays and 8 maximal cones, each over a 3-cube with
+        # 8 rays, so face closure at load needs non-simplicial faces
+        H = HalfspaceRep(4, [(qvec(*(-x for x in signs)), Q.element(-1))
+                             for signs in itertools.product((1, -1),
+                                                            repeat=4)])
+        text = dumps(fan_to_doc(normal_fan(H)))
+        fan = fan_from_doc(parse_json(text))
+        assert fan.polytope is None
+        maximal = fan.maximal_cones()
+        assert len(maximal) == 8 and all(len(c) == 8 for c in maximal)
+        assert fan_predicates(fan) == (True, False, True)
 
     def test_cone_listing_a_ray_inside_its_wall(self):
         # the octant fan with (1,1,0) listed in the (+,+,+) cone: that
@@ -419,6 +434,46 @@ def small_fans(draw):
 @given(small_fans())
 def test_maximal_pairs_agree_with_all_pairs(fan):
     assert fan_is_valid(fan) == all_pairs_valid(fan)
+
+
+# ---------------------------------------------------------------------------
+# cone faces from the double-description engine against the LP rule
+# ---------------------------------------------------------------------------
+
+def lp_cone_faces(rays, cone):
+    """The faces of a cone by the rule cone_faces used before the
+    double-description engine, kept as its oracle: the cone itself and
+    every proper index subset on which some linear functional vanishes
+    while it is positive on the other rays, one exact LP per subset."""
+    faces = {cone}
+    for r in range(len(cone)):
+        for sub in itertools.combinations(cone, r):
+            constraints = [(rays[i], Q.zero, "=" if i in sub else ">")
+                           for i in cone]
+            if strict_lp_feasible(constraints, len(rays[0]), Q) is not None:
+                faces.add(sub)
+    return faces
+
+
+@st.composite
+def one_cone_fans(draw):
+    """A fan holding no cone yet, on 3 to 6 random rays in a small box in
+    dimension 2 to 4; the cone of all its rays is mostly not simplicial,
+    and sometimes not pointed."""
+    n = draw(st.integers(2, 4))
+    coords = st.lists(st.integers(-2, 2), min_size=n,
+                      max_size=n).filter(any)
+    raw = draw(st.lists(coords, min_size=3, max_size=6,
+                        unique_by=primitive))
+    return Fan(n, [qvec(*r) for r in raw], [])
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(one_cone_fans())
+def test_cone_faces_agree_with_lp_rule(fan):
+    cone = tuple(range(fan.ray_count))
+    assert fan.cone_faces(cone) == lp_cone_faces(fan.rays, cone)
 
 
 # ---------------------------------------------------------------------------

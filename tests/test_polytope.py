@@ -1,9 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, as_fractions, qvec
+from quasitoric import corpus as corpus_module
+from quasitoric import polytope as polytope_module
 from quasitoric.corpus import (
     pentagon_facets,
     pentagon_field,
@@ -11,17 +16,18 @@ from quasitoric.corpus import (
     trapezoid_facets,
     unit_square_facets,
 )
+from quasitoric.documents import polytope_from_doc
 from quasitoric.errors import (
     DegenerateDimension,
-    DimensionTooHigh,
-    FacetBudgetExceeded,
+    InternalInvariantError,
     NotFullDimensional,
     UnboundedPolytope,
 )
 from quasitoric.fan import positively_proportional
-from quasitoric.linalg import dot
+from quasitoric.linalg import dot, rank_kernel_solve
 from quasitoric.polytope import (
     HalfspaceRep,
+    VertexRep,
     face_lattice,
     halfspaces_from_vertices,
     is_simple,
@@ -117,13 +123,16 @@ class TestVertexEnumeration:
                       if as_fractions(v) == (0, 0))
         assert 4 in origin and len(origin) == 3
 
-    def test_facet_budget(self):
+    def test_many_facets(self):
+        # x >= -1 - j for j < 28: only j = 0 is a facet of [-1, 1] x [0, 1]
         facets = [(qvec(1, 0), Q.element(-1 - j)) for j in range(28)]
         facets += [(qvec(-1, 0), Q.element(-1)), (qvec(0, 1), Q.zero),
                    (qvec(0, -1), Q.element(-1))]
         H = HalfspaceRep(2, facets)
-        with pytest.raises(FacetBudgetExceeded):
-            vertices_from_halfspaces(H)
+        V = vertices_from_halfspaces(H)
+        assert {as_fractions(v) for v in V.vertices} == {
+            (-1, 0), (-1, 1), (1, 0), (1, 1)}
+        assert V.redundant_facets == tuple(range(1, 28))
 
 
 class TestHull:
@@ -157,10 +166,27 @@ class TestHull:
         with pytest.raises(NotFullDimensional):
             halfspaces_from_vertices([qvec(0, 0), qvec(1, 1), qvec(2, 2)])
 
-    def test_dimension_guard(self):
-        pts = [qvec(*([0] * 4))] * 5
-        with pytest.raises(DimensionTooHigh):
-            halfspaces_from_vertices(pts)
+    def test_four_simplex(self):
+        pts = [qvec(*([0] * 4))] + [
+            qvec(*(1 if j == i else 0 for j in range(4))) for i in range(4)]
+        H = halfspaces_from_vertices(pts)
+        assert H.facet_count == 5
+        assert sorted(as_fractions(n) + (o.as_fraction(),)
+                      for n, o in zip(H.normals, H.offsets)) == [
+            (-1, -1, -1, -1, -1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
+            (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
+        with pytest.raises(NotFullDimensional):
+            halfspaces_from_vertices([qvec(*([0] * 4))] * 5)
+
+    def test_four_cube_roundtrip(self):
+        corners = {qvec(*c) for c in itertools.product((0, 1), repeat=4)}
+        H = halfspaces_from_vertices(sorted(corners, key=as_fractions))
+        assert H.facet_count == 8
+        V = vertices_from_halfspaces(H)
+        assert set(V.vertices) == corners
+        assert is_simple(H, V)
+        H2 = halfspaces_from_vertices(V.vertices)
+        assert (H2.normals, H2.offsets) == (H.normals, H.offsets)
 
     def test_interval_hull(self):
         H = halfspaces_from_vertices([qvec(3), qvec(-1), qvec(2)])
@@ -240,3 +266,85 @@ class TestRoundtripProperty:
                 assert len(hits) == 1
             done += 1
         assert done == 1000
+
+
+def subset_scan(H):
+    """The vertex enumeration that extreme_rays replaced, kept as its
+    oracle: solve every n-subset of facets in index order and keep each
+    feasible solution, listed where the scan first meets it."""
+    n, d = H.dimension, H.facet_count
+    seen = {}
+    for subset in itertools.combinations(range(d), n):
+        res = rank_kernel_solve([list(H.normals[j]) for j in subset],
+                                [H.offsets[j] for j in subset])
+        if res.rank < n or res.solution in seen:
+            continue
+        mu = res.solution
+        signs = [(dot(mu, H.normals[j]) - H.offsets[j]).sign()
+                 for j in range(d)]
+        if min(signs) >= 0:
+            seen[mu] = frozenset(j for j in range(d) if signs[j] == 0)
+    used = set().union(*seen.values())
+    return VertexRep(tuple(seen), tuple(seen.values()),
+                     tuple(j for j in range(d) if j not in used))
+
+
+@st.composite
+def small_polytopes(draw):
+    """A box around the origin cut by halfspaces with small integer data
+    that hold strictly at the origin, so the polytope is bounded and full
+    dimensional; the small data make many vertices nonsimple.  Sometimes
+    a facet is repeated, and the facets come in random order."""
+    n = draw(st.integers(1, 4))
+    facets = []
+    for i in range(n):
+        for s in (1, -1):
+            unit = [0] * n
+            unit[i] = s
+            facets.append((unit, -draw(st.integers(1, 2))))
+    for _ in range(draw(st.integers(0, 8 - n))):
+        normal = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                      .filter(any))
+        facets.append((normal, draw(st.integers(-3, -1))))
+    if draw(st.booleans()):
+        facets.append(draw(st.sampled_from(facets)))
+    facets = draw(st.permutations(facets))
+    return HalfspaceRep(n, [(qvec(*a), Q.element(b)) for a, b in facets])
+
+
+class TestSubsetScanOracle:
+    """The double-description engine gives the subset scan's VertexRep:
+    the same vertices in the same order, active sets and redundant
+    facets."""
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_polytopes())
+    def test_random_polytopes(self, H):
+        assert vertices_from_halfspaces(H) == subset_scan(H)
+
+    @pytest.mark.parametrize("name", [
+        name for name in corpus_module.ENTRY_NAMES
+        if "polytope.json" in corpus_module.corpus_entry(name)])
+    def test_corpus_and_field_intervals(self, name):
+        # the engine decides no sign the scan did not, so the isolating
+        # interval that documents write narrows no further
+        doc = corpus_module.corpus_entry(name)["polytope.json"]
+        engine_H, scan_H = polytope_from_doc(doc), polytope_from_doc(doc)
+        assert engine_H.field is not scan_H.field
+        assert vertices_from_halfspaces(engine_H) == subset_scan(scan_H)
+        assert engine_H.field.interval == scan_H.field.interval
+
+
+def test_recheck_refuses_a_wrong_ray(monkeypatch):
+    # a ray moved off its zero set fails the exact recheck, with or
+    # without python -O
+    scaled = polytope_module._scaled
+
+    def moved(ray):
+        ray = scaled(ray)
+        return ray[:-1] + (ray[-1] + 1,)
+
+    monkeypatch.setattr(polytope_module, "_scaled", moved)
+    with pytest.raises(InternalInvariantError):
+        vertices_from_halfspaces(square())

@@ -224,8 +224,6 @@ ENTRY_NAMES = (
     "twisted-cube",
 )
 
-PARAMETRIC_ENTRIES = ("interval-za", "hirzebruch")
-
 
 def corpus_entry(name: str, a_text: str = "sqrt2") -> dict:
     """Documents for a named entry, keyed by file name.

@@ -272,10 +272,6 @@ def configuration_from_doc(doc):
 
 # ---- dispatch ---------------------------------------------------------------
 
-DOCUMENT_KINDS = ("polytope", "fan", "quasilattice", "triple",
-                  "configuration")
-
-
 def document_kind(doc: dict) -> str:
     if "facets" in doc:
         return "polytope"

@@ -104,13 +104,6 @@ class Fan:
                 mat_rank([list(self.rays[i]) for i in cone]) if cone else 0)
         return self._rank_cache[cone]
 
-    def cone_contains(self, cone, point) -> bool:
-        """Membership of a point in the cone spanned by the indexed rays."""
-        if isinstance(point, int):
-            return cone_contains_index(self.rays, cone, point, self.field,
-                                       self._membership_cache)
-        return cone_contains_point(self.rays, cone, tuple(point), self.field)
-
     def cone_faces(self, cone):
         """All faces of a cone, as ray-index tuples.
 

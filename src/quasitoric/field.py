@@ -266,9 +266,6 @@ class RealAlgebraicField:
                            if c != 0)
         return f"RealAlgebraicField({terms} = 0 in [{self._lo}, {self._hi}])"
 
-    def is_rational_field(self) -> bool:
-        return self.degree == 1
-
     def same_field(self, other: "RealAlgebraicField") -> bool:
         """Same minimal polynomial and same isolated root."""
         if self is other:

@@ -34,28 +34,20 @@ class LinearSolveResult(NamedTuple):
     solution: Optional[tuple]  # present iff the system is consistent
 
 
-def rank_kernel_solve(A, b=None) -> LinearSolveResult:
-    """Exact elimination on A (optionally augmented by b).
+def _gauss_jordan(A, b=None):
+    """Reduced row echelon form of A, carrying the right-hand side b.
 
-    Returns the rank, a deterministic reduced-echelon kernel basis, and,
-    when b is given, a particular solution (free variables zero) or None
-    when the system is inconsistent (see inconsistency_certificate).
-    """
-    if not A:
-        raise ValueError("matrix must have at least one row")
-    rows, cols = len(A), len(A[0])
-    field = A[0][0].field
+    Returns (rows, rhs, pivot_cols): all rows of the reduced matrix, the
+    nonzero ones first; b transformed alongside (None when b is None); and
+    the pivot column of each nonzero row."""
     work = [list(row) for row in A]
     rhs = list(b) if b is not None else None
-
+    rows, cols = len(work), len(work[0])
     pivot_cols = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if not work[i][c].is_zero():
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows)
+                      if not work[i][c].is_zero()), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
@@ -75,11 +67,24 @@ def rank_kernel_solve(A, b=None) -> LinearSolveResult:
         r += 1
         if r == rows:
             break
+    return work, rhs, pivot_cols
 
-    rank = r
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
+
+def rank_kernel_solve(A, b=None) -> LinearSolveResult:
+    """Exact elimination on A (optionally augmented by b).
+
+    Returns the rank, a deterministic reduced-echelon kernel basis, and,
+    when b is given, a particular solution (free variables zero) or None
+    when the system is inconsistent.
+    """
+    if not A:
+        raise ValueError("matrix must have at least one row")
+    work, rhs, pivot_cols = _gauss_jordan(A, b)
+    cols = len(A[0])
+    field = A[0][0].field
+    rank = len(pivot_cols)
     kernel = []
-    for f in free_cols:
+    for f in (c for c in range(cols) if c not in pivot_cols):
         vec = [field.zero] * cols
         vec[f] = field.one
         for i, pc in enumerate(pivot_cols):
@@ -87,22 +92,12 @@ def rank_kernel_solve(A, b=None) -> LinearSolveResult:
         kernel.append(tuple(vec))
 
     solution = None
-    if rhs is not None and all(rhs[i].is_zero() for i in range(rank, rows)):
+    if rhs is not None and all(x.is_zero() for x in rhs[rank:]):
         sol = [field.zero] * cols
         for i, pc in enumerate(pivot_cols):
             sol[pc] = rhs[i]
         solution = tuple(sol)
     return LinearSolveResult(rank, kernel, solution)
-
-
-def inconsistency_certificate(A, b) -> Optional[tuple]:
-    """A row y with y*A = 0 and y.b != 0, or None when A x = b is
-    consistent.
-
-    b is outside the column space of A exactly when some vector of the left
-    kernel (y with y*A = 0) is not orthogonal to it."""
-    return next((y for y in rank_kernel_solve(transpose(A)).kernel
-                 if not dot(y, b).is_zero()), None)
 
 
 def solve_unique(A, b):
@@ -117,33 +112,12 @@ def rref_rows(rows):
     """Nonzero rows of the reduced row echelon form, deterministically."""
     if not rows:
         return []
-    work = [list(r) for r in rows]
-    cols = len(work[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(work))
-                      if not work[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]]
+    work, _, pivot_cols = _gauss_jordan(rows)
+    return [tuple(row) for row in work[:len(pivot_cols)]]
 
 
 def mat_rank(A) -> int:
     return rank_kernel_solve(A).rank
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +273,21 @@ def snf(A: Sequence[Sequence[int]]):
     return D, U, V
 
 
-def integer_kernel(A: Sequence[Sequence[int]]):
-    """Canonical (HNF) basis of {x in Z^n : A x = 0}, as a list of rows."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if cols == 0:
-        return []
-    At = [[A[i][j] for i in range(rows)] for j in range(cols)]
-    H, U = hnf(At)
-    basis = [U[i] for i in range(cols)
-             if all(h == 0 for h in H[i])]
+def _kernel_rows(H, U):
+    """Canonical (HNF) basis of {x : A x = 0} over Z from U*A^T = H: the
+    rows of U whose H row is zero span it."""
+    basis = [u for h, u in zip(H, U) if not any(h)]
     if not basis:
         return []
     K, _ = hnf(basis)
-    return [row for row in K if any(x != 0 for x in row)]
+    return [row for row in K if any(row)]
+
+
+def integer_kernel(A: Sequence[Sequence[int]]):
+    """Canonical (HNF) basis of {x in Z^n : A x = 0}, as a list of rows."""
+    if not A or not A[0]:
+        return []
+    return _kernel_rows(*hnf(list(zip(*A))))
 
 
 def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]):
@@ -321,20 +296,14 @@ def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]):
     The witness is canonical: the particular solution from HNF
     back-substitution, reduced modulo the integer kernel so that each
     kernel-pivot coordinate lies in [0, pivot)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+    cols = len(A[0]) if A else 0
     if cols == 0:
         return None if any(x != 0 for x in b) else ()
-    At = [[A[i][j] for i in range(rows)] for j in range(cols)]
-    H, U = hnf(At)
+    H, U = hnf(list(zip(*A)))
     residual = list(map(int, b))
     t = [0] * cols
     for i in range(cols):
-        pivot_col = None
-        for j in range(rows):
-            if H[i][j] != 0:
-                pivot_col = j
-                break
+        pivot_col = next((j for j, h in enumerate(H[i]) if h != 0), None)
         if pivot_col is None:
             continue
         if residual[pivot_col] % H[i][pivot_col] != 0:
@@ -345,7 +314,7 @@ def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]):
     if any(x != 0 for x in residual):
         return None
     x = [sum(t[i] * U[i][j] for i in range(cols)) for j in range(cols)]
-    for krow in integer_kernel(A):
+    for krow in _kernel_rows(H, U):
         pivot_col = next(j for j, v in enumerate(krow) if v != 0)
         q = x[pivot_col] // krow[pivot_col]
         if q:

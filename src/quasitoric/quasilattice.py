@@ -1,28 +1,22 @@
 """Quasilattices: finitely generated Z-submodules of K^n that span R^n.
 
-The Z-module structure is worked with through a flattened rational
+The Z-module structure is worked with through a flattened integer
 presentation: each field coordinate is expanded in the power basis of
-alpha, giving an (n * degree) x p matrix over Q whose columns are the
-generators.  Membership then reduces to an integral linear system and
-discreteness to a rank computation: the quasilattice is a lattice exactly
-when the abstract Z-rank of the module (the rank of the flattened matrix)
-equals the real span dimension n.
+alpha and read straight off the elements' integer numerators, giving
+(n * degree) integer rows with one column per generator.  Membership
+then reduces to an integral linear system and discreteness to a rank
+computation: the quasilattice is a lattice exactly when the abstract
+Z-rank of the module (the rank of the flattened matrix) equals the real
+span dimension n.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, NotSpanning, ParseError
-from .field import rational_field
-from .linalg import (
-    integer_kernel,
-    integer_solve,
-    mat_rank,
-    rank_kernel_solve,
-)
+from .linalg import hnf, integer_kernel, integer_solve, mat_rank
 from .polytope import (
     HalfspaceRep,
     face_lattice,
@@ -30,40 +24,21 @@ from .polytope import (
     vertices_from_halfspaces,
 )
 
-_Q = rational_field()
 
+def _integer_rows(vectors):
+    """Integer rows of the flattened presentation, one column per vector:
+    one row per (coordinate, power-basis index) pair, the rows of each
+    coordinate cleared by the lcm of that coordinate's denominators.
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _flatten_rows(vectors, degree):
-    """Rational rows of the flattened presentation: one row per
-    (coordinate, power-basis index) pair, one column per vector."""
-    n = len(vectors[0])
-    coeffs = [[x.coeffs for x in v] for v in vectors]
+    Each row is a positive multiple of the rational row it flattens, so
+    the integer relations among the columns are unchanged."""
     rows = []
-    for i in range(n):
-        for k in range(degree):
-            rows.append([c[i][k] for c in coeffs])
+    for entries in zip(*vectors):
+        scale = lcm(*(x.den for x in entries))
+        factors = [scale // x.den for x in entries]
+        for k in range(len(entries[0].num)):
+            rows.append([x.num[k] * f for x, f in zip(entries, factors)])
     return rows
-
-
-def _clear_denominators(rows):
-    """Per-row integerization; returns (integer rows, row denominators)."""
-    cleared = []
-    denoms = []
-    for row in rows:
-        d = 1
-        for x in row:
-            d = _lcm(d, x.denominator)
-        cleared.append([int(x * d) for x in row])
-        denoms.append(d)
-    return cleared, denoms
-
-
-def _rational_rank(rows) -> int:
-    return mat_rank([[_Q.element(Fraction(x)) for x in row] for row in rows])
 
 
 class Quasilattice:
@@ -82,9 +57,7 @@ class Quasilattice:
                 != self.dimension:
             raise NotSpanning("generators do not span R^n")
         self.generators = generators
-        rational_rows = _flatten_rows(generators, self.field.degree)
-        self.flattened, self.row_denominators = \
-            _clear_denominators(rational_rows)
+        self.flattened = _integer_rows(generators)
 
     @property
     def generator_count(self) -> int:
@@ -92,7 +65,8 @@ class Quasilattice:
 
     def flattened_rank(self) -> int:
         """Abstract Z-rank of the module."""
-        return _rational_rank(self.flattened)
+        H, _ = hnf(self.flattened)
+        return sum(1 for row in H if any(row))
 
     def is_lattice(self) -> bool:
         """Discrete iff the Z-rank equals the real span dimension."""
@@ -121,20 +95,11 @@ def ql_span(vectors) -> Quasilattice:
 def integral_membership(vectors, target) -> Optional[tuple]:
     """Integer x with sum(x_j * vectors[j]) = target, or None.
 
-    Flattens into the power basis and clears denominators row by row,
-    including the target's entry, then solves over Z."""
-    degree = vectors[0][0].field.degree
-    rows = _flatten_rows(vectors, degree)
-    target_flat = [c for x in target for c in x.coeffs]
-    A = []
-    b = []
-    for row, t in zip(rows, target_flat):
-        d = t.denominator
-        for x in row:
-            d = _lcm(d, x.denominator)
-        A.append([int(x * d) for x in row])
-        b.append(int(t * d))
-    return integer_solve(A, b)
+    Flattens the vectors and the target (the last column) into integer
+    rows, then solves over Z."""
+    rows = _integer_rows(list(vectors) + [target])
+    return integer_solve([row[:-1] for row in rows],
+                         [row[-1] for row in rows])
 
 
 class RayWitness(NamedTuple):
@@ -147,56 +112,31 @@ class RayWitness(NamedTuple):
 def ray_generator(ql: Quasilattice, direction) -> Optional[RayWitness]:
     """Some w in the quasilattice with w = t * direction, t > 0, or None.
 
-    The integer coefficient vectors x with G x parallel to the direction
-    form a lattice (computed through a rational kernel and an integer
-    kernel); the witness is the first canonical-basis row on which the
-    scale functional is nonzero, sign-fixed to t > 0."""
+    The integer coefficient vectors x with G x parallel to the direction d
+    form a lattice: the integer kernel of the rows
+    (G x)_i * d_k - (G x)_k * d_i = 0 for i != k, where k (the pivot) is
+    the first nonzero coordinate of d.  The witness is the first canonical-basis row
+    on which the scale functional is nonzero, sign-fixed to t > 0."""
     direction = tuple(direction)
     field = ql.field
-    degree = field.degree
     n = ql.dimension
     p = ql.generator_count
     if all(x.is_zero() for x in direction):
         raise ValueError("direction must be nonzero")
 
-    # columns: p generator coefficients, then degree coefficients of t
-    rows = []
-    alpha_powers = [field.one]
-    for _ in range(degree - 1):
-        alpha_powers.append(alpha_powers[-1] * field.alpha)
-    for i in range(n):
-        generated = [g[i].coeffs for g in ql.generators]
-        scaled = [(a * direction[i]).coeffs for a in alpha_powers]
-        for k in range(degree):
-            row = [_Q.element(c[k]) for c in generated]
-            for c in scaled:
-                row.append(_Q.element(-c[k]))
-            rows.append(row)
-    kernel = rank_kernel_solve(rows).kernel
-    basis_x = [vec[:p] for vec in kernel]
-    if all(all(x.is_zero() for x in vec) for vec in basis_x):
-        return None
-
-    # integer points of the rational span W of basis_x: W is cut out by
-    # its annihilator, and integer kernels of integer matrices are
-    # saturated lattices
-    annihilator = rank_kernel_solve([list(b) for b in basis_x]).kernel
-    if annihilator:
-        C = []
-        for row in annihilator:
-            d = 1
-            for x in row:
-                d = _lcm(d, x.as_fraction().denominator)
-            C.append([int(x.as_fraction() * d) for x in row])
-        lattice_rows = integer_kernel(C)
-    else:
+    pivot = next(i for i, x in enumerate(direction) if not x.is_zero())
+    dp = direction[pivot]
+    if n == 1:
         lattice_rows = [[1 if i == j else 0 for j in range(p)]
                         for i in range(p)]
+    else:
+        columns = [[g[i] * dp - g[pivot] * direction[i]
+                    for i in range(n) if i != pivot] for g in ql.generators]
+        lattice_rows = integer_kernel(_integer_rows(columns))
 
-    pivot = next(i for i, x in enumerate(direction) if not x.is_zero())
     for row in lattice_rows:
         w = _combination(ql.generators, row, field, n)
-        t = w[pivot] / direction[pivot]
+        t = w[pivot] / dp
         if t.is_zero():
             continue
         if not all((w[i] - t * direction[i]).is_zero() for i in range(n)):

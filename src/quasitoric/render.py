@@ -19,10 +19,11 @@ from typing import Optional
 from .configuration import Triangulation, VectorConfiguration
 from .errors import DimensionTooHigh
 from .fan import Fan
-from .field import FieldElement
+from .field import FieldElement, rational_field
 from .polytope import HalfspaceRep, vertices_from_halfspaces
 
 SIGNIFICANT_DIGITS = 12
+_Q = rational_field()
 
 
 @dataclass(frozen=True)
@@ -147,37 +148,9 @@ def _approx_pair(v):
 
 
 def _coord_text(x) -> str:
-    if isinstance(x, FieldElement):
-        return x.decimal(SIGNIFICANT_DIGITS)
-    return _fraction_decimal(Fraction(x))
-
-
-def _fraction_decimal(q: Fraction) -> str:
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    e = 0
-    while q >= 10 ** (e + 1):
-        e += 1
-    while q < 10 ** e:
-        e -= 1
-    scaled = q * Fraction(10) ** (SIGNIFICANT_DIGITS - 1 - e)
-    n, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r > scaled.denominator or (2 * r == scaled.denominator
-                                      and n % 2 == 1):
-        n += 1
-    if n == 10 ** SIGNIFICANT_DIGITS:
-        n //= 10
-        e += 1
-    digits = str(n)
-    if e >= SIGNIFICANT_DIGITS:
-        body = digits + "0" * (e - SIGNIFICANT_DIGITS + 1)
-    elif e >= 0:
-        body = digits[:e + 1] + "." + digits[e + 1:]
-    else:
-        body = "0." + "0" * (-e - 1) + digits
-    return sign + body
+    if not isinstance(x, FieldElement):
+        x = _Q.element(x)
+    return x.decimal(SIGNIFICANT_DIGITS)
 
 
 def _pair_text(v) -> str:
@@ -268,7 +241,7 @@ def _span(bounds) -> Fraction:
 
 
 def _w(spec: RenderSpec, bounds) -> str:
-    return _fraction_decimal(_span(bounds) * spec.stroke_width)
+    return _coord_text(_span(bounds) * spec.stroke_width)
 
 
 def _arrow(base, tip, color, width, extra="") -> str:
@@ -280,7 +253,7 @@ def _arrow(base, tip, color, width, extra="") -> str:
 
 
 def _label(anchor, text, span: Fraction) -> str:
-    size = _fraction_decimal(span / 18)
+    size = _coord_text(span / 18)
     x = _coord_text(anchor[0])
     y = _coord_text(_negate(anchor[1]))
     return (f'<text x="{x}" y="{y}" font-size="{size}" '
@@ -290,10 +263,8 @@ def _label(anchor, text, span: Fraction) -> str:
 def _document(parts, bounds, spec: RenderSpec) -> str:
     xmin, ymin, xmax, ymax = bounds
     # flipped y: viewBox rows run from -ymax upward
-    view = (_fraction_decimal(Fraction(xmin)),
-            _fraction_decimal(-Fraction(ymax)),
-            _fraction_decimal(Fraction(xmax - xmin)),
-            _fraction_decimal(Fraction(ymax - ymin)))
+    view = (_coord_text(xmin), _coord_text(-ymax),
+            _coord_text(xmax - xmin), _coord_text(ymax - ymin))
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

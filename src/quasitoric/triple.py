@@ -14,7 +14,7 @@ clearing denominators; any irrational coordinate gives an infinite group
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Optional, Union
 
 from .errors import (
@@ -34,7 +34,7 @@ from .polytope import (
     require_irredundant,
     vertices_from_halfspaces,
 )
-from .quasilattice import Quasilattice
+from .quasilattice import Quasilattice, integral_membership
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,9 @@ def triple_validate(triple: FundamentalTriple) -> TripleReport:
         simple = fan_is_simplicial(body)
     warning = None if simple else "stratified case, out of scope"
     spans = all(
-        _span_contains(triple.normals, g) for g in
-        triple.quasilattice.generators)
+        integral_membership(triple.normals, g) is not None
+        for g in triple.quasilattice.generators)
     return TripleReport(True, simple, warning, tuple(witnesses), spans)
-
-
-def _span_contains(vectors, target) -> bool:
-    from .quasilattice import integral_membership
-    return integral_membership(vectors, target) is not None
 
 
 @dataclass(frozen=True)
@@ -160,14 +155,8 @@ def _finite_order(images, n) -> int:
     """Order of the subgroup of (Q/Z)^n generated by rational images:
     the index [Z^n + sum(Z y_g) : Z^n] via the Smith normal form of the
     denominator-cleared column matrix against D * Z^n."""
-    denom = 1
-    for img in images:
-        for x in img:
-            denom = denom * x.as_fraction().denominator // gcd(
-                denom, x.as_fraction().denominator)
-    cols = []
-    for img in images:
-        cols.append([int(x.as_fraction() * denom) for x in img])
+    denom = lcm(*(x.den for img in images for x in img))
+    cols = [[x.num[0] * (denom // x.den) for x in img] for img in images]
     for i in range(n):
         unit = [0] * n
         unit[i] = denom

@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from quasitoric.field import RealAlgebraicField, rational_field
 from quasitoric.linalg import (
     dot,
     hnf,
-    inconsistency_certificate,
     integer_kernel,
     integer_solve,
     mat_rank,
@@ -107,23 +108,17 @@ class TestRankKernelSolve:
             for row in V:
                 assert dot(row, vec).is_zero()
 
-    def test_inconsistent_certificate(self):
-        A = qmat([[1, 1], [2, 2]])
-        b = qvec([1, 3])
-        res = rank_kernel_solve(A, b)
-        assert res.solution is None
-        y = inconsistency_certificate(A, b)
-        # y*A = 0 and y.b != 0
-        for j in range(2):
-            assert (y[0] * A[0][j] + y[1] * A[1][j]).is_zero()
-        assert not (y[0] * b[0] + y[1] * b[1]).is_zero()
-        assert inconsistency_certificate(A, qvec([1, 2])) is None
-
     def test_solve_unique(self):
         A = qmat([[2, 1], [1, 3]])
         b = qvec([5, 10])
         x = solve_unique(A, b)
         assert x == qvec([1, 3])
+        # a singular system: inconsistent for (1, 3), consistent for (1, 2)
+        A = qmat([[1, 1], [2, 2]])
+        assert rank_kernel_solve(A, qvec([1, 3])).solution is None
+        assert rank_kernel_solve(A, qvec([1, 2])).solution == qvec([1, 0])
+        with pytest.raises(ValueError):
+            solve_unique(A, qvec([1, 2]))
 
     def test_rank_nullity(self):
         rng = random.Random(11)

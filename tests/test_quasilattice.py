@@ -1,9 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, qvec
+from quasitoric import linalg
 from quasitoric.corpus import (
     fifth_roots_of_unity,
     interval_za_generators,
@@ -16,11 +20,14 @@ from quasitoric.corpus import (
 )
 from quasitoric.errors import NotSpanning
 from quasitoric.fan import normal_fan, positively_proportional
+from quasitoric.field import rational_field
+from quasitoric.linalg import integer_kernel, rank_kernel_solve
 from quasitoric.polytope import HalfspaceRep
 from quasitoric.quasilattice import (
     integral_membership,
     is_quasirational,
     ql_span,
+    RayWitness,
     ray_generator,
 )
 
@@ -77,16 +84,27 @@ class TestSpan:
             ql_span([qvec(1, 0), qvec(2, 0)])
 
     def test_flattened_reconstruction(self):
+        """Each integer row is a positive multiple of the rational row of
+        power-basis coefficients it flattens."""
         k = pentagon_field()
-        ql = ql_span(list(fifth_roots_of_unity(k)))
+        gens = list(fifth_roots_of_unity(k))
+        gens.append(tuple(x / 6 for x in gens[0]))
+        gens.append(tuple(x * Fraction(3, 4) for x in gens[1]))
+        ql = ql_span(gens)
         degree = k.degree
-        for j, gen in enumerate(ql.generators):
-            for i in range(2):
-                for kk in range(degree):
-                    row = i * degree + kk
-                    value = Fraction(ql.flattened[row][j],
-                                     ql.row_denominators[row])
-                    assert value == gen[i].coeffs[kk]
+        for i in range(2):
+            for kk in range(degree):
+                row = ql.flattened[i * degree + kk]
+                coeffs = [g[i].coeffs[kk] for g in ql.generators]
+                assert all(isinstance(x, int) for x in row)
+                pivot = next((j for j, c in enumerate(coeffs) if c), None)
+                if pivot is None:
+                    assert not any(row)
+                    continue
+                scale = Fraction(row[pivot]) / coeffs[pivot]
+                assert scale > 0
+                assert [Fraction(x) for x in row] == \
+                    [scale * c for c in coeffs]
 
 
 class TestMembership:
@@ -217,3 +235,96 @@ def test_integral_membership_adhoc_list():
     coeffs = integral_membership(vectors, target)
     assert coeffs is not None
     assert combination(vectors, coeffs) == target
+
+
+def test_membership_takes_two_hermite_forms(monkeypatch):
+    """One HNF of the transposed system and one of its kernel basis: the
+    kernel is read off the first HNF, not recomputed."""
+    calls = []
+    original = linalg.hnf
+
+    def counting_hnf(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(linalg, "hnf", counting_hnf)
+    vectors = [qvec(1, 0), qvec(0, 1), qvec(1, 1)]  # kernel (1, 1, -1)
+    assert integral_membership(vectors, qvec(2, 3)) == (0, 1, 2)
+    assert len(calls) == 2
+
+
+# ---- ray generators against the rational-kernel construction -------------
+
+def reference_ray_generator(ql, direction):
+    """Ray generator through a rational kernel in (x, t) and the integer
+    kernel of the annihilator of its x-projection: an independent route
+    to the lattice of x with G x parallel to the direction."""
+    rational = rational_field()
+    field = ql.field
+    n, p = ql.dimension, ql.generator_count
+    alpha_powers = [field.one]
+    for _ in range(field.degree - 1):
+        alpha_powers.append(alpha_powers[-1] * field.alpha)
+    rows = []
+    for i in range(n):
+        generated = [g[i].coeffs for g in ql.generators]
+        scaled = [(a * direction[i]).coeffs for a in alpha_powers]
+        for k in range(field.degree):
+            rows.append([rational.element(c[k]) for c in generated]
+                        + [rational.element(-c[k]) for c in scaled])
+    basis_x = [vec[:p] for vec in rank_kernel_solve(rows).kernel]
+    if all(x.is_zero() for vec in basis_x for x in vec):
+        return None
+    annihilator = rank_kernel_solve([list(b) for b in basis_x]).kernel
+    if annihilator:
+        C = []
+        for row in annihilator:
+            d = math.lcm(*(x.as_fraction().denominator for x in row))
+            C.append([int(x.as_fraction() * d) for x in row])
+        lattice_rows = integer_kernel(C)
+    else:
+        lattice_rows = [[int(i == j) for j in range(p)] for i in range(p)]
+    pivot = next(i for i, x in enumerate(direction) if not x.is_zero())
+    for row in lattice_rows:
+        w = combination(ql.generators, row)
+        t = w[pivot] / direction[pivot]
+        if t.is_zero():
+            continue
+        assert all((w[i] - t * direction[i]).is_zero() for i in range(n))
+        if t.sign() < 0:
+            row = [-x for x in row]
+            w = tuple(-x for x in w)
+        return RayWitness(w, tuple(row), True)
+    return None
+
+
+ORACLE_FIELDS = (Q, sqrt2_field(), pentagon_field())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_ray_generator_matches_rational_kernel_oracle(data):
+    k = data.draw(st.sampled_from(ORACLE_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(n, n + 2))
+    small = st.builds(Fraction, st.integers(-3, 3),
+                      st.sampled_from([1, 1, 1, 2, 3]))
+    sparse = st.one_of(st.just(Fraction(0)), small)
+    element = st.lists(sparse, min_size=k.degree, max_size=k.degree).map(
+        k.element)
+    vector = st.tuples(*[element] * n)
+    gens = data.draw(st.lists(vector, min_size=p, max_size=p))
+    try:
+        ql = ql_span(gens)
+    except NotSpanning:
+        assume(False)
+    if data.draw(st.booleans()):
+        # a scaled combination of generators: the ray meets the span
+        x = data.draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p))
+        scale = data.draw(element)
+        direction = tuple(scale * c for c in combination(gens, x))
+    else:
+        direction = data.draw(vector)
+    assume(any(not c.is_zero() for c in direction))
+    assert ray_generator(ql, direction) == \
+        reference_ray_generator(ql, direction)

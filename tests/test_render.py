@@ -2,6 +2,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Q
 from quasitoric.configuration import Triangulation, VectorConfiguration
@@ -15,7 +17,12 @@ from quasitoric.corpus import (
 from quasitoric.errors import DimensionTooHigh
 from quasitoric.fan import normal_fan
 from quasitoric.polytope import HalfspaceRep, halfspaces_from_vertices
-from quasitoric.render import RenderSpec, render_svg
+from quasitoric.render import (
+    SIGNIFICANT_DIGITS,
+    RenderSpec,
+    _coord_text,
+    render_svg,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -124,3 +131,50 @@ class TestDocumentProperties:
         ]
         for t in targets:
             parse(render_svg(t))
+
+
+def fraction_decimal_oracle(q: Fraction) -> str:
+    """Independent half-even decimal of a rational at SIGNIFICANT_DIGITS
+    significant digits, on Fraction arithmetic alone."""
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    e = 0
+    while q >= 10 ** (e + 1):
+        e += 1
+    while q < 10 ** e:
+        e -= 1
+    scaled = q * Fraction(10) ** (SIGNIFICANT_DIGITS - 1 - e)
+    n, r = divmod(scaled.numerator, scaled.denominator)
+    if 2 * r > scaled.denominator or (2 * r == scaled.denominator
+                                      and n % 2 == 1):
+        n += 1
+    if n == 10 ** SIGNIFICANT_DIGITS:
+        n //= 10
+        e += 1
+    digits = str(n)
+    if e >= SIGNIFICANT_DIGITS:
+        body = digits + "0" * (e - SIGNIFICANT_DIGITS + 1)
+    elif e >= 0:
+        body = digits[:e + 1] + "." + digits[e + 1:]
+    else:
+        body = "0." + "0" * (-e - 1) + digits
+    return sign + body
+
+
+# ties: SIGNIFICANT_DIGITS + 1 significant digits, the last one a 5
+_ties = st.builds(
+    lambda head, shift, sign: Fraction(sign * (10 * head + 5), 10 ** shift),
+    st.integers(10 ** (SIGNIFICANT_DIGITS - 1), 10 ** SIGNIFICANT_DIGITS - 1),
+    st.integers(0, 30), st.sampled_from([1, -1]))
+_fractions = st.builds(Fraction, st.integers(-10 ** 16, 10 ** 16),
+                       st.integers(1, 10 ** 8))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_ties, _fractions))
+def test_rational_text_matches_fraction_oracle(q):
+    """Rational coordinates, stroke widths and label sizes go through
+    FieldElement.decimal over Q; it rounds half-even like the oracle."""
+    assert _coord_text(q) == fraction_decimal_oracle(q)

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fan import (
     Fan,
+    complete_fan_certificate,
     cone_contains_index,
     cones_meet_in_common_face,
     fan_is_complete,
@@ -131,7 +132,13 @@ def config_validate(config: VectorConfiguration,
     """Exact report on the triangulation axioms, balance, parity,
     spanning, and the completeness/spanning equivalence.  Completeness is
     decided only when the simplices are independent and compatible, that
-    is when they form a fan; otherwise it reads None."""
+    is when they form a fan; otherwise it reads None.
+
+    When the maximal simplices pass complete_fan_certificate they form a
+    complete fan, which covers every vector, so compatibility and
+    covering are both true without an LP.  Otherwise compatibility is
+    decided pairwise by LP and covering by one membership LP per vector
+    and simplex, as needed."""
     n = config.dimension
     p = config.count
     field = config.field
@@ -159,14 +166,17 @@ def config_validate(config: VectorConfiguration,
         # fan lemma: simplices are simplicial, so their faces are their
         # subsets and compatibility need only hold for maximal pairs
         maximal = triangulation.maximal()
-        cache = {}
-        compatibility = all(
-            cones_meet_in_common_face(vectors, a, b, field, cache)
-            for a, b in combinations(maximal, 2))
-        covering = all(
-            any(cone_contains_index(vectors, s, i, field, cache)
-                for s in maximal)
-            for i in range(p))
+        if complete_fan_certificate(vectors, maximal, n):
+            compatibility = covering = True
+        else:
+            cache = {}
+            compatibility = all(
+                cones_meet_in_common_face(vectors, a, b, field, cache)
+                for a, b in combinations(maximal, 2))
+            covering = all(
+                any(cone_contains_index(vectors, s, i, field, cache)
+                    for s in maximal)
+                for i in range(p))
         if compatibility:
             try:
                 complete = fan_is_complete(_fan_from(config, triangulation))

@@ -6,11 +6,13 @@ list.  The normal fan of a certified polytope needs no LP: it is valid
 and complete, and simplicial iff the polytope is simple (Ziegler,
 Lectures on Polytopes, Ch. 7).  normal_fan reads the irredundancy of the
 facets off the polytope's face lattice and marks the fan it builds, and
-the predicates answer for a marked fan by that theorem.  On any other
-fan they reduce to exact LP feasibility, membership of a point in a
-cone and the separation argument for the pairwise-intersection axiom,
-and to the faces of each cone, which polytope.extreme_rays enumerates
-in any dimension.  Completeness
+the predicates answer for a marked fan by that theorem.  A complete
+simplicial fan needs no LP either: complete_fan_certificate proves it a
+fan from its walls and one point, by linear algebra alone.  On any other
+fan the predicates reduce to exact LP feasibility, membership of a point
+in a cone and the separation argument for the pairwise-intersection
+axiom, and to the faces of each cone, which polytope.extreme_rays
+enumerates in any dimension.  Completeness
 of a valid fan is one wall-pairing test in every dimension: each maximal
 cone is full-dimensional and each of its walls lies in exactly two
 maximal cones.  Every cone here is assumed pointed, which holds for all
@@ -30,7 +32,7 @@ import itertools
 from typing import NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidFan
-from .linalg import dot, mat_rank, rref_rows, solve_unique
+from .linalg import dot, mat_rank, rank_kernel_solve, rref_rows, solve_unique
 from .lp import strict_lp_feasible
 from .polytope import (
     FaceLattice,
@@ -207,6 +209,57 @@ def cones_meet_in_common_face(vectors, S1, S2, field, cache=None) -> bool:
     return cones_meet_in_common_face(vectors, F1, F2, field, cache)
 
 
+def complete_fan_certificate(vectors, maximal, n) -> bool:
+    """Whether the simplicial cones on the index tuples in maximal form a
+    complete fan in R^n, proved by linear algebra alone.
+
+    True only when all three hold: every maximal cone has n independent
+    rays; every wall (n-1 rays of a maximal cone; () when n = 1) lies in
+    exactly two maximal cones, whose apexes (the ray each adds to the
+    wall) lie strictly on opposite sides of the wall's hyperplane; and the
+    point p, the sum of the rays of the first cone, lies in no other
+    maximal cone.  This is the pseudomanifold characterization of
+    triangulations (De Loera, Rambau and Santos, Triangulations, Ch. 4).
+    Proof sketch: a path between generic points crosses walls only in
+    their relative interiors, and there one cone is left as its partner
+    on the other side is entered, so the number of cones covering a
+    generic point is the same everywhere.  Near p it is 1, so the
+    interiors are disjoint and the cones cover R^n.  Walls are index sets
+    shared by both cones, which rules out T-junctions: the cones around
+    each face cover a neighbourhood of it exactly once, so no other cone
+    touches it, and any two cones meet in a common face.
+
+    The check only ever answers yes: False says nothing, and the caller
+    decides by the pairwise LP path instead."""
+    maximal = list(maximal)
+    if any(len(cone) != n for cone in maximal):
+        return False
+    apexes = {}
+    for cone in maximal:
+        for apex in cone:
+            wall = tuple(i for i in cone if i != apex)
+            apexes.setdefault(wall, []).append(apex)
+    zero = vectors[maximal[0][0]][0].field.zero
+    for wall, pair in apexes.items():
+        if len(pair) != 2:
+            return False
+        # n = 1: the wall () spans {0}, whose normal space is all of R
+        rows = [list(vectors[i]) for i in wall] or [[zero] * n]
+        kernel = rank_kernel_solve(rows).kernel
+        if len(kernel) != 1:
+            return False
+        a, b = (dot(kernel[0], vectors[k]).sign() for k in pair)
+        if a * b != -1:
+            return False
+    first, *others = maximal
+    point = [sum((vectors[j][i] for j in first), zero) for i in range(n)]
+    for cone in others:
+        A_t = [[vectors[j][i] for j in cone] for i in range(n)]
+        if all(x.sign() >= 0 for x in solve_unique(A_t, point)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # normal fan
 # ---------------------------------------------------------------------------
@@ -268,7 +321,11 @@ def fan_is_valid(fan: Fan) -> bool:
     e2 and cones (0,1,2) and (1,), the cone (1,) is an index subset of
     (0,1,2) but not a face of it, and must be checked against it.
 
-    A normal fan of a polytope is a fan by construction."""
+    A normal fan of a polytope is a fan by construction.  So is a
+    face-closed collection whose maximal cones pass
+    complete_fan_certificate; each other cone is a face of one of them,
+    hence simplicial too.  Otherwise every pair of maximal cones is
+    decided by LP."""
     if fan.polytope is not None:
         return True
     cone_set = set(fan.cones)
@@ -277,6 +334,8 @@ def fan_is_valid(fan: Fan) -> bool:
             return False
     proper = set().union(*(fan.cone_faces(c) - {c} for c in fan.cones))
     candidates = [c for c in fan.cones if c not in proper]
+    if complete_fan_certificate(fan.rays, candidates, fan.dimension):
+        return True
     for a, b in itertools.combinations(candidates, 2):
         if not cones_meet_in_common_face(fan.rays, a, b, fan.field,
                                          fan._membership_cache):

@@ -1,12 +1,15 @@
+import copy
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from quasitoric import polytope
+from quasitoric import lp, polytope
 from quasitoric.cli import main
+from quasitoric.field import format_rational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -21,6 +24,22 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def count_calls(monkeypatch, function):
+    """The argument tuples of every later call of function, wrapped in each
+    quasitoric module that imported it by name."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("quasitoric") and getattr(
+                module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
 
 
 @pytest.fixture()
@@ -110,22 +129,38 @@ class TestWorkflows:
                                                    monkeypatch):
         # the normals' count and directions, the irredundancy check and
         # the simplicity verdict all read one vertex enumeration
-        original = polytope.vertices_from_halfspaces
-        calls = []
-
-        def counting(H):
-            calls.append(H)
-            return original(H)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("quasitoric") and getattr(
-                    module, "vertices_from_halfspaces", None) is original:
-                monkeypatch.setattr(module, "vertices_from_halfspaces",
-                                    counting)
         directory = corpus("pentagon")
-        calls.clear()
+        calls = count_calls(monkeypatch, polytope.vertices_from_halfspaces)
         run_json(capsys, "check-triple", str(directory / "triple.json"))
         assert len(calls) == 1
+
+    def test_validate_augmented_config_runs_no_lp(self, corpus, capsys,
+                                                  tmp_path, monkeypatch):
+        # the triangulation is a complete simplicial fan, certified by
+        # linear algebra: no pairwise separation or covering LP
+        directory = corpus("thick-rhombus")
+        code, out, err = run(capsys, "augment",
+                             str(directory / "triple.json"))
+        assert code == 0, err
+        path = tmp_path / "augmented.json"
+        path.write_text(out)
+        calls = count_calls(monkeypatch, lp.strict_lp_feasible)
+        report = run_json(capsys, "validate-config", str(path))
+        assert report["cone_compatibility"] is True
+        assert report["covering"] is True
+        assert report["complete"] is True
+        assert calls == []
+
+    def test_polytopal_twisted_cube_runs_one_lp(self, corpus, capsys,
+                                                monkeypatch):
+        # validity and completeness come from the certificate; the one LP
+        # is the wall-crossing system, over the 8 offsets
+        directory = corpus("twisted-cube")
+        calls = count_calls(monkeypatch, lp.strict_lp_feasible)
+        report = run_json(capsys, "polytopal", str(directory / "fan.json"))
+        assert report["polytopal"] is False
+        assert len(calls) == 1
+        assert calls[0][1] == 8
 
     def test_analyze_single(self, corpus, capsys):
         directory = corpus("square")
@@ -292,6 +327,113 @@ class TestErrorHandling:
         assert out == ""
         assert err.strip().splitlines() == [
             "InternalInvariantError: vectors must Z-span Q"]
+
+
+def negated(vector):
+    return [[format_rational(-Fraction(c)) for c in x] for x in vector]
+
+
+def mutations(doc, vectors, cells):
+    """Copies of doc with its list of index cells (cones or simplices)
+    over its list of vectors damaged once each: a cell dropped or
+    duplicated, an index out of range, a vector negated or moved onto the
+    sum of the first two."""
+    count = len(doc[vectors])
+
+    def mutant(name, change):
+        out = copy.deepcopy(doc)
+        change(out)
+        return name, out
+
+    def set_index(value):
+        def change(out):
+            out[cells][0][0] = value
+        return change
+
+    def negate(k):
+        def change(out):
+            out[vectors][k] = negated(out[vectors][k])
+        return change
+
+    def add_second_to_first(out):
+        first, second = out[vectors][:2]
+        out[vectors][0] = [
+            [format_rational(Fraction(a) + Fraction(b))
+             for a, b in zip(x, y)] for x, y in zip(first, second)]
+
+    return [
+        mutant("drop first cell", lambda out: out[cells].pop(0)),
+        mutant("drop last cell", lambda out: out[cells].pop()),
+        mutant("duplicate cell",
+               lambda out: out[cells].append(out[cells][0])),
+        mutant("index 0", set_index(0)),
+        mutant("index past the end", set_index(count + 1)),
+        mutant("negate first vector", negate(0)),
+        mutant("negate last vector", negate(count - 1)),
+        mutant("first vector plus second", add_second_to_first),
+    ]
+
+
+class TestMutatedDocuments:
+    """Damaged fan and configuration documents through cli.main: a
+    verdict (exit 0) or one domain-error line (exit 1), never a traceback
+    or a failed internal invariant (exit 3)."""
+
+    def check(self, capsys, tmp_path, command, cases):
+        problems = []
+        for name, doc in cases:
+            path = tmp_path / "mutant.json"
+            path.write_text(json.dumps(doc))
+            try:
+                code, out, err = run(capsys, command, str(path))
+            except Exception as exc:  # escaped cli.main: a bug
+                problems.append(f"{name}: {type(exc).__name__}: {exc}")
+                continue
+            lines = err.strip().splitlines()
+            if code not in (0, 1) or (code == 1 and len(lines) != 1):
+                problems.append(f"{name}: exit {code}: {err!r}")
+        assert not problems, problems
+
+    def test_polytopal_on_a_damaged_fan(self, corpus, capsys, tmp_path):
+        doc = json.loads((corpus("twisted-cube") / "fan.json").read_text())
+        self.check(capsys, tmp_path, "polytopal",
+                   mutations(doc, "rays", "cones"))
+
+    @pytest.mark.parametrize("entry,a", [
+        ("kite", None), ("thick-rhombus", None), ("hirzebruch", "sqrt2")])
+    def test_validate_config_on_a_damaged_configuration(
+            self, corpus, capsys, tmp_path, entry, a):
+        directory = corpus(entry, **({"a": a} if a else {}))
+        doc = json.loads((directory / "configuration.json").read_text())
+        self.check(capsys, tmp_path, "validate-config",
+                   mutations(doc, "vectors", "triangulation"))
+
+    @pytest.mark.parametrize("entry", ["pentagon", "twisted-cube"])
+    def test_augment_on_a_damaged_fan_triple(self, corpus, capsys,
+                                             tmp_path, entry):
+        # a triple over a fan: the pentagon's normal fan from its analyze
+        # report, or the twisted cube over Z^3 with its rays as normals
+        directory = corpus(entry)
+        if entry == "pentagon":
+            doc = json.loads((directory / "triple.json").read_text())
+            fan = run_json(capsys, "analyze",
+                           str(directory / "polytope.json"))["normal_fan"]
+            del doc["polytope"]
+            doc["fan"] = {"rays": fan["rays"], "cones": fan["maximal_cones"]}
+        else:
+            fan = json.loads((directory / "fan.json").read_text())
+            doc = {"field": fan.pop("field"), "n": 3, "fan": fan,
+                   "quasilattice": {"generators": [
+                       [["1"] if i == j else ["0"] for j in range(3)]
+                       for i in range(3)]},
+                   "normals": fan["rays"]}
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(doc))
+        run_json(capsys, "augment", str(path))
+        # the normals follow the damaged rays
+        self.check(capsys, tmp_path, "augment",
+                   [(name, {**doc, "fan": fan, "normals": fan["rays"]})
+                    for name, fan in mutations(doc["fan"], "rays", "cones")])
 
 
 class TestEnvironmentResolution:

@@ -9,7 +9,13 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, qvec
+from quasitoric import configuration as configuration_module
 from quasitoric import fan as fan_module
+from quasitoric.configuration import (
+    Triangulation,
+    VectorConfiguration,
+    config_validate,
+)
 from quasitoric.corpus import (
     pentagon_facets,
     pentagon_field,
@@ -23,6 +29,7 @@ from quasitoric.documents import dumps, fan_from_doc, fan_to_doc, parse_json
 from quasitoric.errors import InvalidFan, NotFullDimensional, RedundantFacet
 from quasitoric.fan import (
     Fan,
+    complete_fan_certificate,
     cones_meet_in_common_face,
     fan_is_complete,
     fan_is_simplicial,
@@ -64,6 +71,24 @@ SQUARE_PYRAMID = [qvec(1, 1, 0), qvec(1, -1, 0), qvec(-1, 1, 0),
 OCTAHEDRON = [qvec(*(s if j == i else 0 for j in range(3)))
               for i in range(3) for s in (1, -1)]
 
+# 2-d collections in which every ray lies in exactly two of the cones,
+# which are not fans: (rays, maximal cones)
+NON_FANS_WITH_PAIRED_WALLS = {
+    # rays at 0, 27 and 63 degrees, each in two of the three cones, which
+    # cover only the 63-degree sector
+    "zig-zag": ([(1, 0), (2, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]),
+    # every second ray of a pentagon joined: the cones lie on opposite
+    # sides of every wall, but wind twice around the origin
+    "pentagram": ([(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)],
+                  [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)]),
+    # winding once with a fold: both cones at the ray (-1, 2) lie
+    # clockwise of it, so the sector between (1, 2) and (-1, 2) is covered
+    # three times, though the sum of the first cone's rays, (-1, -1),
+    # lies in no other cone
+    "fold": ([(-1, 0), (0, -1), (1, 0), (-1, 2), (1, 2)],
+             [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+}
+
 
 def face_closed(n, rays, cones):
     """The fan of the given cones and all their faces."""
@@ -72,6 +97,19 @@ def face_closed(n, rays, cones):
     for cone in generating.cones:
         closed |= generating.cone_faces(cone)
     return Fan(n, rays, closed)
+
+
+def non_fan_with_paired_walls(name):
+    rays, cones = NON_FANS_WITH_PAIRED_WALLS[name]
+    return face_closed(2, [qvec(*r) for r in rays], cones)
+
+
+def verdicts(fan):
+    """fan_predicates of a fan, and config_validate of its rays with its
+    cones as the triangulation."""
+    config = VectorConfiguration(fan.dimension, fan.rays)
+    return (fan_predicates(fan),
+            config_validate(config, Triangulation(fan.cones)))
 
 
 def unmarked(fan):
@@ -264,19 +302,15 @@ class TestPredicates:
         full = face_closed(3, rays, upper + lower)
         assert fan_predicates(full) == (True, False, True)
 
-    @pytest.mark.parametrize("rays,cones", [
-        # rays at 0, 27 and 63 degrees, each in two of the three cones,
-        # which cover only the 63-degree sector
-        ([(1, 0), (2, 1), (1, 2)], [(0, 1), (1, 2), (0, 2)]),
-        # every second ray of a pentagon joined: the plane covered twice
-        ([(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)],
-         [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)]),
-    ], ids=["zig-zag", "pentagram"])
-    def test_paired_walls_of_a_non_fan(self, rays, cones):
-        fan = face_closed(2, [qvec(*r) for r in rays], cones)
+    @pytest.mark.parametrize("name", list(NON_FANS_WITH_PAIRED_WALLS))
+    def test_paired_walls_of_a_non_fan(self, name):
+        fan = non_fan_with_paired_walls(name)
         assert fan_is_complete(fan)  # outside its precondition
-        preds = fan_predicates(fan)
+        # the certificate answers no, and the LP path decides
+        assert not complete_fan_certificate(fan.rays, fan.maximal_cones(), 2)
+        preds, report = verdicts(fan)
         assert not preds.valid and not preds.complete
+        assert report.cone_compatibility is False
 
     def test_one_dimensional_completeness(self):
         complete = Fan(1, [qvec(2), qvec(-1)], [(0,), (1,)])
@@ -600,3 +634,67 @@ def test_certificate_agrees_with_lp(H):
         preds = fan_predicates(fan)
         assert preds == (True, is_simple(H, V), True)
         assert preds == fan_predicates(unmarked(fan))
+
+
+# ---------------------------------------------------------------------------
+# the complete-fan certificate against the pairwise LP path
+# ---------------------------------------------------------------------------
+
+def lp_path_verdicts(fan):
+    """verdicts with the certificate switched off, so that every answer
+    comes from the pairwise LP path."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (fan_module, configuration_module):
+            patch.setattr(module, "complete_fan_certificate",
+                          lambda *args: False)
+        return verdicts(Fan(fan.dimension, fan.rays, fan.cones))
+
+
+@st.composite
+def certificate_cases(draw):
+    """The unmarked normal fan of the hull of random lattice points in
+    dimension 1 to 4, or of its polar (simplicial whenever the hull is),
+    as it is, with one maximal cone dropped, or with one ray negated."""
+    n = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    points = draw(st.lists(coords, min_size=n + 1, max_size=n + 2,
+                           unique_by=tuple))
+    if draw(st.booleans()):
+        # centre the points so that the origin is inside their hull
+        total = [sum(column) for column in zip(*points)]
+        points = [[len(points) * x - t for x, t in zip(p, total)]
+                  for p in points]
+    try:
+        H = halfspaces_from_vertices([qvec(*p) for p in points])
+    except NotFullDimensional:
+        assume(False)
+    if all(b.sign() < 0 for b in H.offsets) and draw(st.booleans()):
+        vertices = vertices_from_halfspaces(H).vertices
+        H = HalfspaceRep(n, [(v, Q.element(-1)) for v in vertices])
+    fan = normal_fan(H)
+    rays, cones = list(fan.rays), list(fan.cones)
+    mutation = draw(st.sampled_from(["none", "drop", "negate"]))
+    if mutation == "drop":
+        cones.remove(draw(st.sampled_from(fan.maximal_cones())))
+    elif mutation == "negate":
+        k = draw(st.integers(0, len(rays) - 1))
+        rays[k] = tuple(-x for x in rays[k])
+    try:
+        return Fan(n, rays, cones)
+    except InvalidFan:  # the negated ray is another ray's opposite
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(certificate_cases())
+@example(non_fan_with_paired_walls("pentagram"))
+@example(non_fan_with_paired_walls("fold"))
+def test_complete_fan_certificate_agrees_with_lp_path(fan):
+    expected = lp_path_verdicts(fan)
+    assert verdicts(fan) == expected
+    if complete_fan_certificate(fan.rays, fan.maximal_cones(),
+                                fan.dimension):
+        assert expected[0] == (True, True, True)
+

@@ -145,11 +145,7 @@ def fan_from_doc(doc, field=None) -> Fan:
         raise ParseError("fan document needs integer n, rays, and cones")
     rays = [vector_from_doc(field, r, n) for r in rays_doc]
     cones = [_indices_from_doc(c, len(rays)) for c in cones_doc]
-    generating = Fan(n, rays, cones)
-    closed = set()
-    for cone in generating.cones:
-        closed |= generating.cone_faces(cone)
-    return Fan(n, rays, closed)
+    return Fan(n, rays, cones).face_closure()
 
 
 def _indices_from_doc(doc, count) -> tuple:

@@ -91,6 +91,16 @@ class Fan:
     def ray_count(self) -> int:
         return len(self.rays)
 
+    def face_closure(self) -> "Fan":
+        """The fan of these cones and all their faces.  It shares this
+        fan's caches, which depend on the rays alone."""
+        closed = set().union(*(self.cone_faces(c) for c in self.cones))
+        fan = Fan(self.dimension, self.rays, closed, polytope=self.polytope)
+        fan._membership_cache = self._membership_cache
+        fan._face_cache = self._face_cache
+        fan._rank_cache = self._rank_cache
+        return fan
+
     def maximal_cones(self):
         """Cones not properly contained (as index sets) in another cone."""
         return tuple(c for c in self.cones
@@ -122,6 +132,9 @@ class Fan:
         elif self.cone_rank(cone) == len(cone):
             faces = {tuple(sub) for r in range(len(cone) + 1)
                      for sub in itertools.combinations(cone, r)}
+            # a subset of independent rays is independent
+            for face in faces:
+                self._rank_cache[face] = len(face)
         else:
             rays = [self.rays[i] for i in cone]
             span = [next(k for k, x in enumerate(row) if not x.is_zero())
@@ -329,7 +342,8 @@ def fan_is_valid(fan: Fan) -> bool:
     if fan.polytope is not None:
         return True
     cone_set = set(fan.cones)
-    for cone in fan.cones:
+    # longest first: a simplicial cone's faces take their rank from it
+    for cone in sorted(fan.cones, key=len, reverse=True):
         if not fan.cone_faces(cone) <= cone_set:
             return False
     proper = set().union(*(fan.cone_faces(c) - {c} for c in fan.cones))

@@ -1,13 +1,15 @@
 """Convex polytopes in halfspace and vertex representation, exactly.
 
 A HalfspaceRep is the bounded full-dimensional set
-{mu : <mu, X_j> >= lambda_j}; both properties are certified at
-construction (recession-direction LPs for boundedness, a strict interior
-LP for full dimension).  One exact double-description engine,
-extreme_rays, serves every dimension: vertex enumeration is the extreme
-rays of the homogenized cone of a HalfspaceRep, a hull the extreme rays
-of the cone of inequalities valid on a point set, and fan.Fan.cone_faces
-reads the facets of a cone off the extreme rays of its dual.
+{mu : <mu, X_j> >= lambda_j}; both properties are proved at construction.
+Boundedness is read off the double-description run that enumerates its
+vertices, which the instance keeps; full dimension is a strict interior
+LP.  Over fields of degree > 1 the LP recession probes run as well.  One
+exact double-description engine, extreme_rays, serves every dimension:
+the certificate and vertex enumeration are the extreme rays of the
+homogenized cone of a HalfspaceRep, a hull the extreme rays of the cone
+of inequalities valid on a point set, and fan.Fan.cone_faces reads the
+facets of a cone off the extreme rays of its dual.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from .lp import strict_lp_feasible
 
 class HalfspaceRep:
     """Ordered facet list (normal, offset); the facet order is the index
-    order used by every downstream structure."""
+    order used by every downstream structure.
+
+    Construction proves the set bounded and full-dimensional, raising
+    UnboundedPolytope or DegenerateDimension otherwise, and keeps a point
+    of the interior (interior_point) and the VertexRep that the proof of
+    boundedness enumerates (vertices_from_halfspaces)."""
 
     def __init__(self, dimension: int, facets: Sequence[tuple]):
         if dimension < 1:
@@ -51,30 +58,62 @@ class HalfspaceRep:
         self.normals = tuple(normals)
         self.offsets = tuple(offsets)
         self.field = normals[0][0].field
-        self.interior_point = self._check_bounded_full_dimensional()
+        self.interior_point, self._vertex_rep = \
+            self._check_bounded_full_dimensional()
 
-    def _check_bounded_full_dimensional(self):
+    def _check_bounded_full_dimensional(self) -> tuple:
+        """Certify H bounded and full-dimensional; return a point of its
+        interior and its VertexRep.
+
+        Boundedness is read off one double-description run on the cone
+        C = {(t, x) : <a_j, x> >= b_j t, t >= 0}, pointed when the normals
+        span R^n.  Its extreme rays with t = 0 span the recession cone of
+        H, so H is bounded iff there is none; the first (coordinate i,
+        sign s), in the order of _recession_probes, on which such a ray r
+        has s r_i > 0 is the probe the LP would find feasible, and names
+        the direction.  The rays with t = 1 are the vertices (1, v).  Full
+        dimension is the strict interior LP, whose solution is kept as
+        interior_point.
+
+        Normals that do not span R^n leave an unbounded recession
+        subspace, which _recession_probes names.  Over fields of degree
+        > 1 the probes run first as well and the double description must
+        agree with them: their sign decisions narrow the isolating
+        interval of the field, which documents write."""
         n = self.dimension
         field = self.field
-        one = field.one
-        recession = [(normal, field.zero, ">=") for normal in self.normals]
-        for i in range(n):
-            for s in (one, -one):
-                unit = [field.zero] * n
-                unit[i] = s
-                probe = recession + [(tuple(unit), one, ">=")]
-                if strict_lp_feasible(probe, n, field) is not None:
-                    raise UnboundedPolytope(
-                        "recession direction exists (coordinate "
-                        f"{i}, sign {s.coeffs[0]})")
-        interior = strict_lp_feasible(
-            [(normal, offset, ">")
-             for normal, offset in zip(self.normals, self.offsets)],
-            n, field)
-        if interior is None:
-            raise DegenerateDimension(
-                "halfspace intersection has empty interior")
-        return interior
+        lp_first = field.degree > 1
+        if lp_first:
+            _recession_probes(n, self.normals)
+            interior = _interior_lp(n, self.normals, self.offsets)
+        rows = [(-b,) + a for a, b in zip(self.normals, self.offsets)]
+        rows.append((field.one,) + (field.zero,) * n)
+        try:
+            rays = extreme_rays(rows)
+        except NotFullDimensional:
+            _recession_probes(n, self.normals)
+            raise InternalInvariantError(
+                "normals do not span, yet no recession probe is feasible")
+        recession = [ray[1:] for ray, _ in rays if ray[0].is_zero()]
+        if recession:
+            if lp_first:
+                raise InternalInvariantError(
+                    "double description finds a recession direction that "
+                    "no LP probe found")
+            raise _unbounded(*next(
+                (i, s) for i in range(n) for s in (1, -1)
+                if any(r[i].sign() == s for r in recession)))
+        if not lp_first:
+            interior = _interior_lp(n, self.normals, self.offsets)
+        if any(ray[0] != field.one for ray, _ in rays):
+            raise InternalInvariantError("vertex ray off the chart t = 1")
+        found = sorted(((ray[1:], active) for ray, active in rays),
+                       key=lambda item: sorted(item[1]))
+        active_sets = tuple(active for _, active in found)
+        used = set().union(*active_sets)
+        redundant = tuple(j for j in range(len(rows) - 1) if j not in used)
+        return interior, VertexRep(tuple(v for v, _ in found), active_sets,
+                                   redundant)
 
     @property
     def facet_count(self) -> int:
@@ -178,9 +217,10 @@ def vertices_from_halfspaces(H: HalfspaceRep) -> VertexRep:
     """Vertices with their active sets, every facet through the vertex, so
     vertices of nonsimple polytopes carry more than n indices.
 
-    The vertices v are the extreme rays (1, v) of the cone
-    {(t, x) : <a_j, x> >= b_j t}, which has no other point with t <= 0
-    than the origin because H is bounded; the active set is the zero set.
+    The VertexRep is the one the certificate of H enumerated at
+    construction: the vertices v are the extreme rays (1, v) of the cone
+    {(t, x) : <a_j, x> >= b_j t, t >= 0}, and the active set is the zero
+    set of the ray.
 
     Vertices are listed in the order in which a scan of the n-subsets of
     facets in index order first meets them, i.e. by the lexicographically
@@ -189,17 +229,7 @@ def vertices_from_halfspaces(H: HalfspaceRep) -> VertexRep:
     differ, say at a in v's, the facets before a are active at both, and
     a is independent of them (else it would be active at w), so the
     subset of v takes a where that of w takes a larger index."""
-    rows = [(-b,) + a for a, b in zip(H.normals, H.offsets)]
-    found = []
-    for ray, active in extreme_rays(rows):
-        if ray[0] != H.field.one:
-            raise InternalInvariantError("vertex ray off the chart t = 1")
-        found.append((ray[1:], active))
-    found.sort(key=lambda item: sorted(item[1]))
-    active_sets = tuple(active for _, active in found)
-    used = set().union(*active_sets)
-    redundant = tuple(j for j in range(H.facet_count) if j not in used)
-    return VertexRep(tuple(v for v, _ in found), active_sets, redundant)
+    return H._vertex_rep
 
 
 def halfspaces_from_vertices(points: Sequence[tuple]) -> HalfspaceRep:
@@ -271,6 +301,38 @@ def require_irredundant(H: HalfspaceRep, lattice: FaceLattice) -> None:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def _unbounded(i: int, s: int) -> UnboundedPolytope:
+    return UnboundedPolytope(
+        f"recession direction exists (coordinate {i}, sign {s})")
+
+
+def _recession_probes(n: int, normals) -> None:
+    """The LP test of boundedness: 2n Fourier-Motzkin probes, one per
+    (coordinate i, sign s), each for a z with <a_j, z> >= 0 for all j
+    and s z_i >= 1.  Raises UnboundedPolytope naming the first feasible
+    probe."""
+    field = normals[0][0].field
+    recession = [(normal, field.zero, ">=") for normal in normals]
+    for i in range(n):
+        for s in (1, -1):
+            unit = [field.zero] * n
+            unit[i] = field.element(s)
+            probe = recession + [(tuple(unit), field.one, ">=")]
+            if strict_lp_feasible(probe, n, field) is not None:
+                raise _unbounded(i, s)
+
+
+def _interior_lp(n: int, normals, offsets) -> tuple:
+    """A point with <a_j, x> > b_j for all j, from the strict LP; raises
+    DegenerateDimension when there is none."""
+    interior = strict_lp_feasible(
+        [(normal, offset, ">") for normal, offset in zip(normals, offsets)],
+        n, normals[0][0].field)
+    if interior is None:
+        raise DegenerateDimension("halfspace intersection has empty interior")
+    return interior
+
 
 def _scaled(ray) -> tuple:
     """The positive multiple of ray whose first nonzero coordinate is +-1."""

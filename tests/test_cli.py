@@ -9,7 +9,9 @@ import pytest
 
 from quasitoric import lp, polytope
 from quasitoric.cli import main
-from quasitoric.field import format_rational
+from quasitoric.documents import dumps, fan_to_doc
+from quasitoric.fan import normal_fan
+from quasitoric.field import format_rational, rational_field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,6 +163,43 @@ class TestWorkflows:
         assert report["polytopal"] is False
         assert len(calls) == 1
         assert calls[0][1] == 8
+
+    def test_analyze_rational_polytope_runs_one_lp(self, corpus, capsys,
+                                                   monkeypatch):
+        # over Q boundedness is read off the one double-description run
+        # that also enumerates the vertices; the one LP is the interior LP
+        directory = corpus("square")
+        lp_calls = count_calls(monkeypatch, lp.strict_lp_feasible)
+        dd_calls = count_calls(monkeypatch, polytope.extreme_rays)
+        report = run_json(capsys, "analyze",
+                          str(directory / "polytope.json"))
+        assert report["face_counts"] == {"0": 4, "1": 4, "2": 1}
+        assert len(lp_calls) == 1
+        assert [op for _, _, op in lp_calls[0][0]] == [">"] * 4
+        assert len(dd_calls) == 1
+
+    def test_polytopal_cube_fan_runs_two_lps(self, capsys, tmp_path,
+                                             monkeypatch):
+        # the wall-crossing LP, then the interior LP of the witness
+        # polytope, which is certified bounded, and its normal fan rebuilt,
+        # from one double-description run
+        Q = rational_field()
+        one, zero = Q.one, Q.zero
+        facets = []
+        for i in range(3):
+            for s in (one, -one):
+                normal = [zero] * 3
+                normal[i] = s
+                facets.append((tuple(normal), -one))
+        cube_fan = normal_fan(polytope.HalfspaceRep(3, facets))
+        path = tmp_path / "fan.json"
+        path.write_text(dumps(fan_to_doc(cube_fan)))
+        lp_calls = count_calls(monkeypatch, lp.strict_lp_feasible)
+        dd_calls = count_calls(monkeypatch, polytope.extreme_rays)
+        report = run_json(capsys, "polytopal", str(path))
+        assert report["polytopal"] is True
+        assert [call[1] for call in lp_calls] == [6, 3]
+        assert len(dd_calls) == 1
 
     def test_analyze_single(self, corpus, capsys):
         directory = corpus("square")

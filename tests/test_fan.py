@@ -357,6 +357,25 @@ class TestPolytopality:
         assert preds.valid and preds.simplicial and preds.complete
         assert is_polytopal(fan) is None
 
+    @pytest.mark.parametrize("from_document", [False, True])
+    def test_twisted_cube_takes_one_rank_per_maximal_cone(
+            self, monkeypatch, from_document):
+        # every face of a simplicial maximal cone takes its rank from it,
+        # and a loaded document's faces share the ranks of its cones
+        calls = []
+        mat_rank = fan_module.mat_rank
+
+        def counting(rows):
+            calls.append(rows)
+            return mat_rank(rows)
+
+        monkeypatch.setattr(fan_module, "mat_rank", counting)
+        fan = Fan(3, *twisted_cube_fan_data(Q))
+        if from_document:
+            fan = fan_from_doc(parse_json(dumps(fan_to_doc(fan))))
+        assert is_polytopal(fan) is None
+        assert 0 < len(calls) <= len(fan.maximal_cones())
+
     def test_twisted_cube_sweep_oracle(self):
         """Independent confirmation: no offset vector with entries in
         (1/2)Z over [-2, 2] (after exact translation normalization) makes

@@ -77,23 +77,25 @@ class TestAbsenceAgainstGridSweep:
     grid sweep at resolution 1/64 must also find no witness."""
 
     def sweep(self, rational_cons, num_vars, lo=-2, hi=2):
-        # pure-Fraction evaluation: these test systems are rational
-        step = Fraction(1, 64)
+        # the grid points k/64 scaled by 64 to the integers k, and each
+        # constraint <c, x> (>, >=) r scaled by 64 to <c, k> (>, >=) 64 r:
+        # the same test on the same points, in integer arithmetic
+        scale = 64
+        ks = range(lo * scale, hi * scale + 1)
+        cons = []
+        for coeffs, rhs, rel in rational_cons:
+            bound = rhs * scale
+            assert bound.denominator == 1
+            cons.append((coeffs, int(bound), rel == ">"))
 
         def rec(i, point):
             if i == num_vars:
-                for coeffs, rhs, rel in rational_cons:
-                    val = sum(c * p for c, p in zip(coeffs, point))
-                    ok = (val > rhs) if rel == ">" else (val >= rhs)
-                    if not ok:
+                for coeffs, bound, strict in cons:
+                    val = sum(c * k for c, k in zip(coeffs, point))
+                    if not (val > bound if strict else val >= bound):
                         return False
                 return True
-            x = Fraction(lo)
-            while x <= hi:
-                if rec(i + 1, point + [x]):
-                    return True
-                x += step
-            return False
+            return any(rec(i + 1, point + [k]) for k in ks)
 
         return rec(0, [])
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, as_fractions, qvec
@@ -334,6 +334,121 @@ class TestSubsetScanOracle:
         assert engine_H.field is not scan_H.field
         assert vertices_from_halfspaces(engine_H) == subset_scan(scan_H)
         assert engine_H.field.interval == scan_H.field.interval
+
+
+def pre_certificate_vertices(H):
+    """vertices_from_halfspaces as it was before the certificate kept its
+    vertices, kept as the oracle of the certificate's VertexRep: the
+    extreme rays of the cone {(t, x) : <a_j, x> >= b_j t} alone, which
+    has no other point with t <= 0 than the origin when H is bounded."""
+    rows = [(-b,) + a for a, b in zip(H.normals, H.offsets)]
+    found = []
+    for ray, active in polytope_module.extreme_rays(rows):
+        assert ray[0] == Q.one
+        found.append((ray[1:], active))
+    found.sort(key=lambda item: sorted(item[1]))
+    active_sets = tuple(active for _, active in found)
+    used = set().union(*active_sets)
+    redundant = tuple(j for j in range(H.facet_count) if j not in used)
+    return VertexRep(tuple(v for v, _ in found), active_sets, redundant)
+
+
+SYSTEM_CASES = ("bounded", "dropped", "point", "flat", "empty", "rank")
+
+
+@st.composite
+def facet_systems(draw):
+    """(n, [(normal, offset)]) with rational data, n = 1-4: the facets of
+    the hull of a few lattice points ("bounded"), or that system with one
+    facet dropped (often unbounded), every offset moved so the facets
+    pass through one lattice point ("point") or one facet doubled by its
+    opposite ("flat"), a facet contradicted by a parallel one ("empty"),
+    or the hull taken in n - 1 coordinates with an n-th coordinate of the
+    normals made up as a combination of the others (normals of rank
+    n - 1).  The facets come in random order."""
+    case = draw(st.sampled_from(SYSTEM_CASES))
+    n = draw(st.integers(2 if case == "rank" else 1, 4))
+    m = n - 1 if case == "rank" else n
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                           min_size=m + 1, max_size=m + 3))
+    try:
+        rays = polytope_module.extreme_rays(
+            [qvec(1, *point) for point in points])
+    except NotFullDimensional:
+        assume(False)
+    facets = draw(st.permutations([(as_fractions(ray[1:]),
+                                    -ray[0].as_fraction())
+                                   for ray, _ in rays]))
+    if case == "dropped":
+        del facets[draw(st.integers(0, len(facets) - 1))]
+    elif case == "point":
+        point = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        facets = [(a, sum(x * y for x, y in zip(a, point)))
+                  for a, _ in facets]
+    elif case in ("flat", "empty"):
+        a, b = draw(st.sampled_from(facets))
+        gap = 0 if case == "flat" else draw(st.integers(1, 2))
+        facets.append((tuple(-x for x in a), -b - gap))
+    elif case == "rank":
+        weights = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        facets = [(a + (sum(x * w for x, w in zip(a, weights)),), b)
+                  for a, b in facets]
+    return n, facets
+
+
+class TestCertificateOracle:
+    """The certificate whose boundedness half is the double description
+    raises the error class and message of the LP certificate (recession
+    probes, then the interior LP), and keeps the VertexRep that vertex
+    enumeration gave before it existed."""
+
+    @settings(max_examples=120, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(facet_systems())
+    @example((2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1),
+                  ((0, -1), -1)]))                      # bounded
+    @example((2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1)]))   # dropped
+    @example((2, [((1, 1), 0), ((-1, 1), 0)]))          # both signs of x
+    @example((2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 0),
+                  ((0, -1), 0)]))                       # point
+    @example((2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1),
+                  ((0, -1), -1), ((-1, 0), 0)]))        # flat
+    @example((2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1),
+                  ((0, -1), -1), ((1, 0), 2)]))         # empty
+    @example((2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)]))  # empty, unbounded
+    @example((3, [((1, 1, 0), 0), ((-1, -1, 0), -1),
+                  ((0, 0, 1), 0), ((0, 0, -1), -1)]))   # rank n - 1
+    @example((4, [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0),
+                  ((0, 0, 0, 1), 0), ((-1, -1, -1, -1), -1)]))  # 4-simplex
+    def test_agrees_with_lp_certificate(self, system):
+        n, raw = system
+        facets = [(qvec(*a), Q.element(b)) for a, b in raw]
+        normals = [a for a, _ in facets]
+        try:
+            polytope_module._recession_probes(n, normals)
+            polytope_module._interior_lp(n, normals, [b for _, b in facets])
+            expected = None
+        except (UnboundedPolytope, DegenerateDimension) as exc:
+            expected = type(exc), str(exc)
+        try:
+            H = HalfspaceRep(n, facets)
+        except (UnboundedPolytope, DegenerateDimension) as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert expected is None
+            assert vertices_from_halfspaces(H) == pre_certificate_vertices(H)
+
+    def test_lp_first_over_algebraic_fields(self, monkeypatch):
+        # over a field of degree > 1 the LP probes run first, and the
+        # double description must agree with them
+        k = pentagon_field()
+        H = HalfspaceRep(2, pentagon_facets(k))
+        assert len(vertices_from_halfspaces(H).vertices) == 5
+        monkeypatch.setattr(polytope_module, "_recession_probes",
+                            lambda *args: None)
+        with pytest.raises(InternalInvariantError):
+            HalfspaceRep(2, pentagon_facets(k)[:2])
 
 
 def test_recheck_refuses_a_wrong_ray(monkeypatch):

@@ -28,6 +28,7 @@ cone, and every cone is a face of one of them.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import NamedTuple, Optional
 
@@ -92,13 +93,12 @@ class Fan:
         return len(self.rays)
 
     def face_closure(self) -> "Fan":
-        """The fan of these cones and all their faces.  It shares this
-        fan's caches, which depend on the rays alone."""
+        """The fan of these cones and all their faces: a copy of this fan,
+        so it keeps the rays this one accepted and shares its caches,
+        which depend on the rays alone."""
         closed = set().union(*(self.cone_faces(c) for c in self.cones))
-        fan = Fan(self.dimension, self.rays, closed, polytope=self.polytope)
-        fan._membership_cache = self._membership_cache
-        fan._face_cache = self._face_cache
-        fan._rank_cache = self._rank_cache
+        fan = copy.copy(self)
+        fan.cones = tuple(sorted(closed))
         return fan
 
     def maximal_cones(self):
@@ -150,12 +150,17 @@ class Fan:
 
 
 def positively_proportional(u, v) -> bool:
-    """u = c*v for some c > 0."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (u[i] * v[j] - u[j] * v[i]).is_zero():
-                return False
+    """u = c*v for some c > 0.
+
+    With k the first nonzero coordinate of u, u and v are parallel iff
+    u_k v_j = u_j v_k for every j: n - 1 cross products."""
+    k = next((i for i, x in enumerate(u) if not x.is_zero()), None)
+    if k is None:
+        return False
+    uk, vk = u[k], v[k]
+    if any(not (uk * y - x * vk).is_zero()
+           for j, (x, y) in enumerate(zip(u, v)) if j != k):
+        return False
     return dot(u, v).sign() > 0
 
 

@@ -4,7 +4,12 @@ A field handle carries a monic squarefree minimal polynomial with rational
 coefficients together with an isolating interval for one of its real roots.
 Elements are dense power-basis polynomials in alpha, stored as integer
 numerators over one positive denominator in lowest terms, so equality is
-equality of that pair and every arithmetic operation is exact.  Sign
+equality of that pair and every arithmetic operation is exact.  The
+vector kernels (dot, sub_multiple) run a whole vector operation on the
+integer numerators and reduce each result once, not once per scalar
+operation; the double description keeps its rays as integer numerator
+vectors, each divided by its content (numerator_dot,
+numerator_combination, ray_numerators).  Sign
 determination refines the isolating interval by bisection until interval
 evaluation of the element excludes zero; Sturm chains make root counting
 (and hence isolation) decidable.
@@ -15,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter, neg
+from operator import attrgetter, mul, neg
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -365,29 +370,10 @@ class FieldElement:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(map(Fraction, self.num, repeat(self.den)))
 
-    # -- coercion --
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is self.field:
-                return other
-            if self.field.same_field(other.field):
-                return FieldElement(self.field, other.num, other.den)
-            raise MixedFields("operands belong to different fields")
-        if isinstance(other, int):
-            if isinstance(other, bool):
-                raise ParseError(f"not a rational: {other!r}")
-            return FieldElement(self.field, (other,) + self.field._pad, 1)
-        if isinstance(other, Fraction):
-            return FieldElement(self.field,
-                                (other.numerator,) + self.field._pad,
-                                other.denominator)
-        return None
-
     # -- ring structure --
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
@@ -400,7 +386,7 @@ class FieldElement:
         return FieldElement(self.field, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
@@ -411,7 +397,7 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
         field = self.field
@@ -421,21 +407,9 @@ class FieldElement:
             # Q: the table is empty, and skipping its loops pays
             return _reduced(field, (self.num[0] * b[0],), self.den * o.den)
         conv = [0] * (2 * d - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(b, i):
-                    conv[j] += x * y
-        # fold x^(d+k) back through row k of the reduction table; the
-        # table's rows are integers over the denominator scale
-        scale = field._scale
-        for i in range(d):
-            conv[i] *= scale
-        for c, row in zip(conv[d:], field._reduce):
-            if c:
-                for i, r in enumerate(row):
-                    conv[i] += c * r
-        del conv[d:]
-        return _reduced(field, tuple(conv), self.den * o.den * scale)
+        _accumulate(conv, self.num, b)
+        return _reduced(field, _fold(field, conv),
+                        self.den * o.den * field._scale)
 
     __rmul__ = __mul__
 
@@ -489,13 +463,13 @@ class FieldElement:
             sign * last)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(self.field, other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -535,7 +509,7 @@ class FieldElement:
                 return False
             o = other
         else:
-            o = self._coerce(other)
+            o = _coerce(self.field, other)
             if o is None:
                 return NotImplemented
         return self.den == o.den and self.num == o.num
@@ -665,6 +639,217 @@ def _reduced(field: RealAlgebraicField, num: tuple[int, ...],
         num = tuple([x // g for x in num])
         den //= g
     return FieldElement(field, num, den)
+
+
+def _coerce(field: RealAlgebraicField, other):
+    """other as an element of field: elements of an equivalent field,
+    ints and Fractions coerce, elements of another field raise
+    MixedFields, and any other type gives None."""
+    if isinstance(other, FieldElement):
+        if other.field is field:
+            return other
+        if field.same_field(other.field):
+            return FieldElement(field, other.num, other.den)
+        raise MixedFields("operands belong to different fields")
+    if isinstance(other, int):
+        if isinstance(other, bool):
+            raise ParseError(f"not a rational: {other!r}")
+        return FieldElement(field, (other,) + field._pad, 1)
+    if isinstance(other, Fraction):
+        return FieldElement(field, (other.numerator,) + field._pad,
+                            other.denominator)
+    return None
+
+
+def _accumulate(conv: list, a: Sequence[int], b: Sequence[int]) -> None:
+    """conv += a * b as polynomials in alpha, unreduced."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+
+
+def _fold(field: RealAlgebraicField, conv: Sequence[int]) -> tuple:
+    """scale * conv modulo the minimal polynomial, for conv of length
+    2d - 1: each x^(d+k) folds back through row k of the reduction
+    table, whose rows are integers over the denominator scale."""
+    d = len(conv) // 2 + 1
+    scale = field._scale
+    out = [c * scale for c in conv[:d]]
+    for c, row in zip(conv[d:], field._reduce):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# vector kernels
+# ---------------------------------------------------------------------------
+# The scalar operators reduce every + and * by a gcd.  These kernels run
+# a whole vector operation on the integer numerators and reduce each
+# result once: linalg's Gauss-Jordan loop eliminates with sub_multiple,
+# and the double description (Fukuda and Prodon, Double description
+# method revisited, 1996) keeps its rays fraction-free, in the spirit of
+# Bareiss (Sylvester's identity and multistep integer-preserving
+# Gaussian elimination, 1968).
+#
+# A numerator vector is the flat tuple of the integer numerators of a
+# vector over one implicit positive denominator: coordinate i is
+# nums[i*d:(i+1)*d] in the power basis of a field of degree d.  Positive
+# multiples of a vector share every sign, so the double description
+# keeps its rays in this form.
+
+def _members(field: RealAlgebraicField, xs: Sequence) -> Sequence:
+    """xs as elements of field, coerced as by the scalar operators."""
+    for x in xs:
+        if x.__class__ is not FieldElement or x.field is not field:
+            out = [_coerce(field, x) for x in xs]
+            if None in out:
+                raise TypeError("vector entries must be field elements, "
+                                "ints or Fractions")
+            return out
+    return xs
+
+
+def _flat(field: RealAlgebraicField, vector: Sequence) -> tuple[list, int]:
+    """(nums, den): the numerator vector of den * vector, den the lcm of
+    the entries' denominators."""
+    vector = _members(field, vector)
+    den = lcm(*[x.den for x in vector])
+    if den == 1:
+        return [a for x in vector for a in x.num], 1
+    return [a * (den // x.den) for x in vector for a in x.num], den
+
+
+def numerators(field: RealAlgebraicField, vector: Sequence) -> tuple:
+    """The numerator vector of the positive multiple of vector whose
+    integers have no common factor (content 1)."""
+    nums, _ = _flat(field, vector)
+    return _primitive(nums)
+
+
+def from_numerators(field: RealAlgebraicField, nums: Sequence[int]) -> tuple:
+    """The vector of elements with the given numerators over 1."""
+    d = field.degree
+    return tuple([FieldElement(field, tuple(nums[k:k + d]), 1)
+                  for k in range(0, len(nums), d)])
+
+
+def numerator_dot(field: RealAlgebraicField, u: Sequence[int],
+                  v: Sequence[int]) -> tuple:
+    """Numerators over 1 of scale * <u, v> for numerator vectors u and v,
+    where scale is the positive denominator of the reduction table (1
+    over Q): the products are convolved, summed and folded once."""
+    d = field.degree
+    if d == 1:
+        return (sum(map(mul, u, v)),)
+    conv = [0] * (2 * d - 1)
+    for k in range(0, len(u), d):
+        _accumulate(conv, u[k:k + d], v[k:k + d])
+    return _fold(field, conv)
+
+
+def numerator_combination(field: RealAlgebraicField, a: Sequence[int],
+                          u: Sequence[int], b: Sequence[int],
+                          v: Sequence[int]) -> tuple:
+    """ray_numerators of a * u - b * v, for numerators a and b of two
+    field elements over 1 and numerator vectors u and v."""
+    d = len(a)
+    if d == 1:
+        a, b = a[0], b[0]
+        return ray_numerators(field, [a * x - b * y for x, y in zip(u, v)])
+    nb = tuple(map(neg, b))
+    out = []
+    for k in range(0, len(u), d):
+        conv = [0] * (2 * d - 1)
+        _accumulate(conv, a, u[k:k + d])
+        _accumulate(conv, nb, v[k:k + d])
+        out.extend(_fold(field, conv))
+    return ray_numerators(field, out)
+
+
+def ray_numerators(field: RealAlgebraicField, nums: Sequence[int]) -> tuple:
+    """The canonical numerator vector of the ray through the nonzero
+    numerator vector nums: its positive multiple of content 1 whose first
+    nonzero coordinate is rational.
+
+    Over Q that is nums over its content.  Over degree > 1 the first
+    nonzero coordinate c is made rational by the factor |c|^-1, which
+    takes the sign of c and one inverse.  So rays that agree up to a
+    positive factor have one canonical form, a positive rational multiple
+    of the ray scaled to a leading +-1, and interval evaluation, which
+    scales linearly under a positive rational factor, decides every sign
+    on it as on that ray."""
+    d = field.degree
+    if d == 1:
+        return _primitive(nums)
+    lead = next(nums[k:k + d] for k in range(0, len(nums), d)
+                if any(nums[k:k + d]))
+    if any(lead[1:]):
+        lead = FieldElement(field, tuple(lead), 1)
+        inv = (lead if lead.sign() > 0 else -lead).inverse().num
+        out = []
+        for i in range(0, len(nums), d):
+            conv = [0] * (2 * d - 1)
+            _accumulate(conv, inv, nums[i:i + d])
+            out.extend(_fold(field, conv))
+        nums = out
+    return _primitive(nums)
+
+
+def _primitive(nums: Sequence[int]) -> tuple:
+    """nums divided by their content, the zero vector as it is."""
+    g = gcd(*nums)
+    if g < 2:
+        return tuple(nums)
+    return tuple([x // g for x in nums])
+
+
+def dot(u: Sequence, v: Sequence) -> FieldElement:
+    """sum u[i] * v[i] over the field of u[0], reduced once: the entries
+    are brought to one denominator per vector and the integer dot
+    product is taken by numerator_dot."""
+    field = u[0].field
+    a, p = _flat(field, u)
+    b, q = _flat(field, v)
+    return _reduced(field, numerator_dot(field, a, b), p * q * field._scale)
+
+
+def sub_multiple(xs: Sequence, f: FieldElement, ys: Sequence) -> list:
+    """[x - f * y for x, y in zip(xs, ys)] over the field of f, each entry
+    reduced once: x - f y = (x * den(f y) - num(f y) * den(x)) over
+    den(x) den(f y), with f y left unreduced.  Entries with y = 0 are x."""
+    field = f.field
+    xs = _members(field, xs)
+    ys = _members(field, ys)
+    c, r = f.num, f.den
+    out = []
+    if len(c) == 1:
+        c = c[0]
+        for x, y in zip(xs, ys):
+            b = y.num[0]
+            if not b:
+                out.append(x)
+                continue
+            p = x.den
+            q = r * y.den
+            out.append(_reduced(field, (x.num[0] * q - c * b * p,), p * q))
+        return out
+    d = len(c)
+    scale = field._scale
+    for x, y in zip(xs, ys):
+        if not any(y.num):
+            out.append(x)
+            continue
+        conv = [0] * (2 * d - 1)
+        _accumulate(conv, c, y.num)
+        p = x.den
+        q = r * y.den * scale
+        out.append(_reduced(field, tuple([
+            a * q - b * p for a, b in zip(x.num, _fold(field, conv))]),
+            p * q))
+    return out
 
 
 def _round_half_even(x: Fraction) -> int:

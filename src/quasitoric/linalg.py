@@ -10,18 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .field import FieldElement
-
-
-# ---------------------------------------------------------------------------
-# vectors over a field
-# ---------------------------------------------------------------------------
-
-def dot(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+# dot is the field's kernel, imported from here by the other modules
+from .field import dot, sub_multiple  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +29,14 @@ def _gauss_jordan(A, b=None):
 
     Returns (rows, rhs, pivot_cols): all rows of the reduced matrix, the
     nonzero ones first; b transformed alongside (None when b is None); and
-    the pivot column of each nonzero row."""
-    work = [list(row) for row in A]
-    rhs = list(b) if b is not None else None
-    rows, cols = len(work), len(work[0])
+    the pivot column of each nonzero row.  b rides along as a last
+    column, and each elimination step is one sub_multiple kernel call."""
+    cols = len(A[0])
+    if b is None:
+        work = [list(row) for row in A]
+    else:
+        work = [[*row, x] for row, x in zip(A, b, strict=True)]
+    rows = len(work)
     pivot_cols = []
     r = 0
     for c in range(cols):
@@ -51,23 +45,19 @@ def _gauss_jordan(A, b=None):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        if rhs is not None:
-            rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
         inv = work[r][c].inverse()
         work[r] = [inv * x for x in work[r]]
-        if rhs is not None:
-            rhs[r] = inv * rhs[r]
         for i in range(rows):
             if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                if rhs is not None:
-                    rhs[i] = rhs[i] - f * rhs[r]
+                work[i] = sub_multiple(work[i], work[i][c], work[r])
         pivot_cols.append(c)
         r += 1
         if r == rows:
             break
-    return work, rhs, pivot_cols
+    if b is None:
+        return work, None, pivot_cols
+    return [row[:cols] for row in work], [row[cols] for row in work], \
+        pivot_cols
 
 
 def rank_kernel_solve(A, b=None) -> LinearSolveResult:

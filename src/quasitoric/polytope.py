@@ -26,6 +26,14 @@ from .errors import (
     RedundantFacet,
     UnboundedPolytope,
 )
+from .field import (
+    FieldElement,
+    from_numerators,
+    numerator_combination,
+    numerator_dot,
+    numerators,
+    ray_numerators,
+)
 from .linalg import dot, mat_rank, rref_rows
 from .lp import strict_lp_feasible
 
@@ -157,8 +165,18 @@ def extreme_rays(rows) -> list:
     columns of their inverse; the other rows follow in index order.  Row
     h keeps the rays r with <h, r> >= 0 and adds, for each pair on
     opposite sides, the point of their segment on h, provided the two are
-    adjacent: no third ray vanishes on every row both vanish on.  Each
-    returned ray is then checked against every row exactly."""
+    adjacent: no third ray vanishes on every row both vanish on.
+
+    Rows and rays run as integer numerator vectors: a row is a positive
+    rational multiple of itself with its denominators cleared
+    (field.numerators), and a ray is in the canonical form of
+    field.ray_numerators, content 1 with a rational first nonzero
+    coordinate.  A new ray <h, r_up> r_down - <h, r_down> r_up takes no
+    inverse over Q, only the division by its content.  Every ray is a
+    positive rational multiple of the ray scaled to a leading +-1, so
+    each sign is decided as on that ray and the isolating interval of
+    the field is refined as far.  Each returned ray is scaled once and
+    then checked against every row exactly, by field.dot."""
     dim = len(rows[0])
     field = rows[0][0].field
     # [rows^T | identity] reduces to [R | E] with E the inverse of the
@@ -174,16 +192,19 @@ def extreme_rays(rows) -> list:
                                  "is not pointed")
     seeded = sum(1 << j for j in seed)
     # (ray, zero set as a bit mask over the rows added so far)
-    rays = [(_scaled(row[len(rows):]), seeded & ~(1 << j))
+    rays = [(ray_numerators(field, numerators(field, row[len(rows):])),
+             seeded & ~(1 << j))
             for row, j in zip(reduced, seed)]
     for j, h in enumerate(rows):
         bit = 1 << j
         if seeded & bit:
             continue
+        h = numerators(field, h)
         kept, above, below = [], [], []
         for ray, zero in rays:
-            value = dot(h, ray)
-            side = value.sign()
+            value = numerator_dot(field, h, ray)
+            # a positive rational multiple of <h, ray>, over 1
+            side = FieldElement(field, value, 1).sign()
             if side > 0:
                 kept.append((ray, zero))
                 above.append((ray, zero, value))
@@ -198,12 +219,13 @@ def extreme_rays(rows) -> list:
                 if common.bit_count() < dim - 2 or sum(
                         1 for z in zeros if common & z == common) > 2:
                     continue
-                kept.append((_scaled([v_up * a - v_down * b
-                                      for a, b in zip(r_down, r_up)]),
+                kept.append((numerator_combination(field, v_up, r_down,
+                                                   v_down, r_up),
                              common | bit))
         rays = kept
     checked = []
     for ray, mask in rays:
+        ray = _scaled(from_numerators(field, ray))
         signs = [dot(h, ray).sign() for h in rows]
         zero = frozenset(j for j, s in enumerate(signs) if s == 0)
         if min(signs) < 0 or mask != sum(1 << j for j in zero):

@@ -64,6 +64,23 @@ class TestExamples:
         for p in directory.iterdir():
             json.loads(p.read_text())
 
+    @pytest.mark.parametrize("name, interval", [
+        ("pentagon", ["19/20", "39/40"]),
+        ("kite", ["19/20", "39/40"]),
+        ("thick-rhombus", ["9/10", "1"]),
+        ("thin-rhombus", ["9/10", "1"]),
+        ("hirzebruch", ["1", "2"]),
+    ])
+    def test_field_interval_pins_the_sign_decisions(self, corpus, name,
+                                                    interval):
+        # the sign decisions of the construction narrow the isolating
+        # interval that the documents write: a change that decides a sign
+        # the construction did not decide, or skips one, can move it
+        directory = corpus(name, a="sqrt2")
+        for path in sorted(directory.iterdir()):
+            doc = json.loads(path.read_text())
+            assert doc["field"]["interval"] == interval, path.name
+
     def test_unknown_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["examples", "dodecahedron"])

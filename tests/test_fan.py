@@ -132,6 +132,46 @@ class TestFanConstruction:
         assert () in fan.cones
 
 
+    def test_twisted_cube_document_checks_each_ray_pair_once(
+            self, monkeypatch):
+        # the face closure of a loaded fan keeps the rays the fan
+        # accepted: C(d, 2) proportionality checks for d rays, not twice
+        doc = parse_json(dumps(fan_to_doc(
+            Fan(3, *twisted_cube_fan_data(Q)))))
+        calls = []
+        proportional = fan_module.positively_proportional
+
+        def counting(u, v):
+            calls.append((u, v))
+            return proportional(u, v)
+
+        monkeypatch.setattr(fan_module, "positively_proportional", counting)
+        fan = fan_from_doc(doc)
+        assert len(calls) == math.comb(fan.ray_count, 2)
+
+
+def all_pairs_proportional(u, v):
+    """positively_proportional as it was: every 2x2 minor of (u, v)
+    vanishes and <u, v> > 0."""
+    return all((u[i] * v[j] - u[j] * v[i]).is_zero()
+               for i, j in itertools.combinations(range(len(u)), 2)) \
+        and dot(u, v).sign() > 0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    st.sampled_from([None, -2, -1, 1, 3]))))
+def test_positively_proportional_agrees_with_all_minors(case):
+    # with c given, v is c u, so parallel pairs of both signs are drawn
+    u, v, c = case
+    if c is not None:
+        v = [c * x for x in u]
+    u, v = qvec(*u), qvec(*v)
+    assert positively_proportional(u, v) == all_pairs_proportional(u, v)
+
+
 class TestNormalFan:
     def test_square_quadrants(self):
         H = HalfspaceRep(2, unit_square_facets(Q))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scalar_dot
 from quasitoric.corpus import pentagon_field
 from quasitoric.errors import (
     DivisionByZero,
@@ -16,9 +17,14 @@ from quasitoric.errors import (
     NotSquarefree,
 )
 from quasitoric.field import (
+    FieldElement,
     RealAlgebraicField,
+    dot,
+    numerator_dot,
+    numerators,
     parse_rational,
     rational_field,
+    sub_multiple,
 )
 
 
@@ -314,6 +320,108 @@ def test_representation_is_canonical(data):
             assert x == value
             assert x.coeffs == (Fraction(value),) + (Fraction(0),) * (
                 k.degree - 1)
+
+
+# ---------------------------------------------------------------------------
+# vector kernels against the scalar loops they replace
+# ---------------------------------------------------------------------------
+
+def scalar_sub_multiple(xs, f, ys):
+    """x - f * y entry by entry with the scalar operators: the reference
+    of the row kernel."""
+    return [x - f * y for x, y in zip(xs, ys)]
+
+
+# a second handle on each field: its elements coerce, as in the operators
+TWIN_FIELDS = {id(k): RealAlgebraicField(k.minpoly, k.interval)
+               for k in PRODUCT_FIELDS}
+FOREIGN_FIELD = RealAlgebraicField(["-3", "0", "1"], ("1", "2"))
+
+
+@st.composite
+def kernel_vectors(draw, k, n, first_in_field=False):
+    """n entries for field k: mostly elements with many zero coefficients,
+    sometimes an int, a Fraction or an element of a twin handle of k."""
+    coeffs = st.lists(st.one_of(st.just(Fraction(0)), small_rationals),
+                      min_size=k.degree, max_size=k.degree)
+    out = []
+    for i in range(n):
+        kind = "element" if first_in_field and i == 0 else draw(
+            st.sampled_from(["element"] * 5 + ["int", "fraction", "twin"]))
+        if kind == "int":
+            out.append(draw(st.integers(-9, 9)))
+        elif kind == "fraction":
+            out.append(draw(small_rationals))
+        else:
+            field = TWIN_FIELDS[id(k)] if kind == "twin" else k
+            out.append(field.element(draw(coeffs)))
+    return out
+
+
+def same_element(x, y):
+    return x == y and (x.num, x.den) == (y.num, y.den)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_dot_kernel_matches_scalar_loop(data):
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n = data.draw(st.integers(1, 5))
+    u = data.draw(kernel_vectors(k, n, first_in_field=True))
+    v = data.draw(kernel_vectors(k, n))
+    expected = scalar_dot(u, v)
+    assert same_element(dot(u, v), expected)
+    # the integer form: a positive multiple of the same value
+    value = FieldElement(k, numerator_dot(k, numerators(k, u),
+                                          numerators(k, v)), 1)
+    if expected.is_zero():
+        assert value.is_zero()
+    else:
+        ratio = value / expected
+        assert ratio.is_rational() and ratio.as_fraction() > 0
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_row_kernel_matches_scalar_loop(data):
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n = data.draw(st.integers(1, 5))
+    xs = data.draw(kernel_vectors(k, n))
+    ys = data.draw(kernel_vectors(k, n))
+    f = data.draw(kernel_vectors(k, 1, first_in_field=True))[0]
+    got = sub_multiple(xs, f, ys)
+    expected = [_in_field(k, x) for x in scalar_sub_multiple(xs, f, ys)]
+    assert len(got) == len(expected)
+    assert all(same_element(a, b) for a, b in zip(got, expected))
+
+
+def _in_field(k, x):
+    # x - f y with x an int or a Fraction is an element of f's field
+    return x if isinstance(x, FieldElement) else k.element(x)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_kernels_refuse_a_foreign_field(data):
+    # a foreign element anywhere raises MixedFields, as the scalar
+    # operators do
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n = data.draw(st.integers(1, 4))
+    vectors = [data.draw(kernel_vectors(k, n, first_in_field=True))
+               for _ in range(2)]
+    which = data.draw(st.integers(0, 1))
+    where = data.draw(st.integers(0, n - 1))
+    vectors[which][where] = FOREIGN_FIELD.element(
+        data.draw(st.lists(small_rationals, min_size=1, max_size=2)))
+    u, v = vectors
+    f = data.draw(kernel_vectors(k, 1, first_in_field=True))[0]
+    for kernel, scalar, args in ((dot, scalar_dot, (u, v)),
+                                 (sub_multiple, scalar_sub_multiple,
+                                  (u, f, v))):
+        with pytest.raises(MixedFields):
+            scalar(*args)
+        with pytest.raises(MixedFields):
+            kernel(*args)
 
 
 class TestRefinement:

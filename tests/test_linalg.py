@@ -3,9 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import scalar_dot
+from quasitoric.corpus import pentagon_field
+from quasitoric.errors import MixedFields
 from quasitoric.field import RealAlgebraicField, rational_field
 from quasitoric.linalg import (
+    _gauss_jordan,
     dot,
     hnf,
     integer_kernel,
@@ -129,6 +135,126 @@ class TestRankKernelSolve:
                       for _ in range(rows)])
             res = rank_kernel_solve(A)
             assert res.rank + len(res.kernel) == cols
+
+
+# ---- kernels against the scalar loops they replace -------------------------
+
+KERNEL_FIELDS = (Q, RealAlgebraicField(["-2", "0", "1"], ("1", "2")),
+                 pentagon_field())
+FOREIGN_FIELD = RealAlgebraicField(["-3", "0", "1"], ("1", "2"))
+
+
+def scalar_gauss_jordan(A, b=None):
+    """_gauss_jordan with each elimination step a loop of scalar
+    operators: the reference of the row kernel's use."""
+    work = [list(row) for row in A]
+    rhs = list(b) if b is not None else None
+    rows, cols = len(work), len(work[0])
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows)
+                      if not work[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        if rhs is not None:
+            rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+        inv = work[r][c].inverse()
+        work[r] = [inv * x for x in work[r]]
+        if rhs is not None:
+            rhs[r] = inv * rhs[r]
+        for i in range(rows):
+            if i != r and not work[i][c].is_zero():
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                if rhs is not None:
+                    rhs[i] = rhs[i] - f * rhs[r]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return work, rhs, pivot_cols
+
+
+def same_entries(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.field is y.field and (x.num, x.den) == (y.num, y.den)
+        for x, y in zip(xs, ys))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MixedFields:
+        return MixedFields
+
+
+@st.composite
+def field_systems(draw, foreign=False):
+    """(A, b): 1-4 rows and 1-4 columns over Q, Q(sqrt 2) or the pentagon
+    field, with many zero entries; sometimes the last row is the sum of
+    the others, and b is None half the time.  With foreign, one entry of
+    A or b lies in another field."""
+    k = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeffs = st.lists(st.one_of(st.just(0), st.integers(-3, 3),
+                                st.builds(Fraction, st.integers(-3, 3),
+                                          st.integers(1, 4))),
+                      min_size=k.degree, max_size=k.degree)
+    A = [[k.element(draw(coeffs)) for _ in range(cols)]
+         for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        A[-1] = [sum(col, k.zero) for col in zip(*A[:-1])]
+    b = [k.element(draw(coeffs)) for _ in range(rows)] \
+        if draw(st.booleans()) else None
+    if foreign:
+        entry = FOREIGN_FIELD.element(draw(st.integers(-2, 2)))
+        i = draw(st.integers(0, rows - 1))
+        if b is not None and draw(st.booleans()):
+            b[i] = entry
+        else:
+            A[i][draw(st.integers(0, cols - 1))] = entry
+    return A, b
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(field_systems())
+def test_gauss_jordan_matches_scalar_loop(system):
+    A, b = system
+    work, rhs, pivots = _gauss_jordan(A, b)
+    ref_work, ref_rhs, ref_pivots = scalar_gauss_jordan(A, b)
+    assert pivots == ref_pivots
+    assert all(same_entries(x, y) for x, y in zip(work, ref_work))
+    assert len(work) == len(ref_work)
+    assert (rhs is None) == (ref_rhs is None)
+    if rhs is not None:
+        assert same_entries(rhs, ref_rhs)
+    for row in A:
+        assert same_entries([dot(row, row)], [scalar_dot(row, row)])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(field_systems(foreign=True))
+@example(([[Q.one]], [FOREIGN_FIELD.zero]))  # a foreign zero still raises
+def test_foreign_entries_as_in_scalar_loop(system):
+    # the kernels raise MixedFields exactly where the scalar loops do
+    A, b = system
+    got, expected = outcome(_gauss_jordan, A, b), \
+        outcome(scalar_gauss_jordan, A, b)
+    if expected is MixedFields:
+        assert got is MixedFields
+    else:
+        assert got[2] == expected[2]
+        assert all(same_entries(x, y) for x, y in zip(got[0], expected[0]))
+    for row in A:
+        ones = [FOREIGN_FIELD.one] * len(row)
+        got, expected = outcome(dot, row, ones), outcome(scalar_dot, row,
+                                                         ones)
+        if expected is MixedFields:
+            assert got is MixedFields
+        else:
+            assert same_entries([got], [expected])
 
 
 # ---- integer normal forms --------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, as_fractions, qvec
+from conftest import Q, as_fractions, qvec, scalar_dot
 from quasitoric import corpus as corpus_module
 from quasitoric import polytope as polytope_module
 from quasitoric.corpus import (
@@ -24,7 +24,7 @@ from quasitoric.errors import (
     UnboundedPolytope,
 )
 from quasitoric.fan import positively_proportional
-from quasitoric.linalg import dot, rank_kernel_solve
+from quasitoric.linalg import dot, rank_kernel_solve, rref_rows
 from quasitoric.polytope import (
     HalfspaceRep,
     VertexRep,
@@ -449,6 +449,147 @@ class TestCertificateOracle:
                             lambda *args: None)
         with pytest.raises(InternalInvariantError):
             HalfspaceRep(2, pentagon_facets(k)[:2])
+
+
+def scalar_scaled(ray):
+    lead = next(x for x in ray if not x.is_zero())
+    scale = abs(lead).inverse()
+    return tuple(scale * x for x in ray)
+
+
+def scalar_extreme_rays(rows):
+    """extreme_rays with its rays kept as field elements and every new
+    ray scaled to a leading +-1 by an inverse, all by scalar operators:
+    the reference of the engine on integer rays."""
+    dim = len(rows[0])
+    field = rows[0][0].field
+    reduced = rref_rows([column + tuple(field.one if k == i else field.zero
+                                        for k in range(dim))
+                         for i, column in enumerate(zip(*rows))])
+    seed = [next(c for c, x in enumerate(row) if not x.is_zero())
+            for row in reduced]
+    if seed[-1] >= len(rows):
+        raise NotFullDimensional("rows do not span the space: the cone "
+                                 "is not pointed")
+    seeded = sum(1 << j for j in seed)
+    rays = [(scalar_scaled(row[len(rows):]), seeded & ~(1 << j))
+            for row, j in zip(reduced, seed)]
+    for j, h in enumerate(rows):
+        bit = 1 << j
+        if seeded & bit:
+            continue
+        kept, above, below = [], [], []
+        for ray, zero in rays:
+            value = scalar_dot(h, ray)
+            side = value.sign()
+            if side > 0:
+                kept.append((ray, zero))
+                above.append((ray, zero, value))
+            elif side < 0:
+                below.append((ray, zero, value))
+            else:
+                kept.append((ray, zero | bit))
+        zeros = [zero for _, zero in rays]
+        for r_up, z_up, v_up in above:
+            for r_down, z_down, v_down in below:
+                common = z_up & z_down
+                if common.bit_count() < dim - 2 or sum(
+                        1 for z in zeros if common & z == common) > 2:
+                    continue
+                kept.append((scalar_scaled([v_up * a - v_down * b
+                                            for a, b in zip(r_down, r_up)]),
+                             common | bit))
+        rays = kept
+    checked = []
+    for ray, mask in rays:
+        signs = [scalar_dot(h, ray).sign() for h in rows]
+        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
+        assert min(signs) >= 0 and mask == sum(1 << j for j in zero)
+        checked.append((ray, zero))
+    return checked
+
+
+@st.composite
+def ray_systems(draw):
+    """(kind, data): the rows (1, p) over 1-5 lattice points p in n = 1-4
+    ("hull"), or the homogenized facet rows of such a hull plus t >= 0
+    ("facets"), or the rows (1, p) over 3-5 points of the pentagon field,
+    each a fifth root of unity scaled by 1-2 plus a lattice shift
+    ("pentagon")."""
+    kind = draw(st.sampled_from(["hull", "facets", "pentagon"]))
+    if kind == "pentagon":
+        return kind, draw(st.lists(
+            st.tuples(st.integers(0, 4), st.integers(1, 2),
+                      st.tuples(st.integers(-1, 1), st.integers(-1, 1))),
+            min_size=3, max_size=5))
+    n = draw(st.integers(1, 4))
+    return kind, (n, draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                                   min_size=1, max_size=n + 3)))
+
+
+def ray_system_rows(system, k):
+    kind, data = system
+    if kind == "pentagon":
+        roots = corpus_module.fifth_roots_of_unity(k)
+        return [(k.one,) + tuple(scale * c + shift for c, shift in
+                                 zip(roots[root], shifts))
+                for root, scale, shifts in data]
+    n, points = data
+    rows = [qvec(1, *point) for point in points]
+    if kind == "hull":
+        return rows
+    facets = [(ray[1:], ray[0]) for ray, _ in scalar_extreme_rays(rows)]
+    return [(c,) + w for w, c in facets] + [qvec(1, *[0] * n)]
+
+
+class TestIntegerRayOracle:
+    """The double description on integer rays gives the (ray, zero set)
+    list of the scalar engine, in the same order, and its sign queries
+    refine the isolating interval of the field exactly as far."""
+
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(ray_systems())
+    @example(("hull", (2, [(0, 0), (1, 0), (0, 1), (1, 1)])))
+    @example(("facets", (3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+                             (1, 1, 1)])))
+    @example(("pentagon", [(j, 1, (0, 0)) for j in range(5)]))
+    @example(("pentagon", [(0, 2, (1, 0)), (1, 1, (0, -1)),
+                           (3, 2, (0, 0)), (4, 1, (-1, 1))]))
+    def test_agrees_with_scalar_engine(self, system):
+        fields = (pentagon_field(), pentagon_field()) \
+            if system[0] == "pentagon" else (Q, Q)
+        try:
+            systems = [ray_system_rows(system, k) for k in fields]
+        except NotFullDimensional:
+            assume(False)   # "facets" of points that span no full hull
+        outcomes = []
+        for engine, rows in zip((polytope_module.extreme_rays,
+                                 scalar_extreme_rays), systems):
+            try:
+                rays = engine(rows)
+            except NotFullDimensional as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append([(tuple((x.num, x.den) for x in ray), zero)
+                             for ray, zero in rays])
+        assert outcomes[0] == outcomes[1]
+        assert fields[0].interval == fields[1].interval
+
+    @pytest.mark.parametrize("facets", [
+        corpus_module.pentagon_facets, corpus_module.kite_facets,
+        corpus_module.thick_rhombus_facets,
+        corpus_module.thin_rhombus_facets])
+    def test_pentagon_family(self, facets):
+        found = []
+        for engine in (polytope_module.extreme_rays, scalar_extreme_rays):
+            k = pentagon_field()
+            rows = [(-b,) + a for a, b in facets(k)]
+            rows.append((k.one, k.zero, k.zero))
+            found.append(([(tuple((x.num, x.den) for x in ray), zero)
+                           for ray, zero in engine(rows)], k.interval))
+        assert found[0] == found[1]
 
 
 def test_recheck_refuses_a_wrong_ray(monkeypatch):

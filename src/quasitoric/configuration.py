@@ -70,6 +70,11 @@ class Triangulation:
         return hash(self.simplices)
 
 
+def _column_sum(vectors, n, zero):
+    """The sum of the given n-vectors, coordinate by coordinate."""
+    return tuple(sum((v[i] for v in vectors), zero) for i in range(n))
+
+
 class VectorConfiguration:
     """Ordered vectors with ghost indices (0-based internally)."""
 
@@ -95,11 +100,7 @@ class VectorConfiguration:
         return len(self.vectors)
 
     def vector_sum(self):
-        acc = [self.field.zero] * self.dimension
-        for v in self.vectors:
-            for i in range(self.dimension):
-                acc[i] = acc[i] + v[i]
-        return tuple(acc)
+        return _column_sum(self.vectors, self.dimension, self.field.zero)
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,10 @@ def config_validate(config: VectorConfiguration,
     is when they form a fan; otherwise it reads None.
 
     When the maximal simplices pass complete_fan_certificate they form a
-    complete fan, which covers every vector, so compatibility and
-    covering are both true without an LP.  Otherwise compatibility is
-    decided pairwise by LP and covering by one membership LP per vector
-    and simplex, as needed."""
+    complete fan, which covers every vector, so compatibility, covering
+    and completeness are all true without an LP or a Fan.  Otherwise
+    compatibility is decided pairwise by LP and covering by one
+    membership LP per vector and simplex, as needed."""
     n = config.dimension
     p = config.count
     field = config.field
@@ -167,7 +168,7 @@ def config_validate(config: VectorConfiguration,
         # subsets and compatibility need only hold for maximal pairs
         maximal = triangulation.maximal()
         if complete_fan_certificate(vectors, maximal, n):
-            compatibility = covering = True
+            compatibility = covering = complete = True
         else:
             cache = {}
             compatibility = all(
@@ -177,11 +178,12 @@ def config_validate(config: VectorConfiguration,
                 any(cone_contains_index(vectors, s, i, field, cache)
                     for s in maximal)
                 for i in range(p))
-        if compatibility:
-            try:
-                complete = fan_is_complete(_fan_from(config, triangulation))
-            except ToolkitError:
-                complete = None
+            if compatibility:
+                try:
+                    complete = fan_is_complete(
+                        _fan_from(config, triangulation))
+                except ToolkitError:
+                    complete = None
     equivalence = None
     if balanced and complete is not None:
         equivalence = (complete == spanning)
@@ -257,13 +259,6 @@ def augment(triple: FundamentalTriple) -> AugmentedTriple:
             ghosts.append(len(vectors))
             vectors.append(tuple(g))
 
-    def total():
-        acc = [field.zero] * n
-        for v in vectors:
-            for i in range(n):
-                acc[i] = acc[i] + v[i]
-        return tuple(acc)
-
     def append_ghost(v):
         if all(x.is_zero() for x in v):
             raise InternalInvariantError("ghost must be nonzero")
@@ -272,7 +267,7 @@ def augment(triple: FundamentalTriple) -> AugmentedTriple:
         ghosts.append(len(vectors))
         vectors.append(tuple(v))
 
-    S = total()
+    S = _column_sum(vectors, n, field.zero)
     sum_zero = all(x.is_zero() for x in S)
     defect_even = (len(vectors) - n) % 2 == 0
     minus_S = tuple(-x for x in S)

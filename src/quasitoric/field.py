@@ -12,7 +12,11 @@ vectors, each divided by its content (numerator_dot,
 numerator_combination, ray_numerators).  Sign
 determination refines the isolating interval by bisection until interval
 evaluation of the element excludes zero; Sturm chains make root counting
-(and hence isolation) decidable.
+(and hence isolation) decidable.  Refinement only shrinks the interval
+and interval evaluation is inclusion-isotone, so a sign or floor decided
+on one interval is decided on every later one: the interval a handle
+ends with depends on the set of values whose sign or floor was asked,
+not on the order of the questions.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Strict linear-program feasibility over the ordered field.
 
-Fourier-Motzkin elimination with first-class strict inequalities.  Sized
-for fan/polytope instances (at most 16 variables); equalities are removed
-by exact substitution before any elimination so the doubling step only
-ever sees inequalities.  The witness is deterministic: free variables are
+Fourier-Motzkin elimination with first-class strict inequalities (Schrijver,
+Theory of Linear and Integer Programming, 12.2).  Sized for fan/polytope
+instances (at most 16 variables).  Equalities are removed first, by one
+reduced row echelon form of [A | b] (linalg.rref_rows): each reduced row
+solves its pivot variable in the free variables, and each inequality is
+rewritten in the free variables alone, so the doubling step only ever
+sees inequalities.  The witness is deterministic: free variables are
 fixed at the midpoint of their final bound interval.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, VariableBudgetExceeded
+from .linalg import dot, rref_rows, sub_multiple
 
 VARIABLE_BUDGET = 16
 
@@ -36,7 +40,7 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
         field = constraints[0][1].field
     zero, one = field.zero, field.one
 
-    equalities = []   # (coeffs list, rhs)
+    equalities = []   # rows [a | b]
     inequalities = []  # (coeffs list, rhs, strict)
     for coeffs, rhs, rel in constraints:
         if rel not in _RELATIONS:
@@ -45,44 +49,29 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
         if len(row) != num_vars:
             raise ValueError("constraint width disagrees with num_vars")
         if rel == "=":
-            equalities.append((row, rhs))
+            equalities.append([*row, rhs])
         else:
             inequalities.append((row, rhs, rel == ">"))
 
-    # --- exact substitution of equalities -------------------------------
-    # each entry: (var, coeffs over the other vars, const) meaning
-    # x_var = const + sum(coeffs[j] * x_j)
-    substitutions = []
-    while equalities:
-        row, rhs = equalities.pop(0)
-        pivot = next((j for j, c in enumerate(row) if not c.is_zero()), None)
-        if pivot is None:
-            if not rhs.is_zero():
-                return None
-            continue
-        inv = row[pivot].inverse()
-        expr = [-inv * c for c in row]
-        expr[pivot] = zero
-        const = inv * rhs
-        substitutions.append((pivot, expr, const))
-
-        def substitute(coeffs, b):
-            f = coeffs[pivot]
-            if f.is_zero():
-                return coeffs, b
-            out = [c + f * e for c, e in zip(coeffs, expr)]
-            out[pivot] = zero
-            return out, b - f * const
-
-        equalities = [substitute(c, b) for c, b in equalities]
-        inequalities = [(*substitute(c, b), s) for c, b, s in inequalities]
+    # --- equalities: reduced row echelon form of [A | b] ------------------
+    # (pivot, row): x_pivot = row[-1] - <row[:-1], x> over the free
+    # variables; a pivot in the b column is the row 0 = 1
+    solved = [(next(j for j, x in enumerate(row) if not x.is_zero()), row)
+              for row in rref_rows(equalities)]
+    if solved and solved[-1][0] == num_vars:
+        return None
+    substituted = []
+    for c, b, s in inequalities:
+        row = [*c, b]
+        for p, eq in solved:
+            if not row[p].is_zero():
+                row = sub_multiple(row, row[p], eq)
+        substituted.append((row[:-1], row[-1], s))
 
     # --- Fourier-Motzkin on the remaining inequalities ------------------
-    inequalities = _dedup(inequalities, zero)
+    inequalities = _dedup(substituted, zero)
     eliminated = []  # (var, lowers, uppers) for back-substitution
-    remaining = [v for v in range(num_vars)
-                 if v not in {s[0] for s in substitutions}]
-    active = set(remaining)
+    active = set(range(num_vars)).difference(p for p, _ in solved)
     while True:
         candidates = []
         for v in sorted(active):
@@ -127,31 +116,25 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
                 return None
 
     # --- back-substitution ----------------------------------------------
+    # variables never eliminated stay zero; witness[v] is still zero when
+    # v's bounds are taken, so the full dot product leaves it out
     witness = [zero] * num_vars
-    assigned = set()
-    for v in sorted(active):
-        witness[v] = zero  # unconstrained variables
-        assigned.add(v)
     for v, lowers, uppers in reversed(eliminated):
         lo = hi = None
         lo_strict = hi_strict = False
         for c, b, s in lowers:
-            val = (b - sum((c[j] * witness[j] for j in range(num_vars)
-                            if j != v), zero)) / c[v]
+            val = (b - dot(c, witness)) / c[v]
             if lo is None or val > lo:
                 lo, lo_strict = val, s
             elif val == lo:
                 lo_strict = lo_strict or s
         for c, b, s in uppers:
-            val = (b - sum((c[j] * witness[j] for j in range(num_vars)
-                            if j != v), zero)) / c[v]
+            val = (b - dot(c, witness)) / c[v]
             if hi is None or val < hi:
                 hi, hi_strict = val, s
             elif val == hi:
                 hi_strict = hi_strict or s
-        if lo is None and hi is None:
-            witness[v] = zero
-        elif hi is None:
+        if hi is None:
             witness[v] = lo + one
         elif lo is None:
             witness[v] = hi - one
@@ -167,15 +150,13 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
                 witness[v] = lo
             else:
                 witness[v] = (lo + hi) / 2
-        assigned.add(v)
-    for v, expr, const in reversed(substitutions):
-        witness[v] = const + sum((e * witness[j]
-                                  for j, e in enumerate(expr)
-                                  if not e.is_zero()), zero)
+    # a reduced row is zero on the other pivots, and witness[p] is zero
+    for p, eq in solved:
+        witness[p] = eq[-1] - dot(eq[:-1], witness)
 
     # --- exact recheck ----------------------------------------------------
     for coeffs, rhs, rel in constraints:
-        val = sum((c * w for c, w in zip(coeffs, witness)), zero)
+        val = dot(coeffs, witness) if num_vars else zero
         diff = (val - rhs).sign()
         ok = diff == 0 if rel == "=" else (diff > 0 if rel == ">"
                                            else diff >= 0)

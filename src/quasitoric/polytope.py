@@ -176,7 +176,8 @@ def extreme_rays(rows) -> list:
     positive rational multiple of the ray scaled to a leading +-1, so
     each sign is decided as on that ray and the isolating interval of
     the field is refined as far.  Each returned ray is scaled once and
-    then checked against every row exactly, by field.dot."""
+    then checked against every row exactly, on the numerators of the
+    scaled ray: a positive rational multiple of each <h, ray>."""
     dim = len(rows[0])
     field = rows[0][0].field
     # [rows^T | identity] reduces to [R | E] with E the inverse of the
@@ -195,11 +196,11 @@ def extreme_rays(rows) -> list:
     rays = [(ray_numerators(field, numerators(field, row[len(rows):])),
              seeded & ~(1 << j))
             for row, j in zip(reduced, seed)]
-    for j, h in enumerate(rows):
+    row_nums = [numerators(field, h) for h in rows]
+    for j, h in enumerate(row_nums):
         bit = 1 << j
         if seeded & bit:
             continue
-        h = numerators(field, h)
         kept, above, below = [], [], []
         for ray, zero in rays:
             value = numerator_dot(field, h, ray)
@@ -226,7 +227,9 @@ def extreme_rays(rows) -> list:
     checked = []
     for ray, mask in rays:
         ray = _scaled(from_numerators(field, ray))
-        signs = [dot(h, ray).sign() for h in rows]
+        nums = numerators(field, ray)
+        signs = [FieldElement(field, numerator_dot(field, h, nums), 1).sign()
+                 for h in row_nums]
         zero = frozenset(j for j, s in enumerate(signs) if s == 0)
         if min(signs) < 0 or mask != sum(1 << j for j in zero):
             raise InternalInvariantError(

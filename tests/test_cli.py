@@ -129,6 +129,21 @@ class TestWorkflows:
         assert gale["m"] == 2
         assert all(len(s) == 5 for s in gale["virtual_chamber"])
 
+    @pytest.mark.parametrize("name, interval", [
+        ("pentagon", ["19/20", "39/40"]),
+        ("kite", ["19/20", "39/40"]),
+        ("thick-rhombus", ["9/10", "1"]),
+        ("thin-rhombus", ["19/20", "77/80"]),
+        ("hirzebruch", ["1", "2"]),
+    ])
+    def test_augment_interval_pins_the_sign_decisions(self, corpus, capsys,
+                                                      name, interval):
+        # augment reloads the triple and writes the isolating interval its
+        # own sign decisions leave, as examples does
+        directory = corpus(name, a="sqrt2")
+        report = run_json(capsys, "augment", str(directory / "triple.json"))
+        assert report["field"]["interval"] == interval
+
     def test_polytopal_verdicts(self, corpus, capsys):
         directory = corpus("twisted-cube")
         report = run_json(capsys, "polytopal",

@@ -62,10 +62,22 @@ class TestValidate:
             raise RuntimeError("not a domain error")
         monkeypatch.setattr("quasitoric.configuration.fan_is_complete",
                             broken)
+        # one cone: compatible, refused by the complete-fan certificate,
+        # so completeness is decided on a Fan
+        config = VectorConfiguration(
+            2, [qvec(1, 0), qvec(0, 1), qvec(-1, -1)])
+        with pytest.raises(RuntimeError):
+            config_validate(config, Triangulation([(0, 1)]))
+
+    def test_certified_fan_is_complete_without_a_fan(self, monkeypatch):
+        def unused(fan):
+            raise AssertionError("completeness decided on a Fan")
+        monkeypatch.setattr("quasitoric.configuration.fan_is_complete",
+                            unused)
         k = pentagon_field()
         config, tri = build(k, thick_rhombus_configuration_data(k))
-        with pytest.raises(RuntimeError):
-            config_validate(config, tri)
+        report = config_validate(config, tri)
+        assert report.complete and report.completeness_matches_spanning
 
     def test_thick_rhombus_balanced_odd(self):
         k = pentagon_field()

@@ -437,6 +437,26 @@ class TestRefinement:
         assert (k.alpha * k.alpha * k.alpha * k.alpha
                 - 10 * k.alpha * k.alpha + 5).is_zero()
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_interval_depends_on_the_queries_not_their_order(self, data):
+        # refinement only shrinks the interval and interval evaluation is
+        # inclusion-isotone, so a query decided on an interval is decided
+        # on every later one: the interval left behind is the one the
+        # hardest query needs, whatever the order of the queries
+        queries = data.draw(st.lists(st.tuples(
+            st.sampled_from(["sign", "floor"]),
+            st.lists(st.fractions(-3, 3, max_denominator=60),
+                     min_size=4, max_size=4)), min_size=1, max_size=8))
+        shuffled = data.draw(st.permutations(queries))
+        intervals = []
+        for order in (queries, shuffled):
+            k = pentagon_field()
+            for method, coeffs in order:
+                getattr(k.element(coeffs), method)()
+            intervals.append(k.interval)
+        assert intervals[0] == intervals[1]
+
 
 class TestDecimal:
     def test_rational_values(self):

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from quasitoric.corpus import pentagon_field, sqrt2_field
 from quasitoric.errors import VariableBudgetExceeded
-from quasitoric.field import RealAlgebraicField, rational_field
-from quasitoric.lp import strict_lp_feasible
+from quasitoric.field import FieldElement, RealAlgebraicField, rational_field
+from quasitoric.lp import _dedup, strict_lp_feasible
 
 Q = rational_field()
 
@@ -138,3 +141,225 @@ class TestWitnessRecheck:
                 d = (val - rhs).sign()
                 assert d == 0 if rel == "=" else (d > 0 if rel == ">"
                                                   else d >= 0)
+
+
+class TestZeroVariables:
+    # a system in no variables states 0 rel b: its witness is the empty
+    # vector when every such statement holds
+    def test_true_inequality_gives_the_empty_witness(self):
+        assert strict_lp_feasible([((), Q.element(-1), ">")], 0, Q) == ()
+
+    def test_false_inequality_is_infeasible(self):
+        assert strict_lp_feasible([((), Q.element(1), ">")], 0, Q) is None
+
+    def test_equalities(self):
+        assert strict_lp_feasible([((), Q.zero, "=")], 0, Q) == ()
+        assert strict_lp_feasible([((), Q.one, "=")], 0, Q) is None
+
+
+# ---------------------------------------------------------------------------
+# oracle: equalities removed by sequential substitution
+# ---------------------------------------------------------------------------
+
+def substitution_lp_feasible(constraints, num_vars, field):
+    """strict_lp_feasible with the equalities removed one at a time, each
+    solved for its first variable and substituted into the rest, by
+    scalar operators: the reference of the reduced row echelon form."""
+    zero, one = field.zero, field.one
+    equalities = []
+    inequalities = []
+    for coeffs, rhs, rel in constraints:
+        row = list(coeffs)
+        if rel == "=":
+            equalities.append((row, rhs))
+        else:
+            inequalities.append((row, rhs, rel == ">"))
+
+    # (var, coeffs over the other vars, const): x_var = const + <coeffs, x>
+    substitutions = []
+    while equalities:
+        row, rhs = equalities.pop(0)
+        pivot = next((j for j, c in enumerate(row) if not c.is_zero()), None)
+        if pivot is None:
+            if not rhs.is_zero():
+                return None
+            continue
+        inv = row[pivot].inverse()
+        expr = [-inv * c for c in row]
+        expr[pivot] = zero
+        const = inv * rhs
+        substitutions.append((pivot, expr, const))
+
+        def substitute(coeffs, b):
+            f = coeffs[pivot]
+            if f.is_zero():
+                return coeffs, b
+            out = [c + f * e for c, e in zip(coeffs, expr)]
+            out[pivot] = zero
+            return out, b - f * const
+
+        equalities = [substitute(c, b) for c, b in equalities]
+        inequalities = [(*substitute(c, b), s) for c, b, s in inequalities]
+
+    inequalities = _dedup(inequalities, zero)
+    eliminated = []
+    active = {v for v in range(num_vars)
+              if v not in {s[0] for s in substitutions}}
+    while True:
+        candidates = []
+        for v in sorted(active):
+            pos = sum(1 for c, _, _ in inequalities if c[v].sign() > 0)
+            neg = sum(1 for c, _, _ in inequalities if c[v].sign() < 0)
+            if pos or neg:
+                candidates.append((pos * neg, v, pos, neg))
+        if not candidates:
+            break
+        _, v, _, _ = min(candidates)
+        lowers, uppers, passthrough = [], [], []
+        for c, b, s in inequalities:
+            sg = c[v].sign()
+            if sg > 0:
+                lowers.append((c, b, s))
+            elif sg < 0:
+                uppers.append((c, b, s))
+            else:
+                passthrough.append((c, b, s))
+        new = passthrough
+        for cl, bl, sl in lowers:
+            for cu, bu, su in uppers:
+                ml, mu = -cu[v], cl[v]
+                coeffs = [ml * a + mu * d for a, d in zip(cl, cu)]
+                coeffs[v] = zero
+                new.append((coeffs, ml * bl + mu * bu, sl or su))
+        inequalities = _dedup(new, zero)
+        eliminated.append((v, lowers, uppers))
+        active.discard(v)
+        for c, b, s in inequalities:
+            if all(x.is_zero() for x in c):
+                bs = b.sign()
+                if bs > 0 or (bs == 0 and s):
+                    return None
+
+    for c, b, s in inequalities:
+        if all(x.is_zero() for x in c):
+            bs = b.sign()
+            if bs > 0 or (bs == 0 and s):
+                return None
+
+    witness = [zero] * num_vars
+    for v, lowers, uppers in reversed(eliminated):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for c, b, s in lowers:
+            val = (b - sum((c[j] * witness[j] for j in range(num_vars)
+                            if j != v), zero)) / c[v]
+            if lo is None or val > lo:
+                lo, lo_strict = val, s
+            elif val == lo:
+                lo_strict = lo_strict or s
+        for c, b, s in uppers:
+            val = (b - sum((c[j] * witness[j] for j in range(num_vars)
+                            if j != v), zero)) / c[v]
+            if hi is None or val < hi:
+                hi, hi_strict = val, s
+            elif val == hi:
+                hi_strict = hi_strict or s
+        if hi is None:
+            witness[v] = lo + one
+        elif lo is None:
+            witness[v] = hi - one
+        else:
+            cmp = (hi - lo).sign()
+            assert cmp > 0 or (cmp == 0 and not (lo_strict or hi_strict))
+            witness[v] = lo if cmp == 0 else (lo + hi) / 2
+    for v, expr, const in reversed(substitutions):
+        witness[v] = const + sum((e * witness[j]
+                                  for j, e in enumerate(expr)
+                                  if not e.is_zero()), zero)
+
+    for coeffs, rhs, rel in constraints:
+        val = sum((c * w for c, w in zip(coeffs, witness)), zero)
+        diff = (val - rhs).sign()
+        assert diff == 0 if rel == "=" else (diff > 0 if rel == ">"
+                                             else diff >= 0)
+    return tuple(witness)
+
+
+ORACLE_FIELDS = {
+    "Q": rational_field,
+    "sqrt2": sqrt2_field,
+    "pentagon": pentagon_field,
+}
+
+
+@st.composite
+def lp_systems(draw):
+    """(field name, num_vars, rows): 0-4 variables and 0-6 rows, each
+    (coefficients, offset, relation) with every scalar a power-basis
+    coefficient tuple of small integers.  A row's right-hand side is
+    <coefficients, anchor> - offset for one anchor point of the system,
+    so equalities (offset 0) are often consistent."""
+    name = draw(st.sampled_from(sorted(ORACLE_FIELDS)))
+    degree = {"Q": 1, "sqrt2": 2, "pentagon": 4}[name]
+    scalar = st.tuples(*[st.integers(-2, 2)] * degree)
+    num_vars = draw(st.integers(0, 4))
+    anchor = draw(st.tuples(*[scalar] * num_vars))
+    rows = draw(st.lists(st.tuples(
+        st.tuples(*[scalar] * num_vars),
+        st.sampled_from([(0,) * degree, (1,) + (0,) * (degree - 1),
+                         (-1,) + (0,) * (degree - 1)]) | scalar,
+        st.sampled_from(["=", "=", ">=", ">"])), max_size=6))
+    return name, num_vars, anchor, rows
+
+
+def lp_system(system, field):
+    _, num_vars, anchor, rows = system
+    x = [field.element(a) for a in anchor]
+    constraints = []
+    for coeffs, offset, rel in rows:
+        coeffs = tuple(field.element(c) for c in coeffs)
+        rhs = sum((c * a for c, a in zip(coeffs, x)), field.zero)
+        constraints.append((coeffs, rhs - field.element(offset), rel))
+    return constraints
+
+
+class TestSubstitutionOracle:
+    """Equalities through the reduced row echelon form give the verdict
+    and witness of sequential substitution, with the same values passed
+    to FieldElement.sign in the same order, and so the same final
+    isolating interval."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lp_systems())
+    @example(("Q", 2, ((1,), (1,)), [(((1,), (1,)), (0,), "="),
+                                     (((1,), (-1,)), (0,), "="),
+                                     (((1,), (0,)), (0,), ">")]))
+    @example(("pentagon", 3, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)),
+              [(((0, 1, 0, 0), (1, 0, 0, 1), (0, 0, 0, 0)), (0,) * 4, "="),
+               (((1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0)), (1, 0, 0, 0),
+                ">"),
+               (((0, 0, 0, 0), (1, 1, 0, 0), (-1, 0, 0, 0)), (0,) * 4,
+                ">=")]))
+    def test_agrees_with_sequential_substitution(self, system):
+        name, num_vars = system[0], system[1]
+        outcomes = []
+        for solve in (strict_lp_feasible, substitution_lp_feasible):
+            field = ORACLE_FIELDS[name]()
+            constraints = lp_system(system, field)
+            asked = []
+            sign = FieldElement.sign
+
+            def logged(self):
+                asked.append((self.num, self.den))
+                return sign(self)
+
+            FieldElement.sign = logged
+            try:
+                witness = solve(constraints, num_vars, field)
+            finally:
+                FieldElement.sign = sign
+            if witness is not None:
+                witness = [(x.num, x.den) for x in witness]
+            outcomes.append((witness, asked, field.interval))
+        assert outcomes[0] == outcomes[1]

@@ -182,11 +182,10 @@ def _cmd_analyze(args):
 
 def _analyze_one(H: HalfspaceRep) -> dict:
     V = vertices_from_halfspaces(H)
-    lattice = face_lattice(H, V)
     counts = {}
-    for _, dim in lattice.faces:
+    for _, dim in face_lattice(H, V).faces:
         counts[str(dim)] = counts.get(str(dim), 0) + 1
-    fan = normal_fan(H, lattice)
+    fan = normal_fan(H)
     preds = fan_predicates(fan)
     return {
         "n": H.dimension,

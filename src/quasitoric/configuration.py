@@ -151,14 +151,13 @@ def config_validate(config: VectorConfiguration,
     m = (defect - 1) // 2 if odd else None
     spanning = mat_rank([list(row) for row in zip(*vectors)]) == n
 
+    maximal = triangulation.maximal()
+    # a subset of independent vectors is independent
     independence = all(
         not s or mat_rank([list(vectors[i]) for i in s]) == len(s)
-        for s in triangulation.simplices)
-    closure = all(
-        tuple(sub) in triangulation.simplices
-        for s in triangulation.simplices
-        for r in range(len(s))
-        for sub in combinations(s, r))
+        for s in maximal)
+    # Triangulation closes its simplices under faces on construction
+    closure = True
     indexed = set(triangulation.indexed())
     ghosts_disjoint = not (config.ghosts & indexed)
 
@@ -166,7 +165,6 @@ def config_validate(config: VectorConfiguration,
     if independence:
         # fan lemma: simplices are simplicial, so their faces are their
         # subsets and compatibility need only hold for maximal pairs
-        maximal = triangulation.maximal()
         if complete_fan_certificate(vectors, maximal, n):
             compatibility = covering = complete = True
         else:

@@ -5,10 +5,11 @@ Cones are stored as sorted tuples of indices into the fan's shared ray
 list.  The normal fan of a certified polytope needs no LP: it is valid
 and complete, and simplicial iff the polytope is simple (Ziegler,
 Lectures on Polytopes, Ch. 7).  normal_fan reads the irredundancy of the
-facets off the polytope's face lattice and marks the fan it builds, and
-the predicates answer for a marked fan by that theorem.  A complete
-simplicial fan needs no LP either: complete_fan_certificate proves it a
-fan from its walls and one point, by linear algebra alone.  On any other
+facets and the cones off the vertex incidences of the polytope's
+certificate and marks the fan it builds, and the predicates answer for a
+marked fan by that theorem.  A complete simplicial fan needs no LP
+either: complete_fan_certificate proves it a fan from its walls and one
+point, by linear algebra alone.  On any other
 fan the predicates reduce to exact LP feasibility, membership of a point
 in a cone and the separation argument for the pairwise-intersection
 axiom, and to the faces of each cone, which polytope.extreme_rays
@@ -36,10 +37,8 @@ from .errors import InternalInvariantError, InvalidFan
 from .linalg import dot, mat_rank, rank_kernel_solve, rref_rows, solve_unique
 from .lp import strict_lp_feasible
 from .polytope import (
-    FaceLattice,
     HalfspaceRep,
     extreme_rays,
-    face_lattice,
     intersection_closure,
     require_irredundant,
     vertices_from_halfspaces,
@@ -296,16 +295,14 @@ def redundant_facets_lp(H: HalfspaceRep):
     return redundant
 
 
-def normal_fan(H: HalfspaceRep,
-               lattice: Optional[FaceLattice] = None) -> Fan:
+def normal_fan(H: HalfspaceRep) -> Fan:
     """Rays are the facet normals with input scaling preserved; cones are
-    spanned by the normals of the facets containing each face.  lattice,
-    when given, is the face lattice of H, already computed by the caller;
-    facet irredundancy is read off it."""
-    if lattice is None:
-        lattice = face_lattice(H, vertices_from_halfspaces(H))
-    require_irredundant(H, lattice)
-    cones = {tuple(sorted(face)) for face, _ in lattice.faces}
+    spanned by the normals of the facets containing each face.  The facet
+    sets of the faces are the intersections of the vertex active sets,
+    and that of the whole polytope, the origin cone, is in every Fan."""
+    require_irredundant(H)
+    faces = intersection_closure(vertices_from_halfspaces(H).active)
+    cones = {tuple(sorted(face)) for face in faces}
     return Fan(H.dimension, H.normals, cones, polytope=H)
 
 

@@ -73,18 +73,21 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     eliminated = []  # (var, lowers, uppers) for back-substitution
     active = set(range(num_vars)).difference(p for p, _ in solved)
     while True:
+        # one sign per (row, active variable), read by the counts and the
+        # split alike
+        signs = [{v: c[v].sign() for v in active} for c, _, _ in inequalities]
         candidates = []
         for v in sorted(active):
-            pos = sum(1 for c, _, _ in inequalities if c[v].sign() > 0)
-            neg = sum(1 for c, _, _ in inequalities if c[v].sign() < 0)
+            pos = sum(1 for row in signs if row[v] > 0)
+            neg = sum(1 for row in signs if row[v] < 0)
             if pos or neg:
-                candidates.append((pos * neg, v, pos, neg))
+                candidates.append((pos * neg, v))
         if not candidates:
             break
-        _, v, _, _ = min(candidates)
+        _, v = min(candidates)
         lowers, uppers, passthrough = [], [], []
-        for c, b, s in inequalities:
-            sg = c[v].sign()
+        for (c, b, s), row in zip(inequalities, signs):
+            sg = row[v]
             if sg > 0:
                 lowers.append((c, b, s))
             elif sg < 0:

@@ -1,10 +1,11 @@
 """Convex polytopes in halfspace and vertex representation, exactly.
 
 A HalfspaceRep is the bounded full-dimensional set
-{mu : <mu, X_j> >= lambda_j}; both properties are proved at construction.
-Boundedness is read off the double-description run that enumerates its
-vertices, which the instance keeps; full dimension is a strict interior
-LP.  Over fields of degree > 1 the LP recession probes run as well.  One
+{mu : <mu, X_j> >= lambda_j}; both properties are proved at construction,
+in every field degree alike.  Boundedness is read off the
+double-description run that enumerates its vertices, which the instance
+keeps; full dimension is a strict interior LP.  The vertex incidences of
+that run decide facet irredundancy and give the normal fan's cones.  One
 exact double-description engine, extreme_rays, serves every dimension:
 the certificate and vertex enumeration are the extreme rays of the
 homogenized cone of a HalfspaceRep, a hull the extreme rays of the cone
@@ -43,9 +44,9 @@ class HalfspaceRep:
     order used by every downstream structure.
 
     Construction proves the set bounded and full-dimensional, raising
-    UnboundedPolytope or DegenerateDimension otherwise, and keeps a point
-    of the interior (interior_point) and the VertexRep that the proof of
-    boundedness enumerates (vertices_from_halfspaces)."""
+    UnboundedPolytope or DegenerateDimension otherwise, and keeps the
+    VertexRep that the proof of boundedness enumerates
+    (vertices_from_halfspaces)."""
 
     def __init__(self, dimension: int, facets: Sequence[tuple]):
         if dimension < 1:
@@ -66,12 +67,10 @@ class HalfspaceRep:
         self.normals = tuple(normals)
         self.offsets = tuple(offsets)
         self.field = normals[0][0].field
-        self.interior_point, self._vertex_rep = \
-            self._check_bounded_full_dimensional()
+        self._vertex_rep = self._check_bounded_full_dimensional()
 
-    def _check_bounded_full_dimensional(self) -> tuple:
-        """Certify H bounded and full-dimensional; return a point of its
-        interior and its VertexRep.
+    def _check_bounded_full_dimensional(self) -> VertexRep:
+        """Certify H bounded and full-dimensional; return its VertexRep.
 
         Boundedness is read off one double-description run on the cone
         C = {(t, x) : <a_j, x> >= b_j t, t >= 0}, pointed when the normals
@@ -80,20 +79,11 @@ class HalfspaceRep:
         sign s), in the order of _recession_probes, on which such a ray r
         has s r_i > 0 is the probe the LP would find feasible, and names
         the direction.  The rays with t = 1 are the vertices (1, v).  Full
-        dimension is the strict interior LP, whose solution is kept as
-        interior_point.
-
-        Normals that do not span R^n leave an unbounded recession
-        subspace, which _recession_probes names.  Over fields of degree
-        > 1 the probes run first as well and the double description must
-        agree with them: their sign decisions narrow the isolating
-        interval of the field, which documents write."""
+        dimension is the strict interior LP.  Normals that do not span
+        R^n leave an unbounded recession subspace, which _recession_probes
+        names."""
         n = self.dimension
         field = self.field
-        lp_first = field.degree > 1
-        if lp_first:
-            _recession_probes(n, self.normals)
-            interior = _interior_lp(n, self.normals, self.offsets)
         rows = [(-b,) + a for a, b in zip(self.normals, self.offsets)]
         rows.append((field.one,) + (field.zero,) * n)
         try:
@@ -104,15 +94,10 @@ class HalfspaceRep:
                 "normals do not span, yet no recession probe is feasible")
         recession = [ray[1:] for ray, _ in rays if ray[0].is_zero()]
         if recession:
-            if lp_first:
-                raise InternalInvariantError(
-                    "double description finds a recession direction that "
-                    "no LP probe found")
             raise _unbounded(*next(
                 (i, s) for i in range(n) for s in (1, -1)
                 if any(r[i].sign() == s for r in recession)))
-        if not lp_first:
-            interior = _interior_lp(n, self.normals, self.offsets)
+        _interior_lp(n, self.normals, self.offsets)
         if any(ray[0] != field.one for ray, _ in rays):
             raise InternalInvariantError("vertex ray off the chart t = 1")
         found = sorted(((ray[1:], active) for ray, active in rays),
@@ -120,8 +105,7 @@ class HalfspaceRep:
         active_sets = tuple(active for _, active in found)
         used = set().union(*active_sets)
         redundant = tuple(j for j in range(len(rows) - 1) if j not in used)
-        return interior, VertexRep(tuple(v for v, _ in found), active_sets,
-                                   redundant)
+        return VertexRep(tuple(v for v, _ in found), active_sets, redundant)
 
     @property
     def facet_count(self) -> int:
@@ -305,20 +289,24 @@ def is_simple(H: HalfspaceRep, V: VertexRep) -> bool:
     return all(len(a) == H.dimension for a in V.active)
 
 
-def redundant_facets(H: HalfspaceRep, lattice: FaceLattice):
-    """Facets whose removal does not change the polytope, read off its
-    face lattice: facet j is irredundant iff some (n-1)-face has facet set
-    exactly {j}.  Halfspaces defining the same facet share its facet set,
-    so each reads redundant, as in fan.redundant_facets_lp."""
-    irredundant = {j for face in lattice.of_dimension(H.dimension - 1)
-                   if len(face) == 1 for j in face}
-    return [j for j in range(H.facet_count) if j not in irredundant]
+def redundant_facets(H: HalfspaceRep):
+    """Facets whose removal does not change the polytope, read off the
+    vertex incidences of its certificate: facet j is irredundant iff some
+    vertex lies on it and the active sets of the vertices on it meet in
+    {j}.  That intersection is the facet set of the face the facet cuts
+    out, so the rule is that some (n-1)-face has facet set exactly {j}.
+    Halfspaces defining the same facet share its facet set, so each reads
+    redundant, as in fan.redundant_facets_lp."""
+    common = [None] * H.facet_count
+    for active in H._vertex_rep.active:
+        for j in active:
+            common[j] = active if common[j] is None else common[j] & active
+    return [j for j, facets in enumerate(common) if facets != {j}]
 
 
-def require_irredundant(H: HalfspaceRep, lattice: FaceLattice) -> None:
-    """Raise RedundantFacet unless every facet of H is irredundant;
-    lattice is the face lattice of H."""
-    bad = redundant_facets(H, lattice)
+def require_irredundant(H: HalfspaceRep) -> None:
+    """Raise RedundantFacet unless every facet of H is irredundant."""
+    bad = redundant_facets(H)
     if bad:
         raise RedundantFacet(f"facets {bad} are redundant; strip them first")
 
@@ -348,15 +336,12 @@ def _recession_probes(n: int, normals) -> None:
                 raise _unbounded(i, s)
 
 
-def _interior_lp(n: int, normals, offsets) -> tuple:
-    """A point with <a_j, x> > b_j for all j, from the strict LP; raises
-    DegenerateDimension when there is none."""
-    interior = strict_lp_feasible(
-        [(normal, offset, ">") for normal, offset in zip(normals, offsets)],
-        n, normals[0][0].field)
-    if interior is None:
+def _interior_lp(n: int, normals, offsets) -> None:
+    """Raise DegenerateDimension unless the strict LP finds a point with
+    <a_j, x> > b_j for all j."""
+    if strict_lp_feasible([(a, b, ">") for a, b in zip(normals, offsets)],
+                          n, normals[0][0].field) is None:
         raise DegenerateDimension("halfspace intersection has empty interior")
-    return interior
 
 
 def _scaled(ray) -> tuple:

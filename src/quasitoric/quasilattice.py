@@ -17,12 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, NotSpanning, ParseError
 from .linalg import hnf, integer_kernel, integer_solve, mat_rank
-from .polytope import (
-    HalfspaceRep,
-    face_lattice,
-    require_irredundant,
-    vertices_from_halfspaces,
-)
+from .polytope import HalfspaceRep, require_irredundant
 
 
 def _integer_rows(vectors):
@@ -169,7 +164,6 @@ def body_rays(body):
     """Facet normals of a polytope or the rays of a fan, in index order;
     raises RedundantFacet for a polytope with a redundant facet."""
     if isinstance(body, HalfspaceRep):
-        require_irredundant(body,
-                            face_lattice(body, vertices_from_halfspaces(body)))
+        require_irredundant(body)
         return body.normals
     return body.rays

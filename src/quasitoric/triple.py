@@ -29,7 +29,6 @@ from .field import FieldElement
 from .linalg import rank_kernel_solve, snf
 from .polytope import (
     HalfspaceRep,
-    face_lattice,
     is_simple,
     require_irredundant,
     vertices_from_halfspaces,
@@ -67,7 +66,7 @@ def triple_validate(triple: FundamentalTriple) -> TripleReport:
     body = triple.body
     if isinstance(body, HalfspaceRep):
         V = vertices_from_halfspaces(body)
-        require_irredundant(body, face_lattice(body, V))
+        require_irredundant(body)
         rays = body.normals
     else:
         rays = body.rays

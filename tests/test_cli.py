@@ -198,17 +198,21 @@ class TestWorkflows:
 
     def test_analyze_rational_polytope_runs_one_lp(self, corpus, capsys,
                                                    monkeypatch):
-        # over Q boundedness is read off the one double-description run
-        # that also enumerates the vertices; the one LP is the interior LP
-        directory = corpus("square")
-        lp_calls = count_calls(monkeypatch, lp.strict_lp_feasible)
-        dd_calls = count_calls(monkeypatch, polytope.extreme_rays)
-        report = run_json(capsys, "analyze",
-                          str(directory / "polytope.json"))
-        assert report["face_counts"] == {"0": 4, "1": 4, "2": 1}
-        assert len(lp_calls) == 1
-        assert [op for _, _, op in lp_calls[0][0]] == [">"] * 4
-        assert len(dd_calls) == 1
+        # boundedness is read off the one double-description run that also
+        # enumerates the vertices, over Q and over the degree-4 field of
+        # the pentagon alike; the one LP is the interior LP
+        for name, facets in (("square", 4), ("pentagon", 5)):
+            directory = corpus(name)
+            with monkeypatch.context() as patch:
+                lp_calls = count_calls(patch, lp.strict_lp_feasible)
+                dd_calls = count_calls(patch, polytope.extreme_rays)
+                report = run_json(capsys, "analyze",
+                                  str(directory / "polytope.json"))
+            assert report["face_counts"] == {"0": facets, "1": facets,
+                                             "2": 1}
+            assert len(lp_calls) == 1
+            assert [op for _, _, op in lp_calls[0][0]] == [">"] * facets
+            assert len(dd_calls) == 1
 
     def test_polytopal_cube_fan_runs_two_lps(self, capsys, tmp_path,
                                              monkeypatch):

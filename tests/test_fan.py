@@ -684,12 +684,20 @@ def polytopes_with_extra_facets(draw):
 @example(halfspaces_from_vertices(SQUARE_PYRAMID))
 @example(halfspaces_from_vertices(OCTAHEDRON))
 def test_certificate_agrees_with_lp(H):
+    # the vertex-incidence rule of redundant_facets and normal_fan against
+    # the LP test and the face lattice: facet j is irredundant iff some
+    # (n-1)-face has facet set {j}, and the cones are the faces' facet sets
     V = vertices_from_halfspaces(H)
     lattice = face_lattice(H, V)
-    redundant = redundant_facets(H, lattice)
+    redundant = redundant_facets(H)
     assert redundant == redundant_facets_lp(H)
+    facets = lattice.of_dimension(H.dimension - 1)
+    assert redundant == [j for j in range(H.facet_count)
+                         if frozenset({j}) not in facets]
     if not redundant:
-        fan = normal_fan(H, lattice)
+        fan = normal_fan(H)
+        assert set(fan.cones) == {tuple(sorted(face))
+                                  for face, _ in lattice.faces}
         preds = fan_predicates(fan)
         assert preds == (True, is_simple(H, V), True)
         assert preds == fan_predicates(unmarked(fan))

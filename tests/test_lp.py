@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quasitoric.corpus import pentagon_field, sqrt2_field
-from quasitoric.errors import VariableBudgetExceeded
+from quasitoric.errors import InternalInvariantError, VariableBudgetExceeded
 from quasitoric.field import FieldElement, RealAlgebraicField, rational_field
+from quasitoric.linalg import dot, rref_rows, sub_multiple
 from quasitoric.lp import _dedup, strict_lp_feasible
 
 Q = rational_field()
@@ -206,18 +207,19 @@ def substitution_lp_feasible(constraints, num_vars, field):
     active = {v for v in range(num_vars)
               if v not in {s[0] for s in substitutions}}
     while True:
+        signs = [{v: c[v].sign() for v in active} for c, _, _ in inequalities]
         candidates = []
         for v in sorted(active):
-            pos = sum(1 for c, _, _ in inequalities if c[v].sign() > 0)
-            neg = sum(1 for c, _, _ in inequalities if c[v].sign() < 0)
+            pos = sum(1 for row in signs if row[v] > 0)
+            neg = sum(1 for row in signs if row[v] < 0)
             if pos or neg:
-                candidates.append((pos * neg, v, pos, neg))
+                candidates.append((pos * neg, v))
         if not candidates:
             break
-        _, v, _, _ = min(candidates)
+        _, v = min(candidates)
         lowers, uppers, passthrough = [], [], []
-        for c, b, s in inequalities:
-            sg = c[v].sign()
+        for (c, b, s), row in zip(inequalities, signs):
+            sg = row[v]
             if sg > 0:
                 lowers.append((c, b, s))
             elif sg < 0:
@@ -285,6 +287,133 @@ def substitution_lp_feasible(constraints, num_vars, field):
     return tuple(witness)
 
 
+def triple_sign_lp_feasible(constraints, num_vars, field):
+    """strict_lp_feasible with the Fourier-Motzkin round that asked the
+    sign of each coefficient c[v] up to three times (the positive count,
+    the negative count and the split): the reference of the sign table."""
+    zero, one = field.zero, field.one
+
+    equalities = []   # rows [a | b]
+    inequalities = []  # (coeffs list, rhs, strict)
+    for coeffs, rhs, rel in constraints:
+        row = list(coeffs)
+        if rel == "=":
+            equalities.append([*row, rhs])
+        else:
+            inequalities.append((row, rhs, rel == ">"))
+
+    # --- equalities: reduced row echelon form of [A | b] ------------------
+    # (pivot, row): x_pivot = row[-1] - <row[:-1], x> over the free
+    # variables; a pivot in the b column is the row 0 = 1
+    solved = [(next(j for j, x in enumerate(row) if not x.is_zero()), row)
+              for row in rref_rows(equalities)]
+    if solved and solved[-1][0] == num_vars:
+        return None
+    substituted = []
+    for c, b, s in inequalities:
+        row = [*c, b]
+        for p, eq in solved:
+            if not row[p].is_zero():
+                row = sub_multiple(row, row[p], eq)
+        substituted.append((row[:-1], row[-1], s))
+
+    # --- Fourier-Motzkin on the remaining inequalities ------------------
+    inequalities = _dedup(substituted, zero)
+    eliminated = []  # (var, lowers, uppers) for back-substitution
+    active = set(range(num_vars)).difference(p for p, _ in solved)
+    while True:
+        candidates = []
+        for v in sorted(active):
+            pos = sum(1 for c, _, _ in inequalities if c[v].sign() > 0)
+            neg = sum(1 for c, _, _ in inequalities if c[v].sign() < 0)
+            if pos or neg:
+                candidates.append((pos * neg, v, pos, neg))
+        if not candidates:
+            break
+        _, v, _, _ = min(candidates)
+        lowers, uppers, passthrough = [], [], []
+        for c, b, s in inequalities:
+            sg = c[v].sign()
+            if sg > 0:
+                lowers.append((c, b, s))
+            elif sg < 0:
+                uppers.append((c, b, s))
+            else:
+                passthrough.append((c, b, s))
+        new = passthrough
+        for cl, bl, sl in lowers:
+            for cu, bu, su in uppers:
+                # (-cu[v]) * lower + cl[v] * upper, variable v cancels
+                ml, mu = -cu[v], cl[v]
+                coeffs = [ml * a + mu * d for a, d in zip(cl, cu)]
+                coeffs[v] = zero
+                new.append((coeffs, ml * bl + mu * bu, sl or su))
+        inequalities = _dedup(new, zero)
+        eliminated.append((v, lowers, uppers))
+        active.discard(v)
+        # quick contradiction scan
+        for c, b, s in inequalities:
+            if all(x.is_zero() for x in c):
+                bs = b.sign()
+                if bs > 0 or (bs == 0 and s):
+                    return None
+
+    for c, b, s in inequalities:
+        if all(x.is_zero() for x in c):
+            bs = b.sign()
+            if bs > 0 or (bs == 0 and s):
+                return None
+
+    # --- back-substitution ----------------------------------------------
+    # variables never eliminated stay zero; witness[v] is still zero when
+    # v's bounds are taken, so the full dot product leaves it out
+    witness = [zero] * num_vars
+    for v, lowers, uppers in reversed(eliminated):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for c, b, s in lowers:
+            val = (b - dot(c, witness)) / c[v]
+            if lo is None or val > lo:
+                lo, lo_strict = val, s
+            elif val == lo:
+                lo_strict = lo_strict or s
+        for c, b, s in uppers:
+            val = (b - dot(c, witness)) / c[v]
+            if hi is None or val < hi:
+                hi, hi_strict = val, s
+            elif val == hi:
+                hi_strict = hi_strict or s
+        if hi is None:
+            witness[v] = lo + one
+        elif lo is None:
+            witness[v] = hi - one
+        else:
+            cmp = (hi - lo).sign()
+            if cmp < 0:
+                raise InternalInvariantError(
+                    "Fourier-Motzkin produced an empty interval")
+            if cmp == 0:
+                if lo_strict or hi_strict:
+                    raise InternalInvariantError(
+                        "Fourier-Motzkin produced an empty open interval")
+                witness[v] = lo
+            else:
+                witness[v] = (lo + hi) / 2
+    # a reduced row is zero on the other pivots, and witness[p] is zero
+    for p, eq in solved:
+        witness[p] = eq[-1] - dot(eq[:-1], witness)
+
+    # --- exact recheck ----------------------------------------------------
+    for coeffs, rhs, rel in constraints:
+        val = dot(coeffs, witness) if num_vars else zero
+        diff = (val - rhs).sign()
+        ok = diff == 0 if rel == "=" else (diff > 0 if rel == ">"
+                                           else diff >= 0)
+        if not ok:
+            raise InternalInvariantError("witness failed the exact recheck")
+    return tuple(witness)
+
+
 ORACLE_FIELDS = {
     "Q": rational_field,
     "sqrt2": sqrt2_field,
@@ -342,24 +471,55 @@ class TestSubstitutionOracle:
                (((0, 0, 0, 0), (1, 1, 0, 0), (-1, 0, 0, 0)), (0,) * 4,
                 ">=")]))
     def test_agrees_with_sequential_substitution(self, system):
-        name, num_vars = system[0], system[1]
-        outcomes = []
-        for solve in (strict_lp_feasible, substitution_lp_feasible):
-            field = ORACLE_FIELDS[name]()
-            constraints = lp_system(system, field)
-            asked = []
-            sign = FieldElement.sign
-
-            def logged(self):
-                asked.append((self.num, self.den))
-                return sign(self)
-
-            FieldElement.sign = logged
-            try:
-                witness = solve(constraints, num_vars, field)
-            finally:
-                FieldElement.sign = sign
-            if witness is not None:
-                witness = [(x.num, x.den) for x in witness]
-            outcomes.append((witness, asked, field.interval))
+        outcomes = [logged_solve(solve, system) for solve in
+                    (strict_lp_feasible, substitution_lp_feasible)]
         assert outcomes[0] == outcomes[1]
+
+
+def logged_solve(solve, system):
+    """(witness as (num, den) pairs or None, the values passed to
+    FieldElement.sign in order, the final isolating interval) of one
+    solve of the system in a fresh field."""
+    name, num_vars = system[0], system[1]
+    field = ORACLE_FIELDS[name]()
+    constraints = lp_system(system, field)
+    asked = []
+    sign = FieldElement.sign
+
+    def logged(self):
+        asked.append((self.num, self.den))
+        return sign(self)
+
+    FieldElement.sign = logged
+    try:
+        witness = solve(constraints, num_vars, field)
+    finally:
+        FieldElement.sign = sign
+    if witness is not None:
+        witness = [(x.num, x.den) for x in witness]
+    return witness, asked, field.interval
+
+
+class TestSignTableOracle:
+    """Fourier-Motzkin rounds that decide the sign of each coefficient
+    once per (row, active variable) give the verdict and witness of the
+    rounds that asked it up to three times, ask the same set of values
+    and so leave the same final isolating interval."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lp_systems())
+    @example(("Q", 3, ((0,), (0,), (0,)),
+              [(((1,), (1,), (0,)), (1,), ">"),
+               (((-1,), (0,), (1,)), (1,), ">="),
+               (((0,), (-1,), (-1,)), (1,), ">")]))
+    @example(("pentagon", 2, ((1, 0, 0, 0), (0, 1, 0, 0)),
+              [(((0, 1, 0, 0), (1, 0, -1, 0)), (1, 0, 0, 0), ">"),
+               (((0, -1, 0, 0), (1, 1, 0, 0)), (1, 0, 0, 0), ">"),
+               (((1, 0, 0, 1), (-1, 0, 0, 0)), (1, 0, 0, 0), ">=")]))
+    def test_agrees_with_triple_sign_loop(self, system):
+        table = logged_solve(strict_lp_feasible, system)
+        triple = logged_solve(triple_sign_lp_feasible, system)
+        assert table[0] == triple[0]
+        assert set(table[1]) == set(triple[1])
+        assert table[2] == triple[2]

@@ -505,6 +505,25 @@ class TestCertificateOracle:
             assert expected is None
             assert vertices_from_halfspaces(H) == pre_certificate_vertices(H)
 
+    def test_lp_first_over_algebraic_fields(self, monkeypatch):
+        # over a field of degree > 1 no LP probe runs first: when the
+        # normals span, the double description alone certifies the
+        # pentagon and names the recession direction the probes would
+        k = pentagon_field()
+        wedge = pentagon_facets(k)[:2]
+        with pytest.raises(UnboundedPolytope) as probed:
+            polytope_module._recession_probes(2, [a for a, _ in wedge])
+
+        def no_probe(*args):
+            raise AssertionError("recession probe ran")
+
+        monkeypatch.setattr(polytope_module, "_recession_probes", no_probe)
+        H = HalfspaceRep(2, pentagon_facets(k))
+        assert len(vertices_from_halfspaces(H).vertices) == 5
+        with pytest.raises(UnboundedPolytope) as certified:
+            HalfspaceRep(2, wedge)
+        assert str(certified.value) == str(probed.value)
+
 
 def scalar_scaled(ray):
     lead = next(x for x in ray if not x.is_zero())

@@ -8,12 +8,13 @@ rather than a verdict on the input, prints one
 `InternalInvariantError: message` line and exits 3.  Indices in reports
 are 1-based, matching the document convention.  When a file argument does
 not exist and QUASITORIC_CORPUS is set, the path is retried below that
-directory.
+directory.  The argument parser is built once per process, on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -52,8 +53,7 @@ CORPUS_ENV = "QUASITORIC_CORPUS"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         report = args.handler(args)
     except ToolkitError as exc:
@@ -66,6 +66,7 @@ def main(argv=None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quasitoric",

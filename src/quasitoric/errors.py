@@ -44,7 +44,8 @@ class NotInvertible(ToolkitError):
 # ---- linear algebra / LP ----
 
 class VariableBudgetExceeded(ToolkitError):
-    """Feasibility instance exceeds the 16-variable desk-scale guard."""
+    """Feasibility instance keeps more than 16 free variables after its
+    equalities are eliminated (the desk-scale guard)."""
 
 
 # ---- polytopes and fans ----

@@ -108,32 +108,27 @@ def chamber_check(gale: GaleDualConfiguration,
     hull of the selected dual points: strict feasibility of convex
     weights w_i > 0 with sum w_i = 1 and sum w_i * Lambda_i = 0."""
     members = chamber if chamber is not None else gale.virtual_chamber
-    m = gale.m
+    field = gale.kernel_rows[0][0].field
+    one, zero = field.one, field.zero
     reports = []
     all_ok = True
+    # one LP per member: an empty member leaves the row 0 = 1, and with
+    # m = 0 only the convex weights remain (the hull of a nonempty set is
+    # {0})
     for sigma in members:
         sigma = tuple(sigma)
         k = len(sigma)
-        if k == 0:
-            ok = False
-        elif m == 0:
-            # dual points live in C^0; the hull of a nonempty set is {0}
-            ok = True
-        else:
-            field = gale.points[sigma[0]][0][0].field
-            one = field.one
-            zero = field.zero
-            constraints = [(tuple(one for _ in sigma), one, "=")]
-            for i in range(m):
-                constraints.append((tuple(gale.points[j][0][i]
-                                          for j in sigma), zero, "="))
-                constraints.append((tuple(gale.points[j][1][i]
-                                          for j in sigma), zero, "="))
-            for idx in range(k):
-                unit = [zero] * k
-                unit[idx] = one
-                constraints.append((tuple(unit), zero, ">"))
-            ok = strict_lp_feasible(constraints, k, field) is not None
+        constraints = [(tuple(one for _ in sigma), one, "=")]
+        for i in range(gale.m):
+            constraints.append((tuple(gale.points[j][0][i]
+                                      for j in sigma), zero, "="))
+            constraints.append((tuple(gale.points[j][1][i]
+                                      for j in sigma), zero, "="))
+        for idx in range(k):
+            unit = [zero] * k
+            unit[idx] = one
+            constraints.append((tuple(unit), zero, ">"))
+        ok = strict_lp_feasible(constraints, k, field) is not None
         reports.append(ChamberMemberReport(sigma, k, ok))
         all_ok = all_ok and ok
     return ChamberReport(tuple(reports), all_ok)

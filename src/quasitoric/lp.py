@@ -2,12 +2,13 @@
 
 Fourier-Motzkin elimination with first-class strict inequalities (Schrijver,
 Theory of Linear and Integer Programming, 12.2).  Sized for fan/polytope
-instances (at most 16 variables).  Equalities are removed first, by one
-reduced row echelon form of [A | b] (linalg.rref_rows): each reduced row
-solves its pivot variable in the free variables, and each inequality is
-rewritten in the free variables alone, so the doubling step only ever
-sees inequalities.  The witness is deterministic: free variables are
-fixed at the midpoint of their final bound interval.
+instances: at most 16 free variables left after the equalities are
+eliminated.  Equalities are removed first, by one reduced row echelon
+form of [A | b] (linalg.rref_rows): each reduced row solves its pivot
+variable in the free variables, and each inequality is rewritten in the
+free variables alone, so the doubling step only ever sees inequalities.
+The witness is deterministic: free variables are fixed at the midpoint
+of their final bound interval.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     an exact witness vector or None.  The returned witness is re-checked
     against every constraint before being handed out.
     """
-    if num_vars > VARIABLE_BUDGET:
-        raise VariableBudgetExceeded(
-            f"{num_vars} variables exceed the budget of {VARIABLE_BUDGET}")
     if field is None:
         if not constraints:
             raise ValueError("cannot infer the field from zero constraints")
@@ -60,6 +58,10 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
               for row in rref_rows(equalities)]
     if solved and solved[-1][0] == num_vars:
         return None
+    free = num_vars - len(solved)
+    if free > VARIABLE_BUDGET:
+        raise VariableBudgetExceeded(
+            f"{free} variables exceed the budget of {VARIABLE_BUDGET}")
     substituted = []
     for c, b, s in inequalities:
         row = [*c, b]

@@ -2,11 +2,12 @@
 configurations.
 
 Every emitted coordinate is the 12-significant-digit decimal of an exact
-value: viewports, scale factors, and anchor points are computed in the
-field (or in Fractions) and only converted to text at the last moment,
-so identical inputs produce byte-identical SVG.  Arrowheads come from a
-single marker definition, which keeps the geometry square-root free.
-The vertical axis is flipped during emission (SVG y grows downward).
+value: scale factors and anchor points are computed in the field, and
+each drawn point is converted to text once (`_xy`, which also flips the
+vertical axis, as SVG y grows downward).  The viewport is sized from
+those texts read back as Fractions, so identical inputs produce
+byte-identical SVG.  Arrowheads come from a single marker definition,
+which keeps the geometry square-root free.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .polytope import HalfspaceRep, vertices_from_halfspaces
 
 SIGNIFICANT_DIGITS = 12
 _Q = rational_field()
+_ORIGIN = ("0", "0")  # coordinate texts of the origin
 
 
 @dataclass(frozen=True)
@@ -68,48 +70,45 @@ def render_svg(target, spec: RenderSpec = RenderSpec()) -> str:
 
 def _render_polytope(H: HalfspaceRep, spec: RenderSpec) -> str:
     V = vertices_from_halfspaces(H)
-    centroid = _centroid(V.vertices)
-    ordered = _order_around(V.vertices, centroid)
-    bounds = spec.viewport or _bounds([_approx_pair(v) for v in ordered])
-    parts = []
-    points = " ".join(_pair_text(v) for v in ordered)
-    parts.append(f'<polygon points="{points}" fill="#dce9f5" '
-                 f'stroke="#1f3a5f" stroke-width="{_w(spec, bounds)}"/>')
+    ordered = _order_around(V.vertices, _centroid(V.vertices))
+    corners = [_xy(v) for v in ordered]
+    bounds = spec.viewport or _bounds(corners)
+    width, size = _sizes(bounds, spec)
+    points = " ".join(f"{x},{y}" for x, y in corners)
+    parts = [f'<polygon points="{points}" fill="#dce9f5" '
+             f'stroke="#1f3a5f" stroke-width="{width}"/>']
     # inward normal arrows anchored at edge midpoints
-    span = _span(bounds)
-    for j, (normal, _) in enumerate(zip(H.normals, H.offsets)):
+    reach = _span(bounds) * Fraction(3, 20)
+    for j, normal in enumerate(H.normals):
         edge = _edge_vertices(V, j)
         if not edge:
             continue
         mid = _centroid(edge)
-        tip = _offset_point(mid, normal, span * Fraction(3, 20))
-        parts.append(_arrow(mid, tip, "#a03030", _w(spec, bounds)))
+        tip = _xy(_offset_point(mid, normal, reach))
+        parts.append(_arrow(_xy(mid), tip, "#a03030", width))
         if spec.labels:
-            parts.append(_label(tip, f"X{j + 1}", span))
+            parts.append(_label(tip, f"X{j + 1}", size))
     return _document(parts, bounds, spec)
 
 
 def _render_fan(fan: Fan, spec: RenderSpec) -> str:
-    radius = Fraction(1)
-    tips = [_offset_point(None, ray, radius) for ray in fan.rays]
-    bounds = spec.viewport or _bounds([_approx_pair(t) for t in tips]
-                                      + [(Fraction(0), Fraction(0))])
+    tips = [_xy(_offset_point(None, ray, Fraction(1))) for ray in fan.rays]
+    bounds = spec.viewport or _bounds(tips + [_ORIGIN])
+    width, size = _sizes(bounds, spec)
     parts = []
     shades = ("#dce9f5", "#f5e9dc", "#e4f5dc", "#f5dcee", "#dcf2f5",
               "#eff5dc")
     maximal = [c for c in fan.maximal_cones() if len(c) >= 2]
     for idx, cone in enumerate(maximal):
-        first, last = cone[0], cone[-1]
+        (x1, y1), (x2, y2) = tips[cone[0]], tips[cone[-1]]
         shade = shades[idx % len(shades)]
         parts.append(
-            f'<path d="M 0 0 L {_pair_text(tips[first])} '
-            f'L {_pair_text(tips[last])} Z" fill="{shade}" '
+            f'<path d="M 0 0 L {x1},{y1} L {x2},{y2} Z" fill="{shade}" '
             f'fill-opacity="0.6" stroke="none"/>')
-    origin = None
     for j, tip in enumerate(tips):
-        parts.append(_arrow(origin, tip, "#1f3a5f", _w(spec, bounds)))
+        parts.append(_arrow(_ORIGIN, tip, "#1f3a5f", width))
         if spec.labels:
-            parts.append(_label(tip, f"r{j + 1}", _span(bounds)))
+            parts.append(_label(tip, f"r{j + 1}", size))
     return _document(parts, bounds, spec)
 
 
@@ -117,18 +116,18 @@ def _render_configuration(config: VectorConfiguration,
                           triangulation: Optional[Triangulation],
                           spec: RenderSpec) -> str:
     scale = _uniform_scale(config.vectors)
-    tips = [tuple(scale * x for x in v) for v in config.vectors]
-    bounds = spec.viewport or _bounds([_approx_pair(t) for t in tips]
-                                      + [(Fraction(0), Fraction(0))])
+    tips = [_xy([scale * x for x in v]) for v in config.vectors]
+    bounds = spec.viewport or _bounds(tips + [_ORIGIN])
+    width, size = _sizes(bounds, spec)
     parts = []
     for j, tip in enumerate(tips):
         ghost = j in config.ghosts
         color = "#8a8a8a" if ghost else "#1f3a5f"
         dash = ' stroke-dasharray="0.05 0.025"' if ghost else ""
-        parts.append(_arrow(None, tip, color, _w(spec, bounds), dash))
+        parts.append(_arrow(_ORIGIN, tip, color, width, dash))
         if spec.labels:
             suffix = "*" if ghost else ""
-            parts.append(_label(tip, f"X{j + 1}{suffix}", _span(bounds)))
+            parts.append(_label(tip, f"X{j + 1}{suffix}", size))
     return _document(parts, bounds, spec)
 
 
@@ -136,30 +135,16 @@ def _render_configuration(config: VectorConfiguration,
 # exact plumbing
 # ---------------------------------------------------------------------------
 
-def _approx(x) -> Fraction:
-    """Rational stand-in used only for viewport sizing."""
-    if isinstance(x, FieldElement):
-        return Fraction(x.decimal(SIGNIFICANT_DIGITS))
-    return Fraction(x)
-
-
-def _approx_pair(v):
-    return (_approx(v[0]), _approx(v[1]))
-
-
 def _coord_text(x) -> str:
     if not isinstance(x, FieldElement):
         x = _Q.element(x)
     return x.decimal(SIGNIFICANT_DIGITS)
 
 
-def _pair_text(v) -> str:
-    # SVG y axis points down: flip the second coordinate
-    return f"{_coord_text(v[0])},{_coord_text(_negate(v[1]))}"
-
-
-def _negate(x):
-    return -x
+def _xy(v) -> tuple:
+    """The two coordinate texts of a planar point, taken once per drawn
+    point; y is negated because the SVG y axis points down."""
+    return _coord_text(v[0]), _coord_text(-v[1])
 
 
 def _centroid(points):
@@ -227,9 +212,11 @@ def _uniform_scale(vectors):
     return field.one / biggest
 
 
-def _bounds(pairs):
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
+def _bounds(points):
+    """Viewport around point texts with a 1/4 relative margin, sized from
+    the texts read back (decimal is odd, so -y is exact)."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [-Fraction(y) for _, y in points]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     margin = max(xmax - xmin, ymax - ymin, Fraction(1)) / 4
@@ -240,23 +227,20 @@ def _span(bounds) -> Fraction:
     return max(bounds[2] - bounds[0], bounds[3] - bounds[1])
 
 
-def _w(spec: RenderSpec, bounds) -> str:
-    return _coord_text(_span(bounds) * spec.stroke_width)
+def _sizes(bounds, spec: RenderSpec) -> tuple:
+    """Stroke width and label font size texts of one document."""
+    span = _span(bounds)
+    return _coord_text(span * spec.stroke_width), _coord_text(span / 18)
 
 
-def _arrow(base, tip, color, width, extra="") -> str:
-    start = _pair_text(base) if base is not None else "0,0"
-    return (f'<line x1="{start.split(",")[0]}" y1="{start.split(",")[1]}" '
-            f'x2="{_pair_text(tip).split(",")[0]}" '
-            f'y2="{_pair_text(tip).split(",")[1]}" stroke="{color}" '
+def _arrow(start, tip, color, width, extra="") -> str:
+    return (f'<line x1="{start[0]}" y1="{start[1]}" '
+            f'x2="{tip[0]}" y2="{tip[1]}" stroke="{color}" '
             f'stroke-width="{width}" marker-end="url(#tip)"{extra}/>')
 
 
-def _label(anchor, text, span: Fraction) -> str:
-    size = _coord_text(span / 18)
-    x = _coord_text(anchor[0])
-    y = _coord_text(_negate(anchor[1]))
-    return (f'<text x="{x}" y="{y}" font-size="{size}" '
+def _label(anchor, text, size) -> str:
+    return (f'<text x="{anchor[0]}" y="{anchor[1]}" font-size="{size}" '
             f'font-family="sans-serif" fill="#222222">{text}</text>')
 
 

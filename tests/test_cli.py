@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quasitoric import lp, polytope
+from quasitoric import cli, lp, polytope
 from quasitoric.cli import main
 from quasitoric.documents import dumps, fan_to_doc
 from quasitoric.fan import normal_fan
@@ -261,6 +262,40 @@ class TestWorkflows:
         assert report["target"] == "polytope"
         assert out.exists()
         assert out.read_text().startswith("<?xml")
+
+
+class TestParserReuse:
+    def test_two_calls_build_one_parser_tree(self, corpus, capsys,
+                                             monkeypatch):
+        directory = corpus("square")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        run_json(capsys, "analyze", str(directory / "polytope.json"))
+        once = len(built)
+        run_json(capsys, "analyze", str(directory / "polytope.json"))
+        assert once > 0 and len(built) == once
+
+    def test_flags_do_not_carry_over(self, corpus, capsys):
+        directory = corpus("square")
+        report = run_json(capsys, "analyze", "--all", str(directory))
+        assert "reports" in report
+        report = run_json(capsys, "analyze", str(directory / "polytope.json"))
+        assert "reports" not in report
+        assert report["facet_count"] == 4
+
+    def test_usage_error_after_success_exits_2(self, corpus, capsys):
+        directory = corpus("square")
+        run_json(capsys, "analyze", str(directory / "polytope.json"))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == 2
 
 
 class TestErrorHandling:

@@ -60,6 +60,15 @@ class TestBasics:
         with pytest.raises(VariableBudgetExceeded):
             strict_lp_feasible([qc([1] * 17, 0, ">")], 17)
 
+    def test_budget_counts_free_variables(self):
+        # 17 convex weights: sum w = 1 leaves 16 free variables
+        cons = [qc([1] * 17, 1, "=")]
+        cons += [qc([int(i == j) for j in range(17)], 0, ">")
+                 for i in range(17)]
+        witness = strict_lp_feasible(cons, 17)
+        assert sum(witness, Q.zero) == Q.one
+        assert all(w > Q.zero for w in witness)
+
     def test_two_dim_polytope_interior(self):
         # interior of the unit square
         cons = [qc([1, 0], 0, ">"), qc([0, 1], 0, ">"),

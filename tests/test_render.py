@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Q
+from quasitoric import documents as docs
 from quasitoric.configuration import Triangulation, VectorConfiguration
 from quasitoric.corpus import (
     kite_configuration_data,
@@ -16,6 +18,7 @@ from quasitoric.corpus import (
 )
 from quasitoric.errors import DimensionTooHigh
 from quasitoric.fan import normal_fan
+from quasitoric.field import FieldElement
 from quasitoric.polytope import HalfspaceRep, halfspaces_from_vertices
 from quasitoric.render import (
     SIGNIFICANT_DIGITS,
@@ -25,6 +28,10 @@ from quasitoric.render import (
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def sha256(svg: str) -> str:
+    return hashlib.sha256(svg.encode("utf-8")).hexdigest()
 
 
 def parse(svg: str):
@@ -69,6 +76,23 @@ class TestPolytopeRender:
         assert 'viewBox="-2.00000000000 -2.00000000000 ' \
                '4.00000000000 4.00000000000"' in svg
 
+    def test_each_point_converted_once(self, monkeypatch):
+        """Every drawn point (5 vertices, 5 edge midpoints, 5 arrow tips)
+        costs two decimals; the stroke width, the label size and the four
+        viewBox numbers are the document's only other conversions."""
+        k = pentagon_field()
+        H = HalfspaceRep(2, pentagon_facets(k))
+        calls = []
+        decimal = FieldElement.decimal
+
+        def counting(self, *args):
+            calls.append(self)
+            return decimal(self, *args)
+
+        monkeypatch.setattr(FieldElement, "decimal", counting)
+        render_svg(H)
+        assert len(calls) <= 2 * 15 + 6
+
 
 class TestFanRender:
     def test_trapezoid_fan_rays(self):
@@ -80,6 +104,16 @@ class TestFanRender:
         # four shaded sectors (plus the marker path in defs)
         paths = root.findall(f"{SVG_NS}path")
         assert len(paths) == 4
+
+    def test_trapezoid_fan_document_bytes(self):
+        """The trapezoid's normal fan, read back from its fan document,
+        renders to pinned bytes."""
+        k = sqrt2_field()
+        fan = normal_fan(HalfspaceRep(2, trapezoid_facets(k, k.alpha)))
+        svg = render_svg(docs.fan_from_doc(docs.fan_to_doc(fan)))
+        assert len(svg) == 1750
+        assert sha256(svg) == ("8e3130ed7a6f8e03f6b604e0a0b73e18"
+                               "ec39c3f901466a9326305184c3c2ea0c")
 
     def test_dimension_guard(self):
         from quasitoric.corpus import twisted_cube_fan_data
@@ -106,6 +140,15 @@ class TestConfigurationRender:
         assert len(dashed) == 1
         labels = [t.text for t in root.findall(f"{SVG_NS}text")]
         assert "X5*" in labels
+
+    def test_kite_bytes(self):
+        k = pentagon_field()
+        vectors, maximal, ghosts = kite_configuration_data(k)
+        config = VectorConfiguration(2, vectors, ghosts)
+        svg = render_svg((config, Triangulation(maximal)))
+        assert len(svg) == 1647
+        assert sha256(svg) == ("3218e39b42ac0f2dfa07537a5555ada2"
+                               "d154c07fe4866502cb0569603daf21cd")
 
 
 class TestDocumentProperties:

@@ -7,9 +7,9 @@ numerators over one positive denominator in lowest terms, so equality is
 equality of that pair and every arithmetic operation is exact.  The
 vector kernels (dot, sub_multiple) run a whole vector operation on the
 integer numerators and reduce each result once, not once per scalar
-operation; the double description keeps its rays as integer numerator
-vectors, each divided by its content (numerator_dot,
-numerator_combination, ray_numerators).  Sign
+operation; the double description and Fourier-Motzkin keep their rays
+and rows as integer numerator vectors, each divided by its content
+(numerator_dot, numerator_difference, ray_numerators).  Sign
 determination refines the isolating interval by bisection until interval
 evaluation of the element excludes zero; Sturm chains make root counting
 (and hence isolation) decidable.  Refinement only shrinks the interval
@@ -220,9 +220,12 @@ class RealAlgebraicField:
     The isolating interval only ever shrinks (refinements are cached on the
     handle); every cached state isolates the same root, so sharing a handle
     across threads stays sound.
+
+    `scale` is the positive denominator of the reduction table (1 over
+    Q): the vector kernels' numerators are scale times the plain values.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_lo_negative", "_scale",
+    __slots__ = ("minpoly", "_lo", "_hi", "_lo_negative", "scale",
                  "_reduce", "_pad")
 
     def __init__(self, minpoly: Iterable[RationalLike],
@@ -256,7 +259,7 @@ class RealAlgebraicField:
         # a midpoint of the same sign (or onto the root, which ends the
         # refinement), so the cached sign stays valid.
         self._lo_negative = _poly_eval(poly, lo) < 0
-        self._scale, self._reduce = _reduction_table(poly)
+        self.scale, self._reduce = _reduction_table(poly)
         # zero numerators after the constant term of a rational element
         self._pad = (0,) * (_deg(poly) - 1)
 
@@ -413,7 +416,7 @@ class FieldElement:
         conv = [0] * (2 * d - 1)
         _accumulate(conv, self.num, b)
         return _reduced(field, _fold(field, conv),
-                        self.den * o.den * field._scale)
+                        self.den * o.den * field.scale)
 
     __rmul__ = __mul__
 
@@ -430,7 +433,7 @@ class FieldElement:
             n = num[0]
             return FieldElement(field, (self.den if n > 0 else -self.den,),
                                 abs(n))
-        scale = field._scale
+        scale = field.scale
         # Column j is scale^j * den * (self * alpha^j): integers, each one
         # alpha times the previous, reduced through x^d = row 0 / scale.
         cols = [list(num)]
@@ -678,7 +681,7 @@ def _fold(field: RealAlgebraicField, conv: Sequence[int]) -> tuple:
     2d - 1: each x^(d+k) folds back through row k of the reduction
     table, whose rows are integers over the denominator scale."""
     d = len(conv) // 2 + 1
-    scale = field._scale
+    scale = field.scale
     out = [c * scale for c in conv[:d]]
     for c, row in zip(conv[d:], field._reduce):
         if c:
@@ -694,15 +697,15 @@ def _fold(field: RealAlgebraicField, conv: Sequence[int]) -> tuple:
 # a whole vector operation on the integer numerators and reduce each
 # result once: linalg's Gauss-Jordan loop eliminates with sub_multiple,
 # and the double description (Fukuda and Prodon, Double description
-# method revisited, 1996) keeps its rays fraction-free, in the spirit of
-# Bareiss (Sylvester's identity and multistep integer-preserving
-# Gaussian elimination, 1968).
+# method revisited, 1996) and lp's Fourier-Motzkin rounds keep their rays
+# and rows fraction-free, in the spirit of Bareiss (Sylvester's identity
+# and multistep integer-preserving Gaussian elimination, 1968).
 #
 # A numerator vector is the flat tuple of the integer numerators of a
 # vector over one implicit positive denominator: coordinate i is
 # nums[i*d:(i+1)*d] in the power basis of a field of degree d.  Positive
 # multiples of a vector share every sign, so the double description
-# keeps its rays in this form.
+# keeps its rays in this form, and Fourier-Motzkin its rows [c | b].
 
 def _members(field: RealAlgebraicField, xs: Sequence) -> Sequence:
     """xs as elements of field, coerced as by the scalar operators."""
@@ -754,15 +757,16 @@ def numerator_dot(field: RealAlgebraicField, u: Sequence[int],
     return _fold(field, conv)
 
 
-def numerator_combination(field: RealAlgebraicField, a: Sequence[int],
-                          u: Sequence[int], b: Sequence[int],
-                          v: Sequence[int]) -> tuple:
-    """ray_numerators of a * u - b * v, for numerators a and b of two
-    field elements over 1 and numerator vectors u and v."""
+def numerator_difference(field: RealAlgebraicField, a: Sequence[int],
+                         u: Sequence[int], b: Sequence[int],
+                         v: Sequence[int]) -> list:
+    """Numerators over 1 of scale * (a * u - b * v), unreduced, for
+    numerators a and b of two field elements over 1, numerator vectors u
+    and v, and scale as in numerator_dot."""
     d = len(a)
     if d == 1:
         a, b = a[0], b[0]
-        return ray_numerators(field, [a * x - b * y for x, y in zip(u, v)])
+        return [a * x - b * y for x, y in zip(u, v)]
     nb = tuple(map(neg, b))
     out = []
     for k in range(0, len(u), d):
@@ -770,7 +774,7 @@ def numerator_combination(field: RealAlgebraicField, a: Sequence[int],
         _accumulate(conv, a, u[k:k + d])
         _accumulate(conv, nb, v[k:k + d])
         out.extend(_fold(field, conv))
-    return ray_numerators(field, out)
+    return out
 
 
 def ray_numerators(field: RealAlgebraicField, nums: Sequence[int]) -> tuple:
@@ -817,7 +821,7 @@ def dot(u: Sequence, v: Sequence) -> FieldElement:
     field = u[0].field
     a, p = _flat(field, u)
     b, q = _flat(field, v)
-    return _reduced(field, numerator_dot(field, a, b), p * q * field._scale)
+    return _reduced(field, numerator_dot(field, a, b), p * q * field.scale)
 
 
 def sub_multiple(xs: Sequence, f: FieldElement, ys: Sequence) -> list:
@@ -841,7 +845,7 @@ def sub_multiple(xs: Sequence, f: FieldElement, ys: Sequence) -> list:
             out.append(_reduced(field, (x.num[0] * q - c * b * p,), p * q))
         return out
     d = len(c)
-    scale = field._scale
+    scale = field.scale
     for x, y in zip(xs, ys):
         if not any(y.num):
             out.append(x)

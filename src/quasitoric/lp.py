@@ -7,15 +7,27 @@ eliminated.  Equalities are removed first, by one reduced row echelon
 form of [A | b] (linalg.rref_rows): each reduced row solves its pivot
 variable in the free variables, and each inequality is rewritten in the
 free variables alone, so the doubling step only ever sees inequalities.
+
+The rounds run on integer numerator rows [c | b] with the kernels of the
+double description, fraction-free in the spirit of Bareiss (1968): a row
+is kept in the form of field.ray_numerators, a positive rational multiple
+of the row scaled to a leading +-1, so each sign is decided on a positive
+rational multiple of that row's value and refines the field's isolating
+interval as far, and over Q no row takes an inverse.  A row whose normal
+vanishes keeps b as the rows scaled to a leading +-1 give it: such rows
+merge by the sign of b - b', which rescaled b would change.
 The witness is deterministic: free variables are fixed at the midpoint
 of their final bound interval.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, VariableBudgetExceeded
+from .field import (FieldElement, from_numerators, numerator_difference,
+                    numerators, ray_numerators)
 from .linalg import dot, rref_rows, sub_multiple
 
 VARIABLE_BUDGET = 16
@@ -62,22 +74,31 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     if free > VARIABLE_BUDGET:
         raise VariableBudgetExceeded(
             f"{free} variables exceed the budget of {VARIABLE_BUDGET}")
-    substituted = []
+    d = field.degree
+    width = num_vars * d
+    rows = []  # (row, g, strict), as _dedup reads them
     for c, b, s in inequalities:
         row = [*c, b]
         for p, eq in solved:
             if not row[p].is_zero():
                 row = sub_multiple(row, row[p], eq)
-        substituted.append((row[:-1], row[-1], s))
+        if any(not x.is_zero() for x in row[:-1]):
+            row = ray_numerators(field, numerators(field, row))
+            rows.append((row, gcd(*row[:width]), s))
+        else:
+            # coerced as numerators coerces the other rows
+            b = field.element(row[-1])
+            rows.append(((0,) * width + b.num, b.den, s))
 
-    # --- Fourier-Motzkin on the remaining inequalities ------------------
-    inequalities = _dedup(substituted, zero)
+    # --- Fourier-Motzkin on integer rows ---------------------------------
+    rows = _dedup(rows, width, field)
     eliminated = []  # (var, lowers, uppers) for back-substitution
     active = set(range(num_vars)).difference(p for p, _ in solved)
     while True:
         # one sign per (row, active variable), read by the counts and the
         # split alike
-        signs = [{v: c[v].sign() for v in active} for c, _, _ in inequalities]
+        signs = [{v: _sign(field, row[v * d:v * d + d]) for v in active}
+                 for row, _, _ in rows]
         candidates = []
         for v in sorted(active):
             pos = sum(1 for row in signs if row[v] > 0)
@@ -87,38 +108,31 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
         if not candidates:
             break
         _, v = min(candidates)
-        lowers, uppers, passthrough = [], [], []
-        for (c, b, s), row in zip(inequalities, signs):
+        lowers, uppers, new = [], [], []
+        for item, row in zip(rows, signs):
             sg = row[v]
-            if sg > 0:
-                lowers.append((c, b, s))
-            elif sg < 0:
-                uppers.append((c, b, s))
-            else:
-                passthrough.append((c, b, s))
-        new = passthrough
-        for cl, bl, sl in lowers:
-            for cu, bu, su in uppers:
-                # (-cu[v]) * lower + cl[v] * upper, variable v cancels
-                ml, mu = -cu[v], cl[v]
-                coeffs = [ml * a + mu * d for a, d in zip(cl, cu)]
-                coeffs[v] = zero
-                new.append((coeffs, ml * bl + mu * bu, sl or su))
-        inequalities = _dedup(new, zero)
+            (lowers if sg > 0 else uppers if sg < 0 else new).append(item)
+        for rl, _, sl in lowers:
+            for ru, _, su in uppers:
+                # c_l[v] * upper - c_u[v] * lower, variable v cancels
+                raw = numerator_difference(field, rl[v * d:v * d + d], ru,
+                                           ru[v * d:v * d + d], rl)
+                if any(raw[:width]):
+                    row = ray_numerators(field, raw)
+                    new.append((row, gcd(*row[:width]), sl or su))
+                else:
+                    # b unnormalised: the combination of the two rows
+                    # scaled to a leading +-1, whose leads are integers
+                    leads = next(filter(None, rl)) * next(filter(None, ru))
+                    new.append((tuple(raw), field.scale * abs(leads),
+                                sl or su))
+        rows = _dedup(new, width, field)
         eliminated.append((v, lowers, uppers))
         active.discard(v)
-        # quick contradiction scan
-        for c, b, s in inequalities:
-            if all(x.is_zero() for x in c):
-                bs = b.sign()
-                if bs > 0 or (bs == 0 and s):
-                    return None
-
-    for c, b, s in inequalities:
-        if all(x.is_zero() for x in c):
-            bs = b.sign()
-            if bs > 0 or (bs == 0 and s):
-                return None
+        if _contradiction(rows, width, field):
+            return None
+    if _contradiction(rows, width, field):
+        return None
 
     # --- back-substitution ----------------------------------------------
     # variables never eliminated stay zero; witness[v] is still zero when
@@ -127,13 +141,15 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     for v, lowers, uppers in reversed(eliminated):
         lo = hi = None
         lo_strict = hi_strict = False
-        for c, b, s in lowers:
+        for row, _, s in lowers:
+            *c, b = from_numerators(field, row)
             val = (b - dot(c, witness)) / c[v]
             if lo is None or val > lo:
                 lo, lo_strict = val, s
             elif val == lo:
                 lo_strict = lo_strict or s
-        for c, b, s in uppers:
+        for row, _, s in uppers:
+            *c, b = from_numerators(field, row)
             val = (b - dot(c, witness)) / c[v]
             if hi is None or val < hi:
                 hi, hi_strict = val, s
@@ -170,24 +186,38 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     return tuple(witness)
 
 
-def _dedup(inequalities, zero):
-    """Canonicalize rows to unit leading-coefficient magnitude and keep
-    only the strongest constraint per normal direction."""
+def _dedup(rows, width, field):
+    """Keep only the strongest row per normal direction.
+
+    A row (r, g, strict) states <c, x> >= b with [c | b] = r / g over
+    the implicit denominator 1, and c content 1 or zero; with c fixed, a
+    larger b is stronger, and a strict row beats an equal one."""
     best = {}
-    order = []
-    for c, b, s in inequalities:
-        lead = next((x for x in c if not x.is_zero()), None)
-        if lead is not None:
-            scale = abs(lead).inverse()
-            c = [scale * x for x in c]
-            b = scale * b
-        key = tuple(c)
-        if key not in best:
-            best[key] = (b, s)
-            order.append(key)
-        else:
-            ob, os = best[key]
-            cmp = (b - ob).sign()
-            if cmp > 0 or (cmp == 0 and s and not os):
-                best[key] = (b, s)
-    return [(list(key), best[key][0], best[key][1]) for key in order]
+    for row, g, s in rows:
+        key = row[:width] if g == 1 else tuple([x // g for x in row[:width]])
+        old = best.get(key)
+        if old is not None:
+            orow, og, os = old
+            # a positive multiple of b - b'
+            cmp = _sign(field, [x * og - y * g for x, y in
+                                zip(row[width:], orow[width:])])
+            if cmp < 0 or (cmp == 0 and (os or not s)):
+                continue
+        best[key] = (row, g, s)
+    return list(best.values())
+
+
+def _contradiction(rows, width, field) -> bool:
+    """Whether a row with a vanished normal states a false 0 >= b or
+    0 > b."""
+    for row, _, s in rows:
+        if not any(row[:width]):
+            bs = _sign(field, row[width:])
+            if bs > 0 or (bs == 0 and s):
+                return True
+    return False
+
+
+def _sign(field, nums) -> int:
+    """Sign of the field element with the given numerators over 1."""
+    return FieldElement(field, tuple(nums), 1).sign()

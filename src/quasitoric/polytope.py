@@ -30,12 +30,12 @@ from .errors import (
 from .field import (
     FieldElement,
     from_numerators,
-    numerator_combination,
+    numerator_difference,
     numerator_dot,
     numerators,
     ray_numerators,
 )
-from .linalg import dot, mat_rank, rref_rows
+from .linalg import dot, rref_rows
 from .lp import strict_lp_feasible
 
 
@@ -204,9 +204,8 @@ def extreme_rays(rows) -> list:
                 if common.bit_count() < dim - 2 or sum(
                         1 for z in zeros if common & z == common) > 2:
                     continue
-                kept.append((numerator_combination(field, v_up, r_down,
-                                                   v_down, r_up),
-                             common | bit))
+                kept.append((ray_numerators(field, numerator_difference(
+                    field, v_up, r_down, v_down, r_up)), common | bit))
         rays = kept
     checked = []
     for ray, mask in rays:
@@ -258,19 +257,23 @@ def halfspaces_from_vertices(points: Sequence[tuple]) -> HalfspaceRep:
 
 
 def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
-    """Faces generated from vertex active sets, closed under intersection;
-    dimension is n minus the rank of the active normals."""
+    """Faces generated from vertex active sets, closed under intersection.
+
+    The face poset of a polytope is graded, so the dimension of a face is
+    the length of the longest chain of faces from a vertex up to it: 0
+    for a set in no other, else one more than the largest dimension of a
+    set that strictly contains it, taken over the sets by decreasing
+    size.  The whole polytope, the empty set, must come out as n."""
     n = H.dimension
     sets = intersection_closure({frozenset(a) for a in V.active})
     sets.add(frozenset())
-    faces = []
-    for s in sets:
-        if not s:
-            dim = n
-        else:
-            dim = n - mat_rank([list(H.normals[j]) for j in sorted(s)])
-        faces.append((s, dim))
-    faces.sort(key=lambda t: (-t[1], sorted(t[0])))
+    dims = {}
+    for s in sorted(sets, key=len, reverse=True):
+        dims[s] = max((dim + 1 for t, dim in dims.items() if s < t),
+                      default=0)
+    if dims[frozenset()] != n:
+        raise InternalInvariantError("longest face chain misses dimension n")
+    faces = sorted(dims.items(), key=lambda t: (-t[1], sorted(t[0])))
     return FaceLattice(n, tuple(faces))
 
 

@@ -41,12 +41,14 @@ from quasitoric.fan import (
     positively_proportional,
     redundant_facets_lp,
 )
-from quasitoric.linalg import dot
+from quasitoric.linalg import dot, mat_rank
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
+    FaceLattice,
     HalfspaceRep,
     face_lattice,
     halfspaces_from_vertices,
+    intersection_closure,
     is_simple,
     redundant_facets,
     vertices_from_halfspaces,
@@ -701,6 +703,31 @@ def test_certificate_agrees_with_lp(H):
         preds = fan_predicates(fan)
         assert preds == (True, is_simple(H, V), True)
         assert preds == fan_predicates(unmarked(fan))
+
+
+def rank_face_lattice(H, V):
+    """face_lattice with the dimension of each face n minus the rank of
+    its active normals: the reference of the grading."""
+    n = H.dimension
+    sets = intersection_closure({frozenset(a) for a in V.active})
+    sets.add(frozenset())
+    faces = [(s, n - mat_rank([list(H.normals[j]) for j in sorted(s)])
+              if s else n) for s in sets]
+    faces.sort(key=lambda t: (-t[1], sorted(t[0])))
+    return FaceLattice(n, tuple(faces))
+
+
+@settings(max_examples=50, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(polytopes_with_extra_facets())
+@example(halfspaces_from_vertices(SQUARE_PYRAMID))
+@example(halfspaces_from_vertices(OCTAHEDRON))
+def test_face_dimensions_from_grading_agree_with_rank(H):
+    # nonsimple vertices and halfspaces that touch or repeat a facet make
+    # active sets larger than n, where rank and set size part ways
+    V = vertices_from_halfspaces(H)
+    assert face_lattice(H, V) == rank_face_lattice(H, V)
 
 
 # ---------------------------------------------------------------------------

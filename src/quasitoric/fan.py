@@ -7,7 +7,11 @@ and complete, and simplicial iff the polytope is simple (Ziegler,
 Lectures on Polytopes, Ch. 7).  normal_fan reads the irredundancy of the
 facets and the cones off the vertex incidences of the polytope's
 certificate and marks the fan it builds, and the predicates answer for a
-marked fan by that theorem.  A complete simplicial fan needs no LP
+marked fan by that theorem.  The bookkeeping needs no pair loop either:
+a marked fan's rays need no repeated-ray check, any other fan's rays
+are grouped by the line they span in one dict pass, maximal cones are
+computed once per fan, and polytopality finds adjacent maximal cones by
+their shared wall.  A complete simplicial fan needs no LP
 either: complete_fan_certificate proves it a fan from its walls and one
 point, by linear algebra alone.  On any other
 fan the predicates reduce to exact LP feasibility, membership of a point
@@ -34,6 +38,7 @@ import itertools
 from typing import NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidFan
+from .field import numerators
 from .linalg import dot, mat_rank, rank_kernel_solve, rref_rows, solve_unique
 from .lp import strict_lp_feasible
 from .polytope import (
@@ -52,7 +57,15 @@ class Fan:
     scaling); the origin cone () is always included.  Face closure and the
     pairwise-intersection axiom are checked by fan_is_valid, not here.
     polytope, set by normal_fan only, is the certified polytope whose
-    normal fan this is.
+    normal fan this is.  Its rays are the irredundant facet normals the
+    certificate has just proved, and two of them are never positive
+    multiples of each other, since one facet's halfspace would then
+    contain the other's; so a marked fan skips the repeated-ray check.
+    Every other fan checks its rays in one keyed pass: rays are grouped
+    by the line they span, keyed in the field of the first ray, which
+    asks no sign and raises MixedFields for a ray of another field; only
+    rays on one line have the sign of their dot product asked, in the
+    order of all pairs.
     """
 
     def __init__(self, dimension: int, rays, cones,
@@ -65,10 +78,16 @@ class Fan:
                 raise InvalidFan("ray length disagrees with dimension")
             if all(x.is_zero() for x in r):
                 raise InvalidFan("zero ray")
-        for i, j in itertools.combinations(range(len(rays)), 2):
-            if positively_proportional(rays[i], rays[j]):
-                raise InvalidFan(
-                    f"rays {i} and {j} are positive multiples of each other")
+        field = rays[0][0].field if rays else None
+        if polytope is None:
+            lines = {}
+            for i, r in enumerate(rays):
+                lines.setdefault(_line_key(field, r), []).append(i)
+            for i, j in sorted(pair for group in lines.values()
+                               for pair in itertools.combinations(group, 2)):
+                if dot(rays[i], rays[j]).sign() > 0:
+                    raise InvalidFan(f"rays {i} and {j} are positive "
+                                     "multiples of each other")
         cone_set = set()
         for cone in cones:
             t = tuple(sorted(cone))
@@ -81,8 +100,9 @@ class Fan:
         self.dimension = dimension
         self.rays = rays
         self.cones = tuple(sorted(cone_set))
-        self.field = rays[0][0].field if rays else None
+        self.field = field
         self.polytope = polytope
+        self._maximal = None
         self._membership_cache = {}
         self._face_cache = {}
         self._rank_cache = {}
@@ -94,16 +114,28 @@ class Fan:
     def face_closure(self) -> "Fan":
         """The fan of these cones and all their faces: a copy of this fan,
         so it keeps the rays this one accepted and shares its caches,
-        which depend on the rays alone."""
+        which depend on the rays alone.  The added faces are index subsets
+        of the cones, so the maximal cones are this fan's too."""
         closed = set().union(*(self.cone_faces(c) for c in self.cones))
         fan = copy.copy(self)
         fan.cones = tuple(sorted(closed))
+        fan._maximal = self.maximal_cones()
         return fan
 
     def maximal_cones(self):
-        """Cones not properly contained (as index sets) in another cone."""
-        return tuple(c for c in self.cones
-                     if not any(set(c) < set(d) for d in self.cones))
+        """Cones not properly contained (as index sets) in another cone,
+        in the order of self.cones, computed once.  A cone properly
+        inside another lies inside a longer maximal cone, so each cone,
+        longest first, is compared only with the maximal cones kept."""
+        if self._maximal is None:
+            kept, maximal = [], set()
+            for cone in sorted(self.cones, key=len, reverse=True):
+                s = frozenset(cone)
+                if not any(s < m for m in kept):
+                    kept.append(s)
+                    maximal.add(cone)
+            self._maximal = tuple(c for c in self.cones if c in maximal)
+        return self._maximal
 
     # -- exact cone geometry ------------------------------------------------
 
@@ -146,6 +178,16 @@ class Fan:
             faces.add(cone)
         self._face_cache[cone] = faces
         return faces
+
+
+def _line_key(field, ray) -> tuple:
+    """The numerator vector of the nonzero ray scaled to a first nonzero
+    coordinate of 1: two rays have one key iff they span one line.  One
+    inverse and no sign."""
+    k = next(i for i, x in enumerate(ray) if not x.is_zero())
+    inv = ray[k].inverse()
+    return numerators(field, (*ray[:k], field.one,
+                              *(x * inv for x in ray[k + 1:])))
 
 
 def positively_proportional(u, v) -> bool:
@@ -226,6 +268,18 @@ def cones_meet_in_common_face(vectors, S1, S2, field, cache=None) -> bool:
     return cones_meet_in_common_face(vectors, F1, F2, field, cache)
 
 
+def _wall_owners(maximal) -> dict:
+    """Each wall of the simplicial cones on the index tuples in maximal,
+    a cone less one ray, mapped to its owners: (position in maximal,
+    apex) for each cone on it, the apex being the ray it adds."""
+    owners = {}
+    for pos, cone in enumerate(maximal):
+        for apex in cone:
+            wall = tuple(i for i in cone if i != apex)
+            owners.setdefault(wall, []).append((pos, apex))
+    return owners
+
+
 def complete_fan_certificate(vectors, maximal, n) -> bool:
     """Whether the simplicial cones on the index tuples in maximal form a
     complete fan in R^n, proved by linear algebra alone.
@@ -251,21 +305,16 @@ def complete_fan_certificate(vectors, maximal, n) -> bool:
     maximal = list(maximal)
     if any(len(cone) != n for cone in maximal):
         return False
-    apexes = {}
-    for cone in maximal:
-        for apex in cone:
-            wall = tuple(i for i in cone if i != apex)
-            apexes.setdefault(wall, []).append(apex)
     zero = vectors[maximal[0][0]][0].field.zero
-    for wall, pair in apexes.items():
-        if len(pair) != 2:
+    for wall, owners in _wall_owners(maximal).items():
+        if len(owners) != 2:
             return False
         # n = 1: the wall () spans {0}, whose normal space is all of R
         rows = [list(vectors[i]) for i in wall] or [[zero] * n]
         kernel = rank_kernel_solve(rows).kernel
         if len(kernel) != 1:
             return False
-        a, b = (dot(kernel[0], vectors[k]).sign() for k in pair)
+        a, b = (dot(kernel[0], vectors[k]).sign() for _, k in owners)
         if a * b != -1:
             return False
     first, *others = maximal
@@ -409,8 +458,13 @@ def is_polytopal(fan: Fan) -> Optional[tuple]:
 
     Feasibility of the wall-crossing strict-convexity system: for adjacent
     maximal cones s, s' and the ray k of s' not in s, the vertex of s must
-    satisfy the k-th constraint strictly.  A found witness is verified by
-    reconstructing the polytope and comparing normal fans."""
+    satisfy the k-th constraint strictly.  Adjacent cones are found by
+    their shared wall, and each wall takes one solve: its row f from s to
+    s' is the one linear relation among the wall's rays and the two
+    apexes, with -1 at k, so the row from s' to s is -f / f[a] for a the
+    apex of s.  The rows are listed in the order of the ordered pairs of
+    maximal cones.  A found witness is verified by reconstructing the
+    polytope and comparing normal fans."""
     preds = fan_predicates(fan)
     if not (preds.valid and preds.complete and preds.simplicial):
         raise InvalidFan(
@@ -421,20 +475,25 @@ def is_polytopal(fan: Fan) -> Optional[tuple]:
     d = fan.ray_count
     field = fan.field
     maximal = [c for c in fan.maximal_cones() if len(c) == n]
-    constraints = []
-    zero = field.zero
-    for sigma, tau in itertools.permutations(maximal, 2):
-        shared = set(sigma) & set(tau)
-        if len(shared) != n - 1:
-            continue
-        (k,) = set(tau) - shared
-        A_t = [[fan.rays[j][i] for j in sigma] for i in range(n)]
-        c = solve_unique(A_t, list(fan.rays[k]))
-        coeffs = [zero] * d
-        for pos, j in enumerate(sigma):
-            coeffs[j] = c[pos]
-        coeffs[k] = coeffs[k] - field.one
-        constraints.append((tuple(coeffs), zero, ">"))
+    zero, minus_one = field.zero, -field.one
+    rows = {}
+    for owners in _wall_owners(maximal).values():
+        for (s, a), (t, k) in itertools.combinations(owners, 2):
+            sigma = maximal[s]
+            A_t = [[fan.rays[j][i] for j in sigma] for i in range(n)]
+            c = solve_unique(A_t, list(fan.rays[k]))
+            f = [zero] * d
+            for pos, j in enumerate(sigma):
+                f[j] = c[pos]
+            f[k] = minus_one
+            g = [zero] * d
+            scale = -f[a].inverse()
+            for j in maximal[t]:
+                g[j] = f[j] * scale
+            g[a] = minus_one
+            rows[s, t] = tuple(f)
+            rows[t, s] = tuple(g)
+    constraints = [(rows[pair], zero, ">") for pair in sorted(rows)]
     witness = strict_lp_feasible(constraints, d, field)
     if witness is None:
         return None
@@ -447,13 +506,19 @@ def is_polytopal(fan: Fan) -> Optional[tuple]:
 
 
 def fans_equivalent(f1: Fan, f2: Fan) -> bool:
-    """Equality up to positive ray scaling and ray reordering."""
+    """Equality up to positive ray scaling and ray reordering.  Each ray
+    of f1 is looked up among the rays of f2 on its line, whose keys are
+    taken in the field of f1, and only those are tested for a positive
+    factor."""
     if f1.dimension != f2.dimension or f1.ray_count != f2.ray_count:
         return False
+    lines = {}
+    for j, s in enumerate(f2.rays):
+        lines.setdefault(_line_key(f1.field, s), []).append(j)
     perm = []
     for r in f1.rays:
-        matches = [j for j, s in enumerate(f2.rays)
-                   if positively_proportional(r, s)]
+        matches = [j for j in lines.get(_line_key(f1.field, r), ())
+                   if positively_proportional(r, f2.rays[j])]
         if len(matches) != 1:
             return False
         perm.append(matches[0])

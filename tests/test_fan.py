@@ -17,6 +17,7 @@ from quasitoric.configuration import (
     config_validate,
 )
 from quasitoric.corpus import (
+    fifth_roots_of_unity,
     pentagon_facets,
     pentagon_field,
     sqrt2_field,
@@ -26,7 +27,12 @@ from quasitoric.corpus import (
     unit_square_facets,
 )
 from quasitoric.documents import dumps, fan_from_doc, fan_to_doc, parse_json
-from quasitoric.errors import InvalidFan, NotFullDimensional, RedundantFacet
+from quasitoric.errors import (
+    InvalidFan,
+    MixedFields,
+    NotFullDimensional,
+    RedundantFacet,
+)
 from quasitoric.fan import (
     Fan,
     complete_fan_certificate,
@@ -41,7 +47,8 @@ from quasitoric.fan import (
     positively_proportional,
     redundant_facets_lp,
 )
-from quasitoric.linalg import dot, mat_rank
+from quasitoric.field import FieldElement, RealAlgebraicField
+from quasitoric.linalg import dot, mat_rank, solve_unique
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
     FaceLattice,
@@ -134,22 +141,80 @@ class TestFanConstruction:
         assert () in fan.cones
 
 
-    def test_twisted_cube_document_checks_each_ray_pair_once(
-            self, monkeypatch):
-        # the face closure of a loaded fan keeps the rays the fan
-        # accepted: C(d, 2) proportionality checks for d rays, not twice
+    def test_twisted_cube_document_keys_each_ray_once(self, monkeypatch):
+        # the rays of the twisted cube are the cube's vertices, so only
+        # its 4 antiparallel pairs share a line and are pair-tested, not
+        # all C(8, 2); the face closure of the loaded fan keeps the rays
+        # the fan accepted: one line key per ray, not two
         doc = parse_json(dumps(fan_to_doc(
             Fan(3, *twisted_cube_fan_data(Q)))))
-        calls = []
-        proportional = fan_module.positively_proportional
-
-        def counting(u, v):
-            calls.append((u, v))
-            return proportional(u, v)
-
-        monkeypatch.setattr(fan_module, "positively_proportional", counting)
+        keys = counting(monkeypatch, "_line_key")
+        dots = counting(monkeypatch, "dot")
         fan = fan_from_doc(doc)
-        assert len(calls) == math.comb(fan.ray_count, 2)
+        assert len(keys) == fan.ray_count
+        assert [(fan.rays.index(u), fan.rays.index(v))
+                for u, v in dots] == [(0, 7), (1, 6), (2, 5), (3, 4)]
+
+    @pytest.mark.parametrize("name, pairs", [("cube-8", 7), ("decagon", 5)])
+    def test_normal_fan_construction_asks_no_sign(self, monkeypatch, name,
+                                                  pairs):
+        # a normal fan's rays are the certified facet normals; the same
+        # rays unmarked ask one dot sign per antiparallel pair
+        H = {"cube-8": lambda: truncated_cube(8),
+             "decagon": decagon}[name]()
+        cones = normal_fan(H).cones
+        asked = []
+        sign = FieldElement.sign
+        monkeypatch.setattr(FieldElement, "sign",
+                            lambda x: asked.append(x) or sign(x))
+        dots = counting(monkeypatch, "dot")
+        fan = Fan(H.dimension, H.normals, cones, polytope=H)
+        assert fan.cones == cones
+        assert asked == [] and dots == []
+        Fan(H.dimension, H.normals, cones)
+        assert len(dots) == len(asked) == pairs
+
+    def test_rays_from_different_fields_rejected(self):
+        k2 = sqrt2_field()
+        k3 = RealAlgebraicField([-3, 0, 1], (1, 2))
+        with pytest.raises(MixedFields):
+            Fan(2, [(k2.alpha, k2.one), (k3.one, k3.alpha)], [(0,), (1,)])
+
+
+def counting(monkeypatch, name):
+    """The argument tuples of every later call of fan_module.<name>."""
+    calls = []
+    function = getattr(fan_module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(fan_module, name, wrapper)
+    return calls
+
+
+def truncated_cube(cuts):
+    """The cube [-4, 4]^3 with its first `cuts` corners cut at depth 5/2:
+    the cuts meet neither each other nor another vertex."""
+    facets = []
+    for i in range(3):
+        for s in (1, -1):
+            normal = [0, 0, 0]
+            normal[i] = s
+            facets.append((qvec(*normal), Q.element(-4)))
+    for corner in list(itertools.product((1, -1), repeat=3))[:cuts]:
+        facets.append((qvec(*(-s for s in corner)),
+                       Q.element(Fraction(5, 2) - 12)))
+    return HalfspaceRep(3, facets)
+
+
+def decagon():
+    """The decagon with normals +-Y_j over the pentagon field."""
+    field = pentagon_field()
+    Y = fifth_roots_of_unity(field)
+    normals = list(Y) + [tuple(-c for c in y) for y in Y]
+    return HalfspaceRep(2, [(n, -field.one) for n in normals])
 
 
 def all_pairs_proportional(u, v):
@@ -792,3 +857,259 @@ def test_complete_fan_certificate_agrees_with_lp_path(fan):
                                 fan.dimension):
         assert expected[0] == (True, True, True)
 
+
+# ---------------------------------------------------------------------------
+# keyed fan bookkeeping against the pairwise loops it replaced
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = (Q, sqrt2_field(), pentagon_field())
+
+
+def pairwise_ray_check(rays):
+    """Fan's repeated-ray check as it was: positively_proportional on
+    every pair of rays, in order."""
+    for i, j in itertools.combinations(range(len(rays)), 2):
+        if positively_proportional(rays[i], rays[j]):
+            raise InvalidFan(
+                f"rays {i} and {j} are positive multiples of each other")
+
+
+def pairwise_fans_equivalent(f1, f2):
+    """fans_equivalent as it was: every ray of f1 against every ray of
+    f2."""
+    if f1.dimension != f2.dimension or f1.ray_count != f2.ray_count:
+        return False
+    perm = []
+    for r in f1.rays:
+        matches = [j for j, s in enumerate(f2.rays)
+                   if positively_proportional(r, s)]
+        if len(matches) != 1:
+            return False
+        perm.append(matches[0])
+    if len(set(perm)) != len(perm):
+        return False
+    mapped = {tuple(sorted(perm[i] for i in cone)) for cone in f1.cones}
+    return mapped == set(f2.cones)
+
+
+def asked_signs(thunk):
+    """thunk's result, or its InvalidFan message, and the set of the
+    irrational values whose sign it asked."""
+    asked = set()
+    sign = FieldElement.sign
+
+    def recording(x):
+        if not x.is_rational():
+            asked.add((x.num, x.den))
+        return sign(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FieldElement, "sign", recording)
+        try:
+            result = thunk()
+        except InvalidFan as error:
+            result = str(error)
+    return result, asked
+
+
+@st.composite
+def ray_lists(draw):
+    """(field, n, rays): a few nonzero rays a + b alpha over Q, Q(sqrt 2)
+    or the pentagon field, plus multiples of them by factors of either
+    sign, 1 among them, inserted anywhere: parallel, antiparallel and
+    repeated rays."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    n = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+
+    def element():
+        return field.element(draw(small)) + draw(small) * field.alpha
+
+    def ray():
+        r = tuple(element() for _ in range(n))
+        assume(not all(x.is_zero() for x in r))
+        return r
+
+    base = [ray() for _ in range(draw(st.integers(1, 4)))]
+    rays = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.sampled_from(base))
+        c = draw(st.sampled_from([field.one, -field.one, None]))
+        if c is None:
+            c = element()
+            assume(not c.is_zero())
+        rays.insert(draw(st.integers(0, len(rays))),
+                    tuple(c * x for x in r))
+    return field, n, rays
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(ray_lists())
+def test_keyed_ray_check_agrees_with_pairwise_loop(case):
+    _, n, rays = case
+    keyed = asked_signs(lambda: Fan(n, rays, ()) and None)
+    assert keyed == asked_signs(lambda: pairwise_ray_check(rays))
+
+
+@st.composite
+def fan_pairs(draw):
+    """Two fans on the rays of ray_lists: the second on the rays of the
+    first, reordered and each scaled by a square, negated or not, and on
+    the cones of the first, maybe with one dropped."""
+    field, n, rays = draw(ray_lists())
+    masks = draw(st.lists(st.integers(1, 2 ** len(rays) - 1), max_size=3))
+    cones = [tuple(i for i in range(len(rays)) if mask >> i & 1)
+             for mask in masks]
+    try:
+        f1 = Fan(n, rays, cones)
+    except InvalidFan:
+        assume(False)
+    perm = draw(st.permutations(range(len(rays))))
+    moved = [None] * len(rays)
+    for i, r in enumerate(rays):
+        c = field.element(draw(st.integers(1, 3))) + draw(
+            st.integers(-1, 1)) * field.alpha
+        c = c * c
+        if draw(st.integers(0, 4)) == 0:
+            c = -c
+        moved[perm[i]] = tuple(c * x for x in r)
+    mapped = [tuple(perm[i] for i in cone) for cone in f1.cones]
+    if mapped and draw(st.booleans()):
+        mapped.pop(draw(st.integers(0, len(mapped) - 1)))
+    try:
+        f2 = Fan(n, moved, mapped)
+    except InvalidFan:
+        assume(False)
+    return f1, f2
+
+
+@settings(max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(fan_pairs())
+def test_keyed_fans_equivalent_agrees_with_pairwise_scan(case):
+    f1, f2 = case
+    keyed = asked_signs(lambda: fans_equivalent(f1, f2))
+    assert keyed == asked_signs(lambda: pairwise_fans_equivalent(f1, f2))
+
+
+def index_set_maximal(cones):
+    """Cones not properly contained (as index sets) in another cone: the
+    definition, over all pairs."""
+    return tuple(c for c in cones
+                 if not any(set(c) < set(d) for d in cones))
+
+
+@st.composite
+def cone_collections(draw):
+    """Random rays in a small box and random index sets on them, not
+    closed under faces."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(-2, 2), min_size=n,
+                      max_size=n).filter(any)
+    raw = draw(st.lists(coords, min_size=1, max_size=6,
+                        unique_by=primitive))
+    masks = draw(st.lists(st.integers(1, 2 ** len(raw) - 1), max_size=8))
+    cones = [tuple(i for i in range(len(raw)) if mask >> i & 1)
+             for mask in masks]
+    return n, [qvec(*r) for r in raw], cones
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cone_collections())
+def test_maximal_cones_agree_with_index_set_definition(case):
+    n, rays, cones = case
+    fan = Fan(n, rays, cones)
+    assert fan.maximal_cones() == index_set_maximal(fan.cones)
+    pointed = [c for c in fan.cones if is_pointed(rays, c)]
+    closed = Fan(n, rays, pointed).face_closure()
+    assert closed.maximal_cones() == index_set_maximal(closed.cones)
+
+
+def wall_crossing_rows(fan):
+    """The wall-crossing constraints as is_polytopal built them before
+    walls were keyed: one solve per ordered pair of adjacent maximal
+    cones."""
+    n, d, field = fan.dimension, fan.ray_count, fan.field
+    maximal = [c for c in fan.maximal_cones() if len(c) == n]
+    constraints = []
+    for sigma, tau in itertools.permutations(maximal, 2):
+        shared = set(sigma) & set(tau)
+        if len(shared) != n - 1:
+            continue
+        (k,) = set(tau) - shared
+        A_t = [[fan.rays[j][i] for j in sigma] for i in range(n)]
+        c = solve_unique(A_t, list(fan.rays[k]))
+        coeffs = [field.zero] * d
+        for pos, j in enumerate(sigma):
+            coeffs[j] = c[pos]
+        coeffs[k] = coeffs[k] - field.one
+        constraints.append((tuple(coeffs), field.zero, ">"))
+    return constraints
+
+
+def polytopal_rows(fan):
+    """The constraints is_polytopal hands to the LP, as (num, den) pairs,
+    and its answer."""
+    calls = []
+
+    def recording(constraints, *args):
+        calls.append(constraints)
+        return strict_lp_feasible(constraints, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fan_module, "strict_lp_feasible", recording)
+        witness = is_polytopal(fan)
+    return as_pairs(calls[0]), witness
+
+
+def as_pairs(constraints):
+    return [(tuple((x.num, x.den) for x in coeffs), (b.num, b.den),
+             relation) for coeffs, b, relation in constraints]
+
+
+@st.composite
+def simple_polytopes(draw):
+    """The hull of random lattice points in the plane, or the polar of
+    that of random points around the origin in space when it is simple."""
+    n = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    points = draw(st.lists(coords, min_size=n + 1, max_size=n + 3,
+                           unique_by=tuple))
+    total = [sum(column) for column in zip(*points)]
+    points = [[len(points) * x - t for x, t in zip(p, total)]
+              for p in points]
+    try:
+        H = halfspaces_from_vertices([qvec(*p) for p in points])
+    except NotFullDimensional:
+        assume(False)
+    if n == 3:
+        assume(all(b.sign() < 0 for b in H.offsets))
+        vertices = vertices_from_halfspaces(H).vertices
+        H = HalfspaceRep(n, [(v, Q.element(-1)) for v in vertices])
+        assume(is_simple(H, vertices_from_halfspaces(H)))
+    return H
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(simple_polytopes())
+@example(truncated_cube(0))
+@example(truncated_cube(4))
+@example(HalfspaceRep(2, pentagon_facets(pentagon_field())))
+def test_wall_keyed_rows_equal_ordered_pair_rows(H):
+    fan = normal_fan(H)
+    rows, witness = polytopal_rows(fan)
+    assert witness is not None
+    assert rows == as_pairs(wall_crossing_rows(fan))
+
+
+def test_twisted_cube_rows_equal_ordered_pair_rows():
+    fan = Fan(3, *twisted_cube_fan_data(Q))
+    rows, witness = polytopal_rows(fan)
+    assert witness is None
+    assert rows == as_pairs(wall_crossing_rows(fan))

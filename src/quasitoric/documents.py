@@ -1,17 +1,23 @@
 """JSON document formats for polytopes, fans, quasilattices, triples, and
 configurations.
 
-Conventions: rationals serialize as integer text or "p/q"; field elements
-as coefficient lists over the power basis; indices (facets, rays,
+Conventions: rationals serialize as integer text or "p/q" (read back
+straight into integers; the reader also accepts any text Fraction
+accepts); field elements as coefficient lists over the power basis,
+written from their integer numerators; indices (facets, rays,
 triangulation entries, ghosts) are 1-based in documents, matching the
 printed notation of the examples, and 0-based in the API.  Triangulation
 and fan documents may list only maximal simplices/cones; loading closes
-them under faces.
+them under faces.  Reports are written by dumps, which gives the bytes of
+json.dumps(doc, indent=2) without the standard library's pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Optional
 
 from .configuration import Triangulation, VectorConfiguration
@@ -21,7 +27,6 @@ from .field import (
     FieldElement,
     RealAlgebraicField,
     format_rational,
-    parse_rational,
 )
 from .polytope import HalfspaceRep
 from .quasilattice import Quasilattice
@@ -41,7 +46,93 @@ def parse_json(text: str) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) + "\\n" for a tree of dicts, lists,
+    tuples, strings, ints, booleans and None; any other value raises
+    TypeError.  Before Python 3.13 indent sends json.dumps to its
+    pure-Python encoder; this writer quotes strings with the C one and
+    joins each list of only strings or only ints in one call."""
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# the text of each item of a list whose items all have this exact class
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the JSON text of value, nested at the indentation that
+    newline ends with."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        kind = value[0].__class__
+        text = _LEAF_TEXT.get(kind)
+        if text is not None:
+            for item in value:
+                if item.__class__ is not kind:
+                    break
+            else:
+                out.append("[" + inner + separator.join(map(text, value))
+                           + newline + "]")
+                return
+        out.append("[" + inner)
+        _write(value[0], inner, out)
+        for item in value[1:]:
+            out.append(separator)
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if key.__class__ is not str:
+                key = _key_text(key)
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_scalar_text(value))
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: int, bool and None keys become
+    their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, int):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _scalar_text(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be an object")
+    return value
 
 
 def _is_int(value) -> bool:
@@ -65,6 +156,8 @@ def field_from_doc(doc) -> RealAlgebraicField:
     if not isinstance(doc, dict) or "minpoly" not in doc \
             or "interval" not in doc:
         raise ParseError("field declaration needs minpoly and interval")
+    if not isinstance(doc["minpoly"], list):
+        raise ParseError("field minpoly must be a list of coefficients")
     interval = doc["interval"]
     if not isinstance(interval, list) or len(interval) != 2:
         raise ParseError("field interval must be a two-element list")
@@ -74,12 +167,24 @@ def field_from_doc(doc) -> RealAlgebraicField:
 # ---- elements and vectors --------------------------------------------------
 
 def element_to_doc(x: FieldElement) -> list:
-    return [format_rational(c) for c in x.coeffs]
+    den = x.den
+    if den == 1:
+        return [str(n) for n in x.num]
+    return [_ratio_text(n, den) for n in x.num]
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """format_rational(Fraction(n, den)) for den > 0, without the
+    Fraction."""
+    g = gcd(n, den)
+    if g == den:
+        return str(n // g)
+    return f"{n // g}/{den // g}"
 
 
 def element_from_doc(field: RealAlgebraicField, doc) -> FieldElement:
     if isinstance(doc, list):
-        return field.element([parse_rational(c) for c in doc])
+        return field.element(doc)
     raise ParseError(f"element must be a coefficient list, got {doc!r}")
 
 
@@ -210,11 +315,11 @@ def triple_from_doc(doc) -> FundamentalTriple:
     if n is not None and not _is_int(n):
         raise ParseError("triple dimension n must be an integer")
     if "polytope" in doc:
-        body_doc = dict(doc["polytope"])
+        body_doc = dict(_object(doc["polytope"], "triple polytope"))
         body_doc.setdefault("n", n)
         body = polytope_from_doc(body_doc, field)
     elif "fan" in doc:
-        body_doc = dict(doc["fan"])
+        body_doc = dict(_object(doc["fan"], "triple fan"))
         body_doc.setdefault("n", n)
         body = fan_from_doc(body_doc, field)
     else:
@@ -261,6 +366,9 @@ def configuration_from_doc(doc):
     tri_doc = doc.get("triangulation")
     triangulation = None
     if tri_doc is not None:
+        if not isinstance(tri_doc, list):
+            raise ParseError("configuration triangulation must be a list "
+                             "of index sets")
         simplices = [_indices_from_doc(s, len(vectors)) for s in tri_doc]
         triangulation = Triangulation(simplices)
     return config, triangulation

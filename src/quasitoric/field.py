@@ -12,11 +12,17 @@ and rows as integer numerator vectors, each divided by its content
 (numerator_dot, numerator_difference, ray_numerators).  Sign
 determination refines the isolating interval by bisection until interval
 evaluation of the element excludes zero; Sturm chains make root counting
-(and hence isolation) decidable.  Refinement only shrinks the interval
-and interval evaluation is inclusion-isotone, so a sign or floor decided
-on one interval is decided on every later one: the interval a handle
-ends with depends on the set of values whose sign or floor was asked,
-not on the order of the questions.
+(and hence isolation) decidable.  Field set-up runs on integers: the
+canonical rational texts -?[0-9]+ and -?[0-9]+/[0-9]+ are read straight
+into (num, den) pairs (other texts go through Fraction), and one Sturm
+chain of the primitive integer multiple of the minimal polynomial, built
+from signed pseudo-remainders, gives the squarefree test, the root count,
+same_field and the sign at every bisection midpoint, each sign at a
+rational p/q from homogenised integer Horner.  Refinement only shrinks
+the interval and interval evaluation is inclusion-isotone, so a sign or
+floor decided on one interval is decided on every later one: the interval
+a handle ends with depends on the set of values whose sign or floor was
+asked, not on the order of the questions.
 """
 
 from __future__ import annotations
@@ -45,19 +51,58 @@ RationalLike = Union[int, Fraction, str]
 # coefficients; impossible over an irreducible modulus).
 _REDUCIBILITY_CHECK_AFTER = 12
 
+_denominator = attrgetter("denominator")
+
 
 def parse_rational(text: RationalLike) -> Fraction:
-    """Parse integer or "p/q" text into a Fraction."""
+    """Parse integer or "p/q" text (or any text Fraction accepts) into a
+    Fraction."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, str):
+    return Fraction(*_rational_pair(text))
+
+
+def _canonical_rational(text: str):
+    """(num, den) of a canonical rational text, -?[0-9]+ or
+    -?[0-9]+/[0-9]+ in ASCII digits, den not reduced; None for any other
+    text.  A zero den raises ZeroDivisionError, and int raises ValueError
+    past its digit limit, as Fraction does."""
+    head, slash, tail = text.partition("/")
+    digits = head[1:] if head[:1] == "-" else head
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    if not slash:
+        return int(head), 1
+    if not (tail.isdigit() and tail.isascii()):
+        return None
+    den = int(tail)
+    if not den:
+        raise ZeroDivisionError(text)
+    return int(head), den
+
+
+def _rational_pair(value) -> tuple[int, int]:
+    """(num, den) with value == num / den and den > 0, not necessarily in
+    lowest terms, for an int, Fraction or rational text.
+
+    Canonical texts are read straight into integers; every other text
+    takes the Fraction(text.strip()) route, so together they accept what
+    Fraction accepts.  Anything else, true and false included, raises
+    ParseError."""
+    if isinstance(value, str):
         try:
-            return Fraction(text.strip())
+            pair = _canonical_rational(value)
+            if pair is None:
+                parsed = Fraction(value.strip())
+                pair = parsed.numerator, parsed.denominator
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational: {text!r}") from exc
-    raise ParseError(f"not a rational: {text!r}")
+            raise ParseError(f"not a rational: {value!r}") from exc
+        return pair
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise ParseError(f"not a rational: {value!r}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -81,50 +126,8 @@ def _deg(p: Sequence[Fraction]) -> int:
     return len(p) - 1
 
 
-def _poly_neg(p):
-    return tuple(-c for c in p)
-
-
-def _poly_divmod(p, q):
-    """Exact division with remainder in Q[x]; q must be nonzero."""
-    q = _trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(_trim(p))
-    quot = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
-    dq = _deg(q)
-    lead = q[-1]
-    while len(rem) - 1 >= dq and rem:
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem = list(_trim(rem))
-    return _trim(quot), _trim(rem)
-
-
-def _poly_gcd(p, q):
-    """Monic gcd in Q[x]."""
-    a, b = _trim(p), _trim(q)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
 def _poly_derivative(p):
     return _trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _interval_eval(nums, den: int, lo: Fraction, hi: Fraction):
@@ -148,28 +151,84 @@ def _interval_eval(nums, den: int, lo: Fraction, hi: Fraction):
     return Fraction(alo, scale), Fraction(ahi, scale)
 
 
-def _sturm_chain(p):
-    chain = [_trim(p), _poly_derivative(p)]
+# Sturm sequences run on primitive integer polynomials: each remainder is
+# a signed pseudo-remainder made primitive, so every member is a positive
+# multiple of the Euclidean member and has its signs (Basu, Pollack and
+# Roy, Algorithms in Real Algebraic Geometry, 2.2 and 8.3), and every
+# sign at a rational p/q comes from the integer q^deg * P(p/q).
+
+def _primitive_polynomial(poly: Sequence[Fraction]) -> tuple[int, ...]:
+    """The positive multiple of the rational polynomial poly (nonzero
+    leading coefficient positive) with integer coefficients of content 1."""
+    den = lcm(*map(_denominator, poly))
+    return _primitive([c.numerator * (den // c.denominator) for c in poly])
+
+
+def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """A positive multiple of -(a mod b), primitive, for integer a and
+    nonzero integer b.
+
+    Each of the k reduction steps multiplies the running remainder by
+    lc = lead(b), so it ends as lc^k * (a mod b); negating it unless
+    lc^k < 0 leaves |lc|^k * -(a mod b)."""
+    lc = b[-1]
+    top = len(b) - 1
+    r = list(a)
+    steps = 0
+    while len(r) > top:
+        t = r[-1]
+        shift = len(r) - 1 - top
+        if lc != 1:
+            r = [lc * c for c in r]
+        for i, c in enumerate(b, shift):
+            r[i] -= t * c
+        r = list(_trim(r))
+        steps += 1
+    if lc > 0 or not steps % 2:
+        r = [-c for c in r]
+    return _primitive(r)
+
+
+def _sturm_sequence(p: Sequence[int], q: Sequence[int]) -> list:
+    """The signed remainder sequence p, q, -(p mod q), ... of integer
+    polynomials, each member primitive, up to its last nonzero member, a
+    greatest common divisor of p and q.  With q = p' it is the Sturm
+    chain of p."""
+    chain = [tuple(p), tuple(q)]
     while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append(_poly_neg(r))
+        chain.append(_negated_remainder(chain[-2], chain[-1]))
     chain.pop()
     return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
+def _value_at(p: Sequence[int], x: Fraction) -> int:
+    """q^deg(p) * p(x) for x = a/q with q > 0: an integer with the sign of
+    p(x), by homogenised Horner."""
+    a, q = x.numerator, x.denominator
+    acc = 0
+    power = 1
+    for c in reversed(p):
+        acc = acc * a + c * power
+        power *= q
+    return acc
+
+
+def _sign_changes(chain, x: Fraction) -> int:
+    changes = 0
+    last = 0
     for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        v = _value_at(p, x)
+        if v:
+            if (v < 0) != (last < 0) and last:
+                changes += 1
+            last = v
+    return changes
 
 
-def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in (lo, hi]."""
-    chain = _sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+def _root_count(chain, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in (lo, hi] of the first member of
+    the Sturm chain."""
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +238,6 @@ def _count_roots(p, lo: Fraction, hi: Fraction) -> int:
 # denominator, so sums, products, inverses and interval evaluation run on
 # integer vectors and reduce the result by one gcd (Cohen, A Course in
 # Computational Algebraic Number Theory, 4.2-4.3).
-
-_denominator = attrgetter("denominator")
-
-
-def _integer_form(coeffs) -> tuple[tuple[int, ...], int]:
-    """(numerators, den) in lowest terms with coeffs[i] == numerators[i] / den.
-
-    With den the lcm of the denominators, the coefficient whose denominator
-    carries the highest power of a prime p gets a numerator prime to p."""
-    den = lcm(*map(_denominator, coeffs))
-    return tuple([c.numerator * (den // c.denominator) for c in coeffs]), den
-
 
 def _reduction_table(poly) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(scale, rows) with rows[k] / scale the power-basis coefficients of
@@ -226,7 +273,7 @@ class RealAlgebraicField:
     """
 
     __slots__ = ("minpoly", "_lo", "_hi", "_lo_negative", "scale",
-                 "_reduce", "_pad")
+                 "_reduce", "_pad", "_sturm")
 
     def __init__(self, minpoly: Iterable[RationalLike],
                  interval: tuple[RationalLike, RationalLike]):
@@ -238,14 +285,18 @@ class RealAlgebraicField:
         lo, hi = (parse_rational(interval[0]), parse_rational(interval[1]))
         if not lo < hi:
             raise ParseError("interval endpoints must satisfy lo < hi")
-        g = _poly_gcd(poly, _poly_derivative(poly))
-        if _deg(g) > 0:
+        # one Sturm chain of the primitive integer multiple p of the minimal
+        # polynomial: its last member is gcd(p, p'), and it counts roots
+        p = _primitive_polynomial(poly)
+        chain = _sturm_sequence(p, _poly_derivative(p))
+        if _deg(chain[-1]) > 0:
             raise NotSquarefree(
-                f"gcd with derivative has degree {_deg(g)}")
-        if _poly_eval(poly, lo) == 0 or _poly_eval(poly, hi) == 0:
+                f"gcd with derivative has degree {_deg(chain[-1])}")
+        at_lo = _value_at(p, lo)
+        if at_lo == 0 or _value_at(p, hi) == 0:
             raise NoRootInInterval(
                 "minimal polynomial vanishes at an interval endpoint")
-        roots = _count_roots(poly, lo, hi)
+        roots = _root_count(chain, lo, hi)
         if roots == 0:
             raise NoRootInInterval("no root of the minimal polynomial in "
                                    f"[{lo}, {hi}]")
@@ -253,12 +304,13 @@ class RealAlgebraicField:
             raise MultipleRootsInInterval(
                 f"{roots} roots of the minimal polynomial in [{lo}, {hi}]")
         self.minpoly = poly
+        self._sturm = chain
         self._lo = lo
         self._hi = hi
         # Sign of the minimal polynomial at lo.  Bisection moves lo only to
         # a midpoint of the same sign (or onto the root, which ends the
         # refinement), so the cached sign stays valid.
-        self._lo_negative = _poly_eval(poly, lo) < 0
+        self._lo_negative = at_lo < 0
         self.scale, self._reduce = _reduction_table(poly)
         # zero numerators after the constant term of a rational element
         self._pad = (0,) * (_deg(poly) - 1)
@@ -290,7 +342,7 @@ class RealAlgebraicField:
             # Disjoint (or touching) cached intervals isolate distinct roots:
             # each interval contains its root strictly inside.
             return False
-        return _count_roots(self.minpoly, lo, hi) == 1
+        return _root_count(self._sturm, lo, hi) == 1
 
     # -- interval refinement --
 
@@ -300,7 +352,7 @@ class RealAlgebraicField:
         if lo == hi:
             return lo, hi
         mid = (lo + hi) / 2
-        vmid = _poly_eval(self.minpoly, mid)
+        vmid = _value_at(self._sturm[0], mid)
         if vmid == 0:
             # The isolated root is the rational midpoint itself.
             self._lo = self._hi = mid
@@ -325,17 +377,19 @@ class RealAlgebraicField:
                 return FieldElement(self, value.num, value.den)
             raise MixedFields("element belongs to a different field")
         if isinstance(value, (int, Fraction, str)):
-            coeffs = [parse_rational(value)]
+            pairs = [_rational_pair(value)]
         else:
-            coeffs = [parse_rational(c) for c in value]
-        if len(coeffs) > self.degree:
-            extra = _trim(coeffs)
-            if len(extra) > self.degree:
+            pairs = [_rational_pair(c) for c in value]
+        d = self.degree
+        if len(pairs) > d:
+            while pairs and not pairs[-1][0]:
+                pairs.pop()
+            if len(pairs) > d:
                 raise ParseError(
-                    f"coefficient list longer than field degree {self.degree}")
-            coeffs = list(extra)
-        num, den = _integer_form(coeffs)
-        return FieldElement(self, num + (0,) * (self.degree - len(num)), den)
+                    f"coefficient list longer than field degree {d}")
+        den = lcm(*[q for _, q in pairs])
+        return _reduced(self, tuple([n * (den // q) for n, q in pairs])
+                        + (0,) * (d - len(pairs)), den)
 
     @property
     def zero(self) -> "FieldElement":
@@ -556,8 +610,9 @@ class FieldElement:
     def _check_not_root(self, lo: Fraction, hi: Fraction) -> None:
         """Raise NotInvertible if the element vanishes at a root of the
         minimal polynomial in [lo, hi]."""
-        g = _poly_gcd(_trim(self.coeffs), self.field.minpoly)
-        if _deg(g) > 0 and _count_roots(g, lo, hi) > 0:
+        g = _sturm_sequence(self.field._sturm[0], _trim(self.num))[-1]
+        if _deg(g) > 0 and _root_count(
+                _sturm_sequence(g, _poly_derivative(g)), lo, hi) > 0:
             raise NotInvertible(
                 "element vanishes at alpha; the declared minimal "
                 "polynomial is reducible")

@@ -10,6 +10,7 @@ import pytest
 
 from quasitoric import cli, lp, polytope
 from quasitoric.cli import main
+from quasitoric.corpus import corpus_entry
 from quasitoric.documents import dumps, fan_to_doc
 from quasitoric.fan import normal_fan
 from quasitoric.field import format_rational, rational_field
@@ -544,6 +545,95 @@ class TestMutatedDocuments:
         self.check(capsys, tmp_path, "augment",
                    [(name, {**doc, "fan": fan, "normals": fan["rays"]})
                     for name, fan in mutations(doc["fan"], "rays", "cones")])
+
+
+def container_paths(doc, path=()):
+    """The key path of every object entry whose value is a list or an
+    object, descending into the first item of each list."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if isinstance(value, (dict, list)):
+                yield path + (key,)
+                yield from container_paths(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from container_paths(doc[0], path + (0,))
+
+
+def replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def fan_triple():
+    fan = copy.deepcopy(corpus_entry("twisted-cube")["fan.json"])
+    return {"field": fan.pop("field"), "n": 3, "fan": fan,
+            "quasilattice": {"generators": [
+                [["1"] if i == j else ["0"] for j in range(3)]
+                for i in range(3)]},
+            "normals": fan["rays"]}
+
+
+# (document kind, its document, the argv that reads it from FILE, and the
+# files the argv reads besides it)
+DOCUMENT_KINDS = [
+    ("polytope", corpus_entry("square")["polytope.json"],
+     ["analyze", "FILE"], {}),
+    ("fan", corpus_entry("twisted-cube")["fan.json"],
+     ["polytopal", "FILE"], {}),
+    ("quasilattice", corpus_entry("square")["quasilattice.json"],
+     ["quasirational", "BODY", "--ql", "FILE"],
+     {"BODY": corpus_entry("square")["polytope.json"]}),
+    ("polytope triple", corpus_entry("square")["triple.json"],
+     ["check-triple", "FILE"], {}),
+    ("fan triple", fan_triple(), ["check-triple", "FILE"], {}),
+    ("configuration", corpus_entry("kite")["configuration.json"],
+     ["validate-config", "FILE"], {}),
+]
+
+
+class TestMalformedContainers:
+    """5, "ab", {} and [] in place of every list or object of every
+    document kind: a value of the wrong type is one ParseError line and
+    exit 1; an empty value of the right type is a verdict or one
+    domain-error line.  Never a traceback."""
+
+    @pytest.mark.parametrize("kind,doc,argv,others", DOCUMENT_KINDS,
+                             ids=[k[0] for k in DOCUMENT_KINDS])
+    def test_every_container_key(self, capsys, tmp_path, kind, doc, argv,
+                                 others):
+        names = {"FILE": tmp_path / "doc.json"}
+        for name, other in others.items():
+            names[name] = tmp_path / f"{name}.json"
+            names[name].write_text(json.dumps(other))
+        argv = [str(names.get(a, a)) for a in argv]
+        paths = list(container_paths(doc))
+        assert paths
+        problems = []
+        for path in paths:
+            original = doc
+            for key in path:
+                original = original[key]
+            for value in (5, "ab", {}, []):
+                names["FILE"].write_text(
+                    json.dumps(replaced(doc, path, value)))
+                case = f"{'.'.join(map(str, path))} = {value!r}"
+                try:
+                    code, out, err = run(capsys, *argv)
+                except Exception as exc:  # escaped cli.main: a bug
+                    problems.append(f"{case}: {type(exc).__name__}: {exc}")
+                    continue
+                lines = err.strip().splitlines()
+                if type(value) is not type(original):
+                    if code != 1 or len(lines) != 1 \
+                            or not lines[0].startswith("ParseError: "):
+                        problems.append(f"{case}: exit {code}: {err!r}")
+                elif code not in (0, 1) or (code == 1 and len(lines) != 1):
+                    problems.append(f"{case}: exit {code}: {err!r}")
+        assert not problems, problems
 
 
 class TestEnvironmentResolution:

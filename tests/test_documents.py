@@ -1,10 +1,18 @@
+import json
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, qvec
 from quasitoric import documents as docs
+from quasitoric.cli import main
 from quasitoric.corpus import ENTRY_NAMES, corpus_entry, pentagon_field
 from quasitoric.errors import ParseError
 from quasitoric.fan import fans_equivalent
+from quasitoric.field import RealAlgebraicField, format_rational
 
 
 class TestFieldDocs:
@@ -166,3 +174,131 @@ class TestExactSchema:
     def test_boolean_rational_rejected(self):
         with pytest.raises(ParseError):
             docs.element_from_doc(Q, [True])
+
+
+class TestMinpolyDeclaration:
+    @pytest.mark.parametrize("minpoly", ["01", {"0": 1, "1": 2}, 5, None])
+    def test_minpoly_must_be_a_list(self, minpoly):
+        with pytest.raises(ParseError, match="minpoly must be a list"):
+            docs.field_from_doc({"minpoly": minpoly,
+                                 "interval": ["-1", "1"]})
+
+    def test_analyze_rejects_a_text_minpoly(self, capsys, tmp_path):
+        doc = {"field": {"minpoly": "01", "interval": ["-1", "1"]},
+               "n": 1,
+               "facets": [{"normal": [["1"]], "offset": ["1"]},
+                          {"normal": [["-1"]], "offset": ["1"]}]}
+        path = tmp_path / "segment.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("ParseError: ")
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the writer against json.dumps(indent=2), and element parsing
+# against the Fraction implementation it replaced
+# ---------------------------------------------------------------------------
+
+json_scalars = (st.none() | st.booleans()
+                | st.integers() | st.integers(-10 ** 80, 10 ** 80)
+                | st.text())
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(json_trees)
+def test_dumps_matches_indented_json_dumps(doc):
+    assert docs.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a", True: [], None: {}, -7: ("x", 2)},
+    {"k": [[], {}, (), [[]], ["é\x00 ", 3, False]]},
+    ["only", "strings"], [1, 2, 3], [True, False], [1, "1", None],
+    "top-level text", 12 ** 40, None])
+def test_dumps_matches_json_dumps_on_edge_cases(doc):
+    assert docs.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": 1.5}, [Fraction(1, 2)], {"s": {1, 2}}, {1.5: "key"},
+    {("t",): 1}])
+def test_dumps_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        docs.dumps(doc)
+
+
+def parent_parse_rational(text):
+    if isinstance(text, Fraction):
+        return text
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, str):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational: {text!r}") from exc
+    raise ParseError(f"not a rational: {text!r}")
+
+
+def parent_element_from_doc(field, doc):
+    """(num, den) of the element, as the Fraction implementation built it."""
+    if not isinstance(doc, list):
+        raise ParseError(f"element must be a coefficient list, got {doc!r}")
+    coeffs = [parent_parse_rational(c) for c in doc]
+    if len(coeffs) > field.degree:
+        extra = list(coeffs)
+        while extra and extra[-1] == 0:
+            extra.pop()
+        if len(extra) > field.degree:
+            raise ParseError(
+                f"coefficient list longer than field degree {field.degree}")
+        coeffs = extra
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+    return num + (0,) * (field.degree - len(num)), den
+
+
+ELEMENT_FIELDS = (Q, RealAlgebraicField(["-2", "0", "1"], ("1", "2")),
+                  pentagon_field())
+
+coefficients = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-40, 40),
+              st.integers(0, 40)),
+    st.integers(-10 ** 30, 10 ** 30), st.booleans(),
+    st.sampled_from(["0", "-0", "00", "0/7", "+3", " 3/4 ", "1.5", "1e3",
+                     "1_000", "٣", "3/-4", "/", "", None, 1.5, [], ["1"]]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.sampled_from(ELEMENT_FIELDS),
+       st.lists(coefficients, max_size=6) | coefficients)
+def test_element_from_doc_matches_the_fraction_route(field, doc):
+    try:
+        x = docs.element_from_doc(field, doc)
+        new = x.num, x.den
+    except ParseError as exc:
+        new = ParseError, str(exc)
+    try:
+        ref = parent_element_from_doc(field, doc)
+    except ParseError as exc:
+        ref = ParseError, str(exc)
+    assert new == ref
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(ELEMENT_FIELDS), st.data())
+def test_element_to_doc_matches_format_rational(field, data):
+    coeffs = data.draw(st.lists(st.fractions(max_denominator=10 ** 6),
+                                min_size=field.degree,
+                                max_size=field.degree))
+    x = field.element(coeffs)
+    assert docs.element_to_doc(x) == [format_rational(c) for c in coeffs]

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import scalar_dot
@@ -15,6 +15,7 @@ from quasitoric.errors import (
     NoRootInInterval,
     NotInvertible,
     NotSquarefree,
+    ParseError,
 )
 from quasitoric.field import (
     FieldElement,
@@ -483,3 +484,308 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
     assert parse_rational(5) == Fraction(5)
+
+
+def test_parse_rational_rejects_past_the_digit_limit():
+    for text in ("1" * 5000, "1/" + "1" * 5000):
+        with pytest.raises(ParseError, match="^not a rational: '1"):
+            parse_rational(text)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the Fraction implementation that integer parsing and the integer
+# Sturm chains replaced, kept verbatim as the reference
+# ---------------------------------------------------------------------------
+
+def ref_parse_rational(text):
+    if isinstance(text, Fraction):
+        return text
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, str):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational: {text!r}") from exc
+    raise ParseError(f"not a rational: {text!r}")
+
+
+def ref_trim(p):
+    i = len(p)
+    while i > 0 and p[i - 1] == 0:
+        i -= 1
+    return tuple(p[:i])
+
+
+def ref_divmod(p, q):
+    q = ref_trim(q)
+    rem = list(ref_trim(p))
+    quot = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
+    dq = len(q) - 1
+    lead = q[-1]
+    while len(rem) - 1 >= dq and rem:
+        shift = len(rem) - 1 - dq
+        factor = rem[-1] / lead
+        quot[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        rem = list(ref_trim(rem))
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_gcd(p, q):
+    a, b = ref_trim(p), ref_trim(q)
+    while b:
+        _, r = ref_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = tuple(c / lead for c in a)
+    return a
+
+
+def ref_derivative(p):
+    return ref_trim([i * c for i, c in enumerate(p)][1:])
+
+
+def ref_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def ref_count_roots(p, lo, hi):
+    chain = [ref_trim(p), ref_derivative(p)]
+    while chain[-1]:
+        _, r = ref_divmod(chain[-2], chain[-1])
+        chain.append(tuple(-c for c in r))
+    chain.pop()
+
+    def variations(x):
+        signs = [1 if v > 0 else -1
+                 for v in (ref_eval(p, x) for p in chain) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return variations(lo) - variations(hi)
+
+
+def ref_reduction_table(poly):
+    d = len(poly) - 1
+    rows = []
+    row = tuple(-c for c in poly[:-1])
+    for _ in range(d - 1):
+        rows.append(row)
+        top = row[-1]
+        row = (top * rows[0][0],) + tuple(
+            c + top * r for c, r in zip(row[:-1], rows[0][1:]))
+    scale = lcm(*[c.denominator for row in rows for c in row])
+    return scale, tuple(tuple(int(c * scale) for c in row) for row in rows)
+
+
+class ReferenceField:
+    """RealAlgebraicField's set-up, refinement, same_field and root test
+    on Fraction polynomials."""
+
+    def __init__(self, minpoly, interval):
+        poly = ref_trim([ref_parse_rational(c) for c in minpoly])
+        if len(poly) - 1 < 1:
+            raise ParseError("minimal polynomial must have degree >= 1")
+        if poly[-1] != 1:
+            raise ParseError("minimal polynomial must be monic")
+        lo, hi = (ref_parse_rational(interval[0]),
+                  ref_parse_rational(interval[1]))
+        if not lo < hi:
+            raise ParseError("interval endpoints must satisfy lo < hi")
+        g = ref_gcd(poly, ref_derivative(poly))
+        if len(g) - 1 > 0:
+            raise NotSquarefree(
+                f"gcd with derivative has degree {len(g) - 1}")
+        if ref_eval(poly, lo) == 0 or ref_eval(poly, hi) == 0:
+            raise NoRootInInterval(
+                "minimal polynomial vanishes at an interval endpoint")
+        roots = ref_count_roots(poly, lo, hi)
+        if roots == 0:
+            raise NoRootInInterval("no root of the minimal polynomial in "
+                                   f"[{lo}, {hi}]")
+        if roots > 1:
+            raise MultipleRootsInInterval(
+                f"{roots} roots of the minimal polynomial in [{lo}, {hi}]")
+        self.minpoly = poly
+        self._lo, self._hi = lo, hi
+        self._lo_negative = ref_eval(poly, lo) < 0
+        self.scale, self._reduce = ref_reduction_table(poly)
+
+    def refine(self):
+        lo, hi = self._lo, self._hi
+        if lo == hi:
+            return lo, hi
+        mid = (lo + hi) / 2
+        vmid = ref_eval(self.minpoly, mid)
+        if vmid == 0:
+            self._lo = self._hi = mid
+        elif self._lo_negative != (vmid < 0):
+            self._hi = mid
+        else:
+            self._lo = mid
+        return self._lo, self._hi
+
+    def same_field(self, other):
+        if self.minpoly != other.minpoly:
+            return False
+        lo = max(self._lo, other._lo)
+        hi = min(self._hi, other._hi)
+        if lo >= hi:
+            return False
+        return ref_count_roots(self.minpoly, lo, hi) == 1
+
+    def vanishes(self, coeffs, lo, hi):
+        g = ref_gcd(ref_trim(coeffs), self.minpoly)
+        return len(g) - 1 > 0 and ref_count_roots(g, lo, hi) > 0
+
+
+def outcome(make, *args):
+    """make(*args), or the class and message of the exception it raised."""
+    try:
+        return make(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+CANONICAL_TEXTS = st.builds(
+    lambda sign, num, slash, den: sign + num + (slash + den if slash else ""),
+    st.sampled_from(["", "-", "+"]),
+    st.from_regex(r"\A[0-9]{0,4}\Z") | st.integers(0, 10 ** 40).map(str),
+    st.sampled_from(["", "/"]),
+    st.from_regex(r"\A[0-9]{0,3}\Z") | st.integers(0, 10 ** 30).map(str))
+
+ODD_TEXTS = st.sampled_from([
+    "+3", " 3/4 ", "1.5", "1e3", "1_000", "٣", "3/-4", "/", "", "-0",
+    "00", "-007/010", "5/0", "0/0", "-", "3/", "/4", "1/2/3", "²",
+    "--1", "- 1", "1 /2", "\t-2\n", ".5", "1E-2", "-0/5", "inf", "nan"])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(
+    CANONICAL_TEXTS, ODD_TEXTS,
+    st.text(alphabet="0123456789-+/ ._e٣²", max_size=10)))
+def test_parse_rational_matches_the_fraction_route(text):
+    new = outcome(parse_rational, text)
+    assert new == outcome(ref_parse_rational, text)
+    if not isinstance(new, tuple):
+        assert type(new) is Fraction
+
+
+def polynomial_product(factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+small_factors = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(
+    lambda f: f[-1] != 0)
+
+
+def same_set_up(minpoly, interval):
+    """Set up the field and its reference, require the same error or the
+    same state over 20 refinements, and return both (None, None after an
+    error)."""
+    k = outcome(RealAlgebraicField, minpoly, interval)
+    ref = outcome(ReferenceField, minpoly, interval)
+    if isinstance(ref, tuple):
+        assert k == ref
+        return None, None
+    assert isinstance(k, RealAlgebraicField)
+    assert (k.minpoly, k.scale, k._reduce, k._lo_negative, k.interval) == (
+        ref.minpoly, ref.scale, ref._reduce, ref._lo_negative,
+        (ref._lo, ref._hi))
+    assert all(type(c) is Fraction for c in k.minpoly)
+    for _ in range(20):
+        assert k.refine() == ref.refine()
+    return k, ref
+
+
+@pytest.mark.parametrize("minpoly,interval", [
+    (["0", "1", "0", "1"], ("-6", "1")),       # x^3 + x, one root
+    (["0", "7", "0", "0", "1"], ("-6", "1")),  # x^4 + 7x, two roots
+    (["0", "7", "0", "0", "1"], ("-6", "-1")),
+    (["-2", "0", "0", "1"], ("1", "2")),       # a chain x^3 - 2, 3x^2, 2
+])
+def test_sparse_sturm_chains_match_the_fraction_reference(minpoly,
+                                                          interval):
+    # a degree gap in the chain makes a pseudo-remainder's sign matter
+    same_set_up(minpoly, interval)
+
+
+GRID = [Fraction(i, 4) for i in range(-24, 25)]
+
+
+@st.composite
+def field_declarations(draw):
+    """(minpoly, interval, factors): a polynomial of degree 1 to 5 with
+    integer or rational coefficients (a product of small factors, one
+    possibly repeated, or a random polynomial, often sparse: gaps in the
+    degrees of a Sturm chain are what make the sign of a pseudo-remainder
+    matter), and an interval that is
+    mostly quarter steps around a sign change, else random."""
+    if draw(st.booleans()):
+        factors = draw(st.lists(small_factors, min_size=1, max_size=3))
+        if draw(st.integers(0, 3)) == 3:
+            factors.append(factors[0])  # not squarefree
+        poly = polynomial_product(factors)
+    else:
+        factors = []
+        poly = draw(st.lists(st.just(0) | st.integers(-30, 30),
+                             min_size=2, max_size=6))
+    poly = [Fraction(c) for c in ref_trim(poly)]
+    assume(2 <= len(poly) <= 6)
+    if draw(st.integers(0, 5)) < 5:
+        poly = [c / poly[-1] for c in poly]  # monic
+    minpoly = [draw(st.sampled_from([str(c), c])) for c in poly]
+    cells = [i for i in range(len(GRID) - 1)
+             if ref_eval(poly, GRID[i]) * ref_eval(poly, GRID[i + 1]) <= 0]
+    if cells and draw(st.integers(0, 4)) < 4:
+        i = draw(st.sampled_from(cells))
+        lo = GRID[max(0, i - draw(st.integers(0, 24)))]
+        hi = GRID[min(len(GRID) - 1, i + 1 + draw(st.integers(0, 24)))]
+    else:
+        ends = st.fractions(-6, 6, max_denominator=8)
+        lo, hi = draw(ends), draw(ends)
+    return minpoly, (str(lo), str(hi)), factors
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(field_declarations(), st.data())
+def test_field_setup_matches_the_fraction_reference(declaration, data):
+    minpoly, interval, factors = declaration
+    k, ref = same_set_up(minpoly, interval)
+    if ref is None:
+        return
+    # a second declaration of the same polynomial: same root or not
+    other = data.draw(field_declarations().map(lambda d: d[1]))
+    k2 = outcome(RealAlgebraicField, minpoly, other)
+    ref2 = outcome(ReferenceField, minpoly, other)
+    assert isinstance(k2, tuple) == isinstance(ref2, tuple)
+    if not isinstance(k2, tuple):
+        assert k.same_field(k2) == ref.same_field(ref2)
+    # the reducibility test on a factor of the polynomial or a random
+    # element, over the refined interval
+    d = k.degree
+    candidates = [f for f in factors if 1 <= len(f) - 1 < d]
+    coeffs = data.draw(st.one_of(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        *[st.just(f) for f in candidates]))
+    x = k.element([Fraction(c) for c in coeffs])
+    if x.is_rational():
+        return
+    lo, hi = k.interval
+    try:
+        x._check_not_root(lo, hi)
+        vanishes = False
+    except NotInvertible:
+        vanishes = True
+    assert vanishes == ref.vanishes([Fraction(c) for c in coeffs], lo, hi)

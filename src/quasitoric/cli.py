@@ -237,6 +237,9 @@ def _cmd_quasirational(args):
         raise ParseError("quasirational needs a polytope or fan document")
     rays = body_rays(body)
     ql = docs.quasilattice_from_doc(ql_doc, body_field)
+    if body.dimension != ql.dimension:
+        raise ParseError(f"dimensions differ: body {body.dimension}, "
+                         f"quasilattice {ql.dimension}")
     ray_reports = []
     overall = True
     for j, ray in enumerate(rays):
@@ -375,9 +378,13 @@ def _cmd_render(args):
         if len(parts) != 4:
             raise ParseError("viewport needs four comma-separated bounds")
         viewport = tuple(Fraction(parse_rational(p)) for p in parts)
+        if viewport[0] >= viewport[2] or viewport[1] >= viewport[3]:
+            raise ParseError("viewport needs XMIN < XMAX and YMIN < YMAX")
+    stroke_width = Fraction(parse_rational(args.stroke_width))
+    if stroke_width < 0:
+        raise ParseError("stroke width must not be negative")
     spec = RenderSpec(viewport=viewport, labels=not args.no_labels,
-                      stroke_width=Fraction(
-                          parse_rational(args.stroke_width)))
+                      stroke_width=stroke_width)
     svg = render_svg(target, spec)
     out = Path(args.out)
     out.write_text(svg, encoding="utf-8")

@@ -17,7 +17,8 @@ point, by linear algebra alone.  On any other
 fan the predicates reduce to exact LP feasibility, membership of a point
 in a cone and the separation argument for the pairwise-intersection
 axiom, and to the faces of each cone, which polytope.extreme_rays
-enumerates in any dimension.  Completeness
+enumerates in any dimension from the dual cone, whose lines it splits
+off when the cone is not full-dimensional.  Completeness
 of a valid fan is one wall-pairing test in every dimension: each maximal
 cone is full-dimensional and each of its walls lies in exactly two
 maximal cones.  Every cone here is assumed pointed, which holds for all
@@ -39,7 +40,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidFan
 from .field import numerators
-from .linalg import dot, mat_rank, rank_kernel_solve, rref_rows, solve_unique
+from .linalg import dot, mat_rank, rank_kernel_solve, solve_unique
 from .lp import strict_lp_feasible
 from .polytope import (
     HalfspaceRep,
@@ -152,9 +153,10 @@ class Fan:
 
         Simplicial cones: every index subset.  Otherwise the cone itself
         and every intersection of its facets, each facet the set of rays
-        on it: the zero sets of the extreme rays of the dual cone, taken
-        in coordinates of the span of the rays (the pivot coordinates of
-        their reduced echelon form), where the dual is pointed."""
+        on it: the zero sets of the extreme rays of the dual cone
+        {y : <r, y> >= 0 for every ray r}, whose lines span the
+        orthogonal complement of the rays' span when the cone is not
+        full-dimensional."""
         cone = tuple(sorted(cone))
         if cone in self._face_cache:
             return self._face_cache[cone]
@@ -167,12 +169,8 @@ class Fan:
             for face in faces:
                 self._rank_cache[face] = len(face)
         else:
-            rays = [self.rays[i] for i in cone]
-            span = [next(k for k, x in enumerate(row) if not x.is_zero())
-                    for row in rref_rows(rays)]
-            facets = {frozenset(cone[p] for p in zero) for _, zero in
-                      extreme_rays([tuple(r[k] for k in span)
-                                    for r in rays])}
+            rays, _ = extreme_rays([self.rays[i] for i in cone])
+            facets = {frozenset(cone[p] for p in zero) for _, zero in rays}
             faces = {tuple(sorted(face))
                      for face in intersection_closure(facets)}
             faces.add(cone)

@@ -4,10 +4,11 @@ A HalfspaceRep is the bounded full-dimensional set
 {mu : <mu, X_j> >= lambda_j}; both properties are proved at construction,
 in every field degree alike.  Boundedness is read off the
 double-description run that enumerates its vertices, which the instance
-keeps; full dimension is a strict interior LP.  The vertex incidences of
-that run decide facet irredundancy and give the normal fan's cones.  One
-exact double-description engine, extreme_rays, serves every dimension:
-the certificate and vertex enumeration are the extreme rays of the
+keeps; full dimension is a strict interior LP, the module's only LP.  The
+vertex incidences of that run decide facet irredundancy and give the
+normal fan's cones.  One exact double-description engine, extreme_rays,
+serves every dimension, pointed cones and cones with lines alike: the
+certificate and vertex enumeration are the extreme rays of the
 homogenized cone of a HalfspaceRep, a hull the extreme rays of the cone
 of inequalities valid on a point set, and fan.Fan.cone_faces reads the
 facets of a cone off the extreme rays of its dual.
@@ -73,30 +74,25 @@ class HalfspaceRep:
         """Certify H bounded and full-dimensional; return its VertexRep.
 
         Boundedness is read off one double-description run on the cone
-        C = {(t, x) : <a_j, x> >= b_j t, t >= 0}, pointed when the normals
-        span R^n.  Its extreme rays with t = 0 span the recession cone of
-        H, so H is bounded iff there is none; the first (coordinate i,
-        sign s), in the order of _recession_probes, on which such a ray r
-        has s r_i > 0 is the probe the LP would find feasible, and names
-        the direction.  The rays with t = 1 are the vertices (1, v).  Full
-        dimension is the strict interior LP.  Normals that do not span
-        R^n leave an unbounded recession subspace, which _recession_probes
-        names."""
+        C = {(t, x) : <a_j, x> >= b_j t, t >= 0}.  Its lines (0, z), z in
+        the kernel of the normals, and its extreme rays with t = 0 span
+        the recession cone of H, so H is bounded iff there are neither.
+        The direction named is the first (coordinate i, sign s) for which
+        some z in the recession cone has s z_i > 0: (i, 1) if a line has
+        z_i != 0, else (i, s) if a recession ray has s z_i > 0.  The rays
+        with t = 1 are the vertices (1, v).  Full dimension is the strict
+        interior LP."""
         n = self.dimension
         field = self.field
         rows = [(-b,) + a for a, b in zip(self.normals, self.offsets)]
         rows.append((field.one,) + (field.zero,) * n)
-        try:
-            rays = extreme_rays(rows)
-        except NotFullDimensional:
-            _recession_probes(n, self.normals)
-            raise InternalInvariantError(
-                "normals do not span, yet no recession probe is feasible")
+        rays, lines = extreme_rays(rows)
         recession = [ray[1:] for ray, _ in rays if ray[0].is_zero()]
-        if recession:
+        if lines or recession:
             raise _unbounded(*next(
                 (i, s) for i in range(n) for s in (1, -1)
-                if any(r[i].sign() == s for r in recession)))
+                if any(not z[1 + i].is_zero() for z in lines)
+                or any(r[i].sign() == s for r in recession)))
         _interior_lp(n, self.normals, self.offsets)
         if any(ray[0] != field.one for ray, _ in rays):
             raise InternalInvariantError("vertex ray off the chart t = 1")
@@ -135,21 +131,25 @@ class FaceLattice:
         return [f for f, dim in self.faces if dim == d]
 
 
-def extreme_rays(rows) -> list:
-    """Extreme rays of the pointed cone {y : <h_j, y> >= 0}, one (ray,
-    zero set) pair per ray: the ray scaled so that its first nonzero
-    coordinate is +-1, and the frozenset of the j with <h_j, ray> = 0.
-    The rows must span the space, which makes the cone pointed;
-    NotFullDimensional otherwise.
+def extreme_rays(rows) -> tuple:
+    """Extreme rays and lines of the cone {y : <h_j, y> >= 0}, as (rays,
+    lines): one (ray, zero set) pair per extreme ray, the ray scaled so
+    that its first nonzero coordinate is +-1 and the frozenset of the j
+    with <h_j, ray> = 0; and a basis of the lineality space, the kernel
+    of the rows, each line with a leading 1, empty iff the rows span the
+    space and the cone is pointed.  The rays are those of the pointed
+    quotient cone, each the representative that vanishes on the leading
+    coordinates of the lines.
 
     Incremental double description with the combinatorial adjacency test
     (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon, Double
-    description method revisited, 1996).  The first linearly independent
-    rows in index order cut out a simplicial cone, whose rays are the
-    columns of their inverse; the other rows follow in index order.  Row
-    h keeps the rays r with <h, r> >= 0 and adds, for each pair on
-    opposite sides, the point of their segment on h, provided the two are
-    adjacent: no third ray vanishes on every row both vanish on.
+    description method revisited, 1996), on that quotient.  The first
+    linearly independent rows in index order cut out a simplicial cone,
+    whose rays are the columns of a right inverse of those rows; the
+    other rows follow in index order.  Row h keeps the rays r with
+    <h, r> >= 0 and adds, for each pair on opposite sides, the point of
+    their segment on h, provided the two are adjacent: no third ray
+    vanishes on every row both vanish on.
 
     Rows and rays run as integer numerator vectors: a row is a positive
     rational multiple of itself with its denominators cleared
@@ -164,17 +164,18 @@ def extreme_rays(rows) -> list:
     scaled ray: a positive rational multiple of each <h, ray>."""
     dim = len(rows[0])
     field = rows[0][0].field
-    # [rows^T | identity] reduces to [R | E] with E the inverse of the
-    # seed rows, transposed: the pivots of R pick the seed, and row i of
-    # E is the ray off the i-th seed row
+    # [rows^T | identity] reduces to [R | E]: a row with its pivot in R
+    # picks a seed row, and its E part is the ray off that seed row; one
+    # with its pivot in E has R part 0, so its E part is a line
     reduced = rref_rows([column + tuple(field.one if k == i else field.zero
                                         for k in range(dim))
                          for i, column in enumerate(zip(*rows))])
-    seed = [next(c for c, x in enumerate(row) if not x.is_zero())
-            for row in reduced]
-    if seed[-1] >= len(rows):
-        raise NotFullDimensional("rows do not span the space: the cone "
-                                 "is not pointed")
+    pivots = [next(c for c, x in enumerate(row) if not x.is_zero())
+              for row in reduced]
+    lines = [row[len(rows):] for row, c in zip(reduced, pivots)
+             if c >= len(rows)]
+    seed = [c for c in pivots if c < len(rows)]
+    rank = len(seed)
     seeded = sum(1 << j for j in seed)
     # (ray, zero set as a bit mask over the rows added so far)
     rays = [(ray_numerators(field, numerators(field, row[len(rows):])),
@@ -201,7 +202,7 @@ def extreme_rays(rows) -> list:
         for r_up, z_up, v_up in above:
             for r_down, z_down, v_down in below:
                 common = z_up & z_down
-                if common.bit_count() < dim - 2 or sum(
+                if common.bit_count() < rank - 2 or sum(
                         1 for z in zeros if common & z == common) > 2:
                     continue
                 kept.append((ray_numerators(field, numerator_difference(
@@ -218,7 +219,7 @@ def extreme_rays(rows) -> list:
             raise InternalInvariantError(
                 "extreme ray fails its exact recheck")
         checked.append((ray, zero))
-    return checked
+    return checked, lines
 
 
 def vertices_from_halfspaces(H: HalfspaceRep) -> VertexRep:
@@ -247,12 +248,16 @@ def halfspaces_from_vertices(points: Sequence[tuple]) -> HalfspaceRep:
 
     The facets <w, x> >= -c are the extreme rays (c, w) of the cone
     {(c, w) : c + <p, w> >= 0} of inequalities valid on the points, which
-    is pointed iff the points span the ambient space affinely."""
+    is pointed iff the points span the ambient space affinely;
+    NotFullDimensional when the cone has lines."""
     pts = [tuple(p) for p in points]
     if not pts:
         raise NotFullDimensional("no points")
     rows = [(pts[0][0].field.one,) + p for p in pts]
-    facets = [(ray[1:], -ray[0]) for ray, _ in extreme_rays(rows)]
+    rays, lines = extreme_rays(rows)
+    if lines:
+        raise NotFullDimensional("points do not span the space affinely")
+    facets = [(ray[1:], -ray[0]) for ray, _ in rays]
     return HalfspaceRep(len(pts[0]), _canonical_facets(facets))
 
 
@@ -321,22 +326,6 @@ def require_irredundant(H: HalfspaceRep) -> None:
 def _unbounded(i: int, s: int) -> UnboundedPolytope:
     return UnboundedPolytope(
         f"recession direction exists (coordinate {i}, sign {s})")
-
-
-def _recession_probes(n: int, normals) -> None:
-    """The LP test of boundedness: 2n Fourier-Motzkin probes, one per
-    (coordinate i, sign s), each for a z with <a_j, z> >= 0 for all j
-    and s z_i >= 1.  Raises UnboundedPolytope naming the first feasible
-    probe."""
-    field = normals[0][0].field
-    recession = [(normal, field.zero, ">=") for normal in normals]
-    for i in range(n):
-        for s in (1, -1):
-            unit = [field.zero] * n
-            unit[i] = field.element(s)
-            probe = recession + [(tuple(unit), field.one, ">=")]
-            if strict_lp_feasible(probe, n, field) is not None:
-                raise _unbounded(i, s)
 
 
 def _interior_lp(n: int, normals, offsets) -> None:

@@ -325,6 +325,50 @@ class TestErrorHandling:
         assert code == 1
         assert err.startswith("FieldMismatch:")
 
+    @pytest.mark.parametrize("body,ql,dimensions", [
+        ("square", "interval", (2, 1)),
+        ("interval", "square", (1, 2)),
+    ])
+    def test_dimension_mismatch_single_line(self, capsys, corpus, body, ql,
+                                            dimensions):
+        code, out, err = run(capsys, "quasirational",
+                             str(corpus(body) / "polytope.json"),
+                             "--ql", str(corpus(ql) / "quasilattice.json"))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "ParseError: dimensions differ: body {}, quasilattice {}"
+            .format(*dimensions)]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--viewport", "1,0,0,1"],
+         "viewport needs XMIN < XMAX and YMIN < YMAX"),
+        (["--viewport", "0,0,1,-1"],
+         "viewport needs XMIN < XMAX and YMIN < YMAX"),
+        (["--viewport", "0,0,0,0"],
+         "viewport needs XMIN < XMAX and YMIN < YMAX"),
+        (["--stroke-width=-1/50"], "stroke width must not be negative"),
+    ], ids=["reversed-x", "reversed-y", "empty", "negative-stroke"])
+    def test_render_flag_out_of_range(self, capsys, tmp_path, corpus, flags,
+                                      message):
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(capsys, "render",
+                             str(corpus("square") / "polytope.json"),
+                             "--out", str(out_path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [f"ParseError: {message}"]
+        assert not out_path.exists()
+
+    def test_render_accepts_zero_stroke_width(self, capsys, tmp_path,
+                                              corpus):
+        out_path = tmp_path / "x.svg"
+        report = run_json(capsys, "render",
+                          str(corpus("square") / "polytope.json"),
+                          "--out", str(out_path), "--stroke-width", "0")
+        assert report["target"] == "polytope"
+        assert 'stroke-width="0"' in out_path.read_text()
+
     def test_domain_error_single_line(self, capsys, tmp_path):
         doc = {
             "field": {"minpoly": ["4", "-4", "1"], "interval": ["1", "3"]},

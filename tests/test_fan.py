@@ -48,11 +48,12 @@ from quasitoric.fan import (
     redundant_facets_lp,
 )
 from quasitoric.field import FieldElement, RealAlgebraicField
-from quasitoric.linalg import dot, mat_rank, solve_unique
+from quasitoric.linalg import dot, mat_rank, rref_rows, solve_unique
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
     FaceLattice,
     HalfspaceRep,
+    extreme_rays,
     face_lattice,
     halfspaces_from_vertices,
     intersection_closure,
@@ -634,6 +635,63 @@ def one_cone_fans(draw):
 def test_cone_faces_agree_with_lp_rule(fan):
     cone = tuple(range(fan.ray_count))
     assert fan.cone_faces(cone) == lp_cone_faces(fan.rays, cone)
+
+
+def projected_cone_faces(fan, cone):
+    """The faces of a non-simplicial cone by the rule cone_faces used
+    before the double-description engine took cones with lines, kept as
+    its oracle: the zero sets of the extreme rays of the dual cone taken
+    in coordinates of the span of the rays (the pivot coordinates of
+    their reduced echelon form), where the dual is pointed."""
+    rays = [fan.rays[i] for i in cone]
+    span = [next(k for k, x in enumerate(row) if not x.is_zero())
+            for row in rref_rows(rays)]
+    dual, lines = extreme_rays([tuple(r[k] for k in span) for r in rays])
+    assert not lines
+    facets = {frozenset(cone[p] for p in zero) for _, zero in dual}
+    faces = {tuple(sorted(face)) for face in intersection_closure(facets)}
+    faces.add(cone)
+    return faces
+
+
+# rays of non-simplicial cones that are not full-dimensional, with their
+# faces: three rays of a plane in R^3, the middle one inside the cone of
+# the other two, and the cone over a square in a 3-space of R^4
+LOW_CONES = {
+    "planar": ([(1, 0, 0), (1, 1, 0), (0, 1, 0)],
+               {(), (0,), (2,), (0, 1, 2)}),
+    "square": ([(1, 1, 1, 0), (1, -1, 1, 0), (-1, -1, 1, 0),
+                (-1, 1, 1, 0)],
+               {(), (0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3),
+                (0, 3), (0, 1, 2, 3)}),
+}
+
+
+def embedded_rays(k, rays):
+    """The rays under the invertible map x -> M x, M upper triangular
+    with ones on the diagonal and, above it, the entries 1 + j alpha
+    (plain integers over Q), so no ray lies in a coordinate subspace it
+    did not span before."""
+    n = len(rays[0])
+    entry = (lambda j: k.element(1 + j)) if k is Q else (
+        lambda j: k.one + j * k.alpha)
+    M = [[k.one if i == j else entry(j) if i < j else k.zero
+          for j in range(n)] for i in range(n)]
+    return [tuple(dot(row, [k.element(x) for x in ray]) for row in M)
+            for ray in rays]
+
+
+@pytest.mark.parametrize("name", sorted(LOW_CONES))
+@pytest.mark.parametrize("field", ["Q", "pentagon"])
+def test_cone_faces_of_cones_with_dual_lines(name, field):
+    rays, expected = LOW_CONES[name]
+    k = Q if field == "Q" else pentagon_field()
+    fan = Fan(len(rays[0]), embedded_rays(k, rays), [])
+    cone = tuple(range(len(rays)))
+    assert fan.cone_rank(cone) == len(rays[0]) - 1 < len(rays)
+    assert extreme_rays(fan.rays)[1]    # the dual cone has a line
+    assert fan.cone_faces(cone) == expected
+    assert projected_cone_faces(fan, cone) == expected
 
 
 # ---------------------------------------------------------------------------

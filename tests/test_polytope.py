@@ -25,9 +25,11 @@ from quasitoric.errors import (
 )
 from quasitoric.fan import positively_proportional
 from quasitoric.linalg import dot, rank_kernel_solve, rref_rows
+from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
     HalfspaceRep,
     VertexRep,
+    _unbounded,
     face_lattice,
     halfspaces_from_vertices,
     is_simple,
@@ -338,7 +340,9 @@ def pre_certificate_vertices(H):
     has no other point with t <= 0 than the origin when H is bounded."""
     rows = [(-b,) + a for a, b in zip(H.normals, H.offsets)]
     found = []
-    for ray, active in polytope_module.extreme_rays(rows):
+    rays, lines = polytope_module.extreme_rays(rows)
+    assert not lines
+    for ray, active in rays:
         assert ray[0] == H.field.one
         found.append((ray[1:], active))
     found.sort(key=lambda item: sorted(item[1]))
@@ -366,11 +370,9 @@ def facet_systems(draw):
     m = n - 1 if case == "rank" else n
     points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
                            min_size=m + 1, max_size=m + 3))
-    try:
-        rays = polytope_module.extreme_rays(
-            [qvec(1, *point) for point in points])
-    except NotFullDimensional:
-        assume(False)
+    rays, lines = polytope_module.extreme_rays(
+        [qvec(1, *point) for point in points])
+    assume(not lines)
     facets = draw(st.permutations([(as_fractions(ray[1:]),
                                     -ray[0].as_fraction())
                                    for ray, _ in rays]))
@@ -439,12 +441,42 @@ def changed_facets(system, change):
                 b - dot(a, p)) for a, b in facets]
 
 
+def _recession_probes(n: int, normals) -> None:
+    """The LP test of boundedness: 2n Fourier-Motzkin probes, one per
+    (coordinate i, sign s), each for a z with <a_j, z> >= 0 for all j
+    and s z_i >= 1.  Raises UnboundedPolytope naming the first feasible
+    probe."""
+    field = normals[0][0].field
+    recession = [(normal, field.zero, ">=") for normal in normals]
+    for i in range(n):
+        for s in (1, -1):
+            unit = [field.zero] * n
+            unit[i] = field.element(s)
+            probe = recession + [(tuple(unit), field.one, ">=")]
+            if strict_lp_feasible(probe, n, field) is not None:
+                raise _unbounded(i, s)
+
+
+def counted_lps(patch):
+    """The argument tuples of every later strict_lp_feasible call made by
+    the polytope module."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return strict_lp_feasible(*args)
+
+    patch.setattr(polytope_module, "strict_lp_feasible", counting)
+    return calls
+
+
 class TestCertificateOracle:
     """The certificate whose boundedness half is the double description
     raises the error class and message of the LP certificate (recession
     probes, then the interior LP), and keeps the VertexRep that vertex
     enumeration gave before it existed, over Q and over fields of degree
-    2 and 4."""
+    2 and 4.  It runs no LP on an unbounded system, whether its normals
+    span or not."""
 
     @settings(max_examples=120, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -492,37 +524,46 @@ class TestCertificateOracle:
         n, facets = changed_facets(*case)
         normals = [a for a, _ in facets]
         try:
-            polytope_module._recession_probes(n, normals)
+            _recession_probes(n, normals)
             polytope_module._interior_lp(n, normals, [b for _, b in facets])
             expected = None
         except (UnboundedPolytope, DegenerateDimension) as exc:
             expected = type(exc), str(exc)
-        try:
-            H = HalfspaceRep(n, facets)
-        except (UnboundedPolytope, DegenerateDimension) as exc:
-            assert (type(exc), str(exc)) == expected
-        else:
-            assert expected is None
-            assert vertices_from_halfspaces(H) == pre_certificate_vertices(H)
+        with pytest.MonkeyPatch.context() as patch:
+            lps = counted_lps(patch)
+            try:
+                H = HalfspaceRep(n, facets)
+            except (UnboundedPolytope, DegenerateDimension) as exc:
+                assert (type(exc), str(exc)) == expected
+                # the interior LP runs only once the system is bounded
+                assert len(lps) == (type(exc) is DegenerateDimension)
+                return
+        assert expected is None and len(lps) == 1
+        assert vertices_from_halfspaces(H) == pre_certificate_vertices(H)
 
     def test_lp_first_over_algebraic_fields(self, monkeypatch):
-        # over a field of degree > 1 no LP probe runs first: when the
-        # normals span, the double description alone certifies the
-        # pentagon and names the recession direction the probes would
+        # over a field of degree > 1 no LP probe runs first: the double
+        # description alone certifies the pentagon, with one interior LP,
+        # and names the recession direction the probes would, with none,
+        # whether the normals span (the wedge) or not (one facet lifted
+        # to R^3, unbounded along its kernel)
         k = pentagon_field()
         wedge = pentagon_facets(k)[:2]
-        with pytest.raises(UnboundedPolytope) as probed:
-            polytope_module._recession_probes(2, [a for a, _ in wedge])
-
-        def no_probe(*args):
-            raise AssertionError("recession probe ran")
-
-        monkeypatch.setattr(polytope_module, "_recession_probes", no_probe)
+        lifted = [(a + (k.zero,), b) for a, b in wedge[:1]]
+        expected = []
+        for n, facets in ((2, wedge), (3, lifted)):
+            with pytest.raises(UnboundedPolytope) as probed:
+                _recession_probes(n, [a for a, _ in facets])
+            expected.append(str(probed.value))
+        lps = counted_lps(monkeypatch)
         H = HalfspaceRep(2, pentagon_facets(k))
         assert len(vertices_from_halfspaces(H).vertices) == 5
-        with pytest.raises(UnboundedPolytope) as certified:
-            HalfspaceRep(2, wedge)
-        assert str(certified.value) == str(probed.value)
+        assert len(lps) == 1
+        for (n, facets), message in zip(((2, wedge), (3, lifted)), expected):
+            with pytest.raises(UnboundedPolytope) as certified:
+                HalfspaceRep(n, facets)
+            assert str(certified.value) == message
+        assert len(lps) == 1
 
 
 def scalar_scaled(ray):
@@ -534,17 +575,20 @@ def scalar_scaled(ray):
 def scalar_extreme_rays(rows):
     """extreme_rays with its rays kept as field elements and every new
     ray scaled to a leading +-1 by an inverse, all by scalar operators:
-    the reference of the engine on integer rays."""
+    the reference of the engine on integer rays.  It splits off the
+    lines by the same rule: the reduced rows of [rows^T | I] with their
+    pivot in I."""
     dim = len(rows[0])
     field = rows[0][0].field
     reduced = rref_rows([column + tuple(field.one if k == i else field.zero
                                         for k in range(dim))
                          for i, column in enumerate(zip(*rows))])
-    seed = [next(c for c, x in enumerate(row) if not x.is_zero())
-            for row in reduced]
-    if seed[-1] >= len(rows):
-        raise NotFullDimensional("rows do not span the space: the cone "
-                                 "is not pointed")
+    pivots = [next(c for c, x in enumerate(row) if not x.is_zero())
+              for row in reduced]
+    lines = [row[len(rows):] for row, c in zip(reduced, pivots)
+             if c >= len(rows)]
+    seed = [c for c in pivots if c < len(rows)]
+    rank = len(seed)
     seeded = sum(1 << j for j in seed)
     rays = [(scalar_scaled(row[len(rows):]), seeded & ~(1 << j))
             for row, j in zip(reduced, seed)]
@@ -567,7 +611,7 @@ def scalar_extreme_rays(rows):
         for r_up, z_up, v_up in above:
             for r_down, z_down, v_down in below:
                 common = z_up & z_down
-                if common.bit_count() < dim - 2 or sum(
+                if common.bit_count() < rank - 2 or sum(
                         1 for z in zeros if common & z == common) > 2:
                     continue
                 kept.append((scalar_scaled([v_up * a - v_down * b
@@ -580,7 +624,12 @@ def scalar_extreme_rays(rows):
         zero = frozenset(j for j, s in enumerate(signs) if s == 0)
         assert min(signs) >= 0 and mask == sum(1 << j for j in zero)
         checked.append((ray, zero))
-    return checked
+    for line in lines:
+        assert all(scalar_dot(h, line).is_zero() for h in rows)
+    return checked, lines
+
+
+RAY_FIELDS = {"pentagon": pentagon_field, "sqrt2": sqrt2_field}
 
 
 @st.composite
@@ -589,65 +638,106 @@ def ray_systems(draw):
     ("hull"), or the homogenized facet rows of such a hull plus t >= 0
     ("facets"), or the rows (1, p) over 3-5 points of the pentagon field,
     each a fifth root of unity scaled by 1-2 plus a lattice shift
-    ("pentagon")."""
-    kind = draw(st.sampled_from(["hull", "facets", "pentagon"]))
-    if kind == "pentagon":
+    ("pentagon"), or those rows with a zero last coordinate added
+    ("lifted", whose cone has that coordinate's axis as a line), or the
+    rows (1, p + t d) over 1-4 points on one line of R^2 or R^3 over
+    Q(sqrt2) or the pentagon field ("collinear", with n - 1 lines), p and
+    d of power-basis coefficient tuples of small integers."""
+    kind = draw(st.sampled_from(["hull", "facets", "pentagon", "lifted",
+                                 "collinear"]))
+    if kind in ("pentagon", "lifted"):
         return kind, draw(st.lists(
             st.tuples(st.integers(0, 4), st.integers(1, 2),
                       st.tuples(st.integers(-1, 1), st.integers(-1, 1))),
             min_size=3, max_size=5))
+    if kind == "collinear":
+        name = draw(st.sampled_from(sorted(RAY_FIELDS)))
+        n = draw(st.integers(2, 3))
+        scalar = st.tuples(*[st.integers(-2, 2)] * {"sqrt2": 2,
+                                                     "pentagon": 4}[name])
+        vector = st.tuples(*[scalar] * n)
+        direction = draw(vector.filter(lambda d: any(map(any, d))))
+        return kind, (name, draw(vector), direction,
+                      draw(st.lists(st.integers(-2, 2), min_size=1,
+                                    max_size=4, unique=True)))
     n = draw(st.integers(1, 4))
     return kind, (n, draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                                    min_size=1, max_size=n + 3)))
 
 
+def ray_system_fields(system):
+    """Two fresh copies of the field of the system, one per engine."""
+    kind, data = system
+    if kind in ("pentagon", "lifted"):
+        return pentagon_field(), pentagon_field()
+    if kind == "collinear":
+        return RAY_FIELDS[data[0]](), RAY_FIELDS[data[0]]()
+    return Q, Q
+
+
 def ray_system_rows(system, k):
     kind, data = system
-    if kind == "pentagon":
+    if kind in ("pentagon", "lifted"):
         roots = corpus_module.fifth_roots_of_unity(k)
+        lift = (k.zero,) if kind == "lifted" else ()
         return [(k.one,) + tuple(scale * c + shift for c, shift in
-                                 zip(roots[root], shifts))
+                                 zip(roots[root], shifts)) + lift
                 for root, scale, shifts in data]
+    if kind == "collinear":
+        _, base, direction, ts = data
+        return [(k.one,) + tuple(k.element(p) + t * k.element(d)
+                                 for p, d in zip(base, direction))
+                for t in ts]
     n, points = data
     rows = [qvec(1, *point) for point in points]
     if kind == "hull":
         return rows
-    facets = [(ray[1:], ray[0]) for ray, _ in scalar_extreme_rays(rows)]
+    rays, lines = scalar_extreme_rays(rows)
+    assume(not lines)   # "facets" of points that span no full hull
+    facets = [(ray[1:], ray[0]) for ray, _ in rays]
     return [(c,) + w for w, c in facets] + [qvec(1, *[0] * n)]
+
+
+def numerator_pairs(vector) -> tuple:
+    return tuple((x.num, x.den) for x in vector)
 
 
 class TestIntegerRayOracle:
     """The double description on integer rays gives the (ray, zero set)
-    list of the scalar engine, in the same order, and its sign queries
-    refine the isolating interval of the field exactly as far."""
+    list and the lines of the scalar engine, in the same order, and its
+    sign queries refine the isolating interval of the field exactly as
+    far, on pointed cones and on cones with lines."""
 
     @settings(max_examples=150, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.filter_too_much])
     @given(ray_systems())
     @example(("hull", (2, [(0, 0), (1, 0), (0, 1), (1, 1)])))
+    @example(("hull", (3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])))
     @example(("facets", (3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2),
                              (1, 1, 1)])))
     @example(("pentagon", [(j, 1, (0, 0)) for j in range(5)]))
     @example(("pentagon", [(0, 2, (1, 0)), (1, 1, (0, -1)),
                            (3, 2, (0, 0)), (4, 1, (-1, 1))]))
+    @example(("lifted", [(j, 1, (0, 0)) for j in range(5)]))
+    @example(("lifted", [(0, 2, (1, 0)), (1, 1, (0, -1)),
+                         (3, 2, (0, 0)), (4, 1, (-1, 1))]))
+    @example(("collinear", ("sqrt2", ((0, 1), (1, 0)), ((1, 1), (0, -1)),
+                            [-1, 0, 2])))
+    @example(("collinear", ("pentagon",
+                            ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)),
+                            ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, -1)),
+                            [-2, 1])))
     def test_agrees_with_scalar_engine(self, system):
-        fields = (pentagon_field(), pentagon_field()) \
-            if system[0] == "pentagon" else (Q, Q)
-        try:
-            systems = [ray_system_rows(system, k) for k in fields]
-        except NotFullDimensional:
-            assume(False)   # "facets" of points that span no full hull
+        fields = ray_system_fields(system)
+        systems = [ray_system_rows(system, k) for k in fields]
         outcomes = []
         for engine, rows in zip((polytope_module.extreme_rays,
                                  scalar_extreme_rays), systems):
-            try:
-                rays = engine(rows)
-            except NotFullDimensional as exc:
-                outcomes.append(str(exc))
-                continue
-            outcomes.append([(tuple((x.num, x.den) for x in ray), zero)
-                             for ray, zero in rays])
+            rays, lines = engine(rows)
+            outcomes.append(([(numerator_pairs(ray), zero)
+                              for ray, zero in rays],
+                             [numerator_pairs(line) for line in lines]))
         assert outcomes[0] == outcomes[1]
         assert fields[0].interval == fields[1].interval
 
@@ -661,8 +751,11 @@ class TestIntegerRayOracle:
             k = pentagon_field()
             rows = [(-b,) + a for a, b in facets(k)]
             rows.append((k.one, k.zero, k.zero))
-            found.append(([(tuple((x.num, x.den) for x in ray), zero)
-                           for ray, zero in engine(rows)], k.interval))
+            rays, lines = engine(rows)
+            found.append(([(numerator_pairs(ray), zero)
+                           for ray, zero in rays],
+                          [numerator_pairs(line) for line in lines],
+                          k.interval))
         assert found[0] == found[1]
 
 

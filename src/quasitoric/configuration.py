@@ -34,6 +34,7 @@ from .fan import (
     cones_meet_in_common_face,
     fan_is_complete,
     fan_is_simplicial,
+    maximal_index_sets,
 )
 from .linalg import mat_rank
 from .quasilattice import Quasilattice, integral_membership
@@ -41,21 +42,24 @@ from .triple import FundamentalTriple
 
 
 class Triangulation:
-    """Subset-closed family of simplices (index tuples)."""
+    """Subset-closed family of simplices (index tuples).
+
+    A simplex that repeats an index is rejected.  The maximal simplices
+    of the closure are those of the given simplices, taken once."""
 
     def __init__(self, simplices):
-        closed = set()
-        for simplex in simplices:
-            s = tuple(sorted(simplex))
-            for r in range(len(s) + 1):
-                closed.update(combinations(s, r))
-        closed.add(())
-        self.simplices = frozenset(closed)
+        given = {tuple(sorted(simplex)) for simplex in simplices} | {()}
+        for s in sorted(given):
+            if len(set(s)) != len(s):
+                raise InvalidConfiguration(
+                    f"simplex {s} repeats a vector index")
+        self.simplices = frozenset(face for s in given
+                                   for r in range(len(s) + 1)
+                                   for face in combinations(s, r))
+        self._maximal = tuple(sorted(maximal_index_sets(given)))
 
     def maximal(self):
-        return tuple(sorted(
-            s for s in self.simplices
-            if not any(set(s) < set(t) for t in self.simplices)))
+        return self._maximal
 
     def indexed(self):
         """All vector indices appearing in some simplex."""
@@ -80,6 +84,8 @@ class VectorConfiguration:
 
     def __init__(self, dimension: int, vectors, ghosts=()):
         vectors = tuple(tuple(v) for v in vectors)
+        if dimension < 1:
+            raise InvalidConfiguration("dimension must be >= 1")
         if len(vectors) < dimension:
             raise InvalidConfiguration(
                 "fewer vectors than the ambient dimension")

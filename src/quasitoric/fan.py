@@ -9,20 +9,22 @@ facets and the cones off the vertex incidences of the polytope's
 certificate and marks the fan it builds, and the predicates answer for a
 marked fan by that theorem.  The bookkeeping needs no pair loop either:
 a marked fan's rays need no repeated-ray check, any other fan's rays
-are grouped by the line they span in one dict pass, maximal cones are
-computed once per fan, and polytopality finds adjacent maximal cones by
-their shared wall.  A complete simplicial fan needs no LP
+are grouped by the line they span in one dict pass, and maximal cones
+are computed once per fan.  A complete simplicial fan needs no LP
 either: complete_fan_certificate proves it a fan from its walls and one
-point, by linear algebra alone.  On any other
-fan the predicates reduce to exact LP feasibility, membership of a point
-in a cone and the separation argument for the pairwise-intersection
-axiom, and to the faces of each cone, which polytope.extreme_rays
-enumerates in any dimension from the dual cone, whose lines it splits
-off when the cone is not full-dimensional.  Completeness
-of a valid fan is one wall-pairing test in every dimension: each maximal
-cone is full-dimensional and each of its walls lies in exactly two
-maximal cones.  Every cone here is assumed pointed, which holds for all
-normal fans of bounded polytopes.
+point, by linear algebra alone, with one solve per wall.  The linear
+relation each solve finds among a wall's rays and its two apexes is
+kept by the fan (Fan.wall_relations), and it serves validity,
+completeness and the rows of the polytopality system alike.  On any
+other fan the predicates reduce to exact LP feasibility, membership of
+a point in a cone and the separation argument for the
+pairwise-intersection axiom, and to the faces of each cone, which
+polytope.extreme_rays enumerates in any dimension from the dual cone,
+whose lines it splits off when the cone is not full-dimensional.
+Completeness of a valid fan the certificate refuses is one wall-pairing
+test in every dimension: each maximal cone is full-dimensional and each
+of its walls lies in exactly two maximal cones.  Every cone here is
+assumed pointed, which holds for all normal fans of bounded polytopes.
 
 Validity uses the standard fan lemma (Ziegler, Lectures on Polytopes,
 Ch. 7): a collection closed under faces in which every cone is a face of
@@ -40,7 +42,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InternalInvariantError, InvalidFan
 from .field import numerators
-from .linalg import dot, mat_rank, rank_kernel_solve, solve_unique
+from .linalg import dot, mat_rank, solve_unique
 from .lp import strict_lp_feasible
 from .polytope import (
     HalfspaceRep,
@@ -104,6 +106,7 @@ class Fan:
         self.field = field
         self.polytope = polytope
         self._maximal = None
+        self._relations = None
         self._membership_cache = {}
         self._face_cache = {}
         self._rank_cache = {}
@@ -116,7 +119,8 @@ class Fan:
         """The fan of these cones and all their faces: a copy of this fan,
         so it keeps the rays this one accepted and shares its caches,
         which depend on the rays alone.  The added faces are index subsets
-        of the cones, so the maximal cones are this fan's too."""
+        of the cones, so the maximal cones are this fan's too, and so are
+        the wall relations once taken."""
         closed = set().union(*(self.cone_faces(c) for c in self.cones))
         fan = copy.copy(self)
         fan.cones = tuple(sorted(closed))
@@ -125,18 +129,18 @@ class Fan:
 
     def maximal_cones(self):
         """Cones not properly contained (as index sets) in another cone,
-        in the order of self.cones, computed once.  A cone properly
-        inside another lies inside a longer maximal cone, so each cone,
-        longest first, is compared only with the maximal cones kept."""
+        in the order of self.cones, computed once."""
         if self._maximal is None:
-            kept, maximal = [], set()
-            for cone in sorted(self.cones, key=len, reverse=True):
-                s = frozenset(cone)
-                if not any(s < m for m in kept):
-                    kept.append(s)
-                    maximal.add(cone)
-            self._maximal = tuple(c for c in self.cones if c in maximal)
+            self._maximal = maximal_index_sets(self.cones)
         return self._maximal
+
+    def wall_relations(self) -> tuple:
+        """The relations complete_fan_certificate finds on the maximal
+        cones, computed once, or () when it refuses them."""
+        if self._relations is None:
+            self._relations = tuple(complete_fan_certificate(
+                self.rays, self.maximal_cones(), self.dimension) or ())
+        return self._relations
 
     # -- exact cone geometry ------------------------------------------------
 
@@ -176,6 +180,20 @@ class Fan:
             faces.add(cone)
         self._face_cache[cone] = faces
         return faces
+
+
+def maximal_index_sets(cones) -> tuple:
+    """The index tuples in cones not properly contained in another one,
+    in the order of cones.  A tuple properly inside another lies inside
+    a longer maximal one, so each, longest first, is compared only with
+    the maximal ones kept."""
+    kept, maximal = [], set()
+    for cone in sorted(cones, key=len, reverse=True):
+        s = frozenset(cone)
+        if not any(s < m for m in kept):
+            kept.append(s)
+            maximal.add(cone)
+    return tuple(c for c in cones if c in maximal)
 
 
 def _line_key(field, ray) -> tuple:
@@ -266,62 +284,65 @@ def cones_meet_in_common_face(vectors, S1, S2, field, cache=None) -> bool:
     return cones_meet_in_common_face(vectors, F1, F2, field, cache)
 
 
-def _wall_owners(maximal) -> dict:
-    """Each wall of the simplicial cones on the index tuples in maximal,
-    a cone less one ray, mapped to its owners: (position in maximal,
-    apex) for each cone on it, the apex being the ray it adds."""
-    owners = {}
-    for pos, cone in enumerate(maximal):
-        for apex in cone:
-            wall = tuple(i for i in cone if i != apex)
-            owners.setdefault(wall, []).append((pos, apex))
-    return owners
+def complete_fan_certificate(vectors, maximal, n) -> Optional[list]:
+    """The wall relations proving that the simplicial cones on the index
+    tuples in maximal form a complete fan in R^n, or None.
 
+    One relation per wall (n-1 rays of a maximal cone; () when n = 1),
+    in the order the walls first appear in maximal: for its owners s and
+    t, in the order of maximal, with apexes a and k (the ray each adds to
+    the wall), the coefficients c of ray k in the rays of s, so that
+    ray k is the sum of c_j ray j over s.  It is returned as (s, c, k).
 
-def complete_fan_certificate(vectors, maximal, n) -> bool:
-    """Whether the simplicial cones on the index tuples in maximal form a
-    complete fan in R^n, proved by linear algebra alone.
+    The relations prove a complete fan when all three hold: every
+    maximal cone has n rays; every wall lies in exactly two maximal
+    cones, the rays of s are independent and c_a < 0; and the point p,
+    the sum of the rays of the first cone, lies in no other maximal cone.
+    The middle condition says that the wall has rank n-1 and the two
+    apexes lie strictly on opposite sides of its hyperplane, since a
+    normal N of the wall has <N, ray k> = c_a <N, ray a>.  This is the
+    pseudomanifold characterization of triangulations (De Loera, Rambau
+    and Santos, Triangulations, Ch. 4).  Proof sketch: a path between
+    generic points crosses walls only in their relative interiors, and
+    there one cone is left as its partner on the other side is entered,
+    so the number of cones covering a generic point is the same
+    everywhere.  Near p it is 1, so the interiors are disjoint and the
+    cones cover R^n.  Walls are index sets shared by both cones, which
+    rules out T-junctions: the cones around each face cover a
+    neighbourhood of it exactly once, so no other cone touches it, and
+    any two cones meet in a common face.
 
-    True only when all three hold: every maximal cone has n independent
-    rays; every wall (n-1 rays of a maximal cone; () when n = 1) lies in
-    exactly two maximal cones, whose apexes (the ray each adds to the
-    wall) lie strictly on opposite sides of the wall's hyperplane; and the
-    point p, the sum of the rays of the first cone, lies in no other
-    maximal cone.  This is the pseudomanifold characterization of
-    triangulations (De Loera, Rambau and Santos, Triangulations, Ch. 4).
-    Proof sketch: a path between generic points crosses walls only in
-    their relative interiors, and there one cone is left as its partner
-    on the other side is entered, so the number of cones covering a
-    generic point is the same everywhere.  Near p it is 1, so the
-    interiors are disjoint and the cones cover R^n.  Walls are index sets
-    shared by both cones, which rules out T-junctions: the cones around
-    each face cover a neighbourhood of it exactly once, so no other cone
-    touches it, and any two cones meet in a common face.
-
-    The check only ever answers yes: False says nothing, and the caller
+    The check only ever answers yes: None says nothing, and the caller
     decides by the pairwise LP path instead."""
     maximal = list(maximal)
     if any(len(cone) != n for cone in maximal):
-        return False
-    zero = vectors[maximal[0][0]][0].field.zero
-    for wall, owners in _wall_owners(maximal).items():
+        return None
+    walls = {}  # wall -> [(cone, apex)] for each cone on it
+    for cone in maximal:
+        for apex in cone:
+            wall = tuple(i for i in cone if i != apex)
+            walls.setdefault(wall, []).append((cone, apex))
+    relations = []
+    for owners in walls.values():
         if len(owners) != 2:
-            return False
-        # n = 1: the wall () spans {0}, whose normal space is all of R
-        rows = [list(vectors[i]) for i in wall] or [[zero] * n]
-        kernel = rank_kernel_solve(rows).kernel
-        if len(kernel) != 1:
-            return False
-        a, b = (dot(kernel[0], vectors[k]).sign() for _, k in owners)
-        if a * b != -1:
-            return False
+            return None
+        (sigma, a), (_, k) = owners
+        A_t = [[vectors[j][i] for j in sigma] for i in range(n)]
+        try:
+            c = solve_unique(A_t, list(vectors[k]))
+        except ValueError:  # the rays of sigma are dependent
+            return None
+        if c[sigma.index(a)].sign() >= 0:
+            return None
+        relations.append((sigma, c, k))
+    zero = vectors[maximal[0][0]][0].field.zero
     first, *others = maximal
     point = [sum((vectors[j][i] for j in first), zero) for i in range(n)]
     for cone in others:
         A_t = [[vectors[j][i] for j in cone] for i in range(n)]
         if all(x.sign() >= 0 for x in solve_unique(A_t, point)):
-            return False
-    return True
+            return None
+    return relations
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +405,10 @@ def fan_is_valid(fan: Fan) -> bool:
     (0,1,2) but not a face of it, and must be checked against it.
 
     A normal fan of a polytope is a fan by construction.  So is a
-    face-closed collection whose maximal cones pass
-    complete_fan_certificate; each other cone is a face of one of them,
-    hence simplicial too.  Otherwise every pair of maximal cones is
-    decided by LP."""
+    face-closed collection with wall relations: its maximal cones pass
+    complete_fan_certificate, so they are simplicial, every index subset
+    of one is a face of it, and they are exactly the cones maximal in the
+    face order.  Otherwise every pair of those is decided by LP."""
     if fan.polytope is not None:
         return True
     cone_set = set(fan.cones)
@@ -395,10 +416,10 @@ def fan_is_valid(fan: Fan) -> bool:
     for cone in sorted(fan.cones, key=len, reverse=True):
         if not fan.cone_faces(cone) <= cone_set:
             return False
+    if fan.wall_relations():
+        return True
     proper = set().union(*(fan.cone_faces(c) - {c} for c in fan.cones))
     candidates = [c for c in fan.cones if c not in proper]
-    if complete_fan_certificate(fan.rays, candidates, fan.dimension):
-        return True
     for a, b in itertools.combinations(candidates, 2):
         if not cones_meet_in_common_face(fan.rays, a, b, fan.field,
                                          fan._membership_cache):
@@ -413,16 +434,18 @@ def fan_is_complete(fan: Fan) -> bool:
     the test can answer True wrongly, e.g. for the three 2-cones on rays
     at 0, 27 and 63 degrees, which cover only a 63-degree sector.
 
-    Wall pairing (Ziegler, Lectures on Polytopes, Ch. 7): every maximal
-    cone is full-dimensional and every wall of a maximal cone lies in
-    exactly two maximal cones.  Two cones of a fan that meet in a wall
-    lie on opposite sides of it, so the support has no boundary and is
-    all of R^n.  The walls of a full-dimensional pointed cone are its
-    inclusion-maximal proper faces.  A wall is keyed by its extreme rays,
-    the rays i of the wall with (i,) a face of the cone, which name each
-    geometric cone once even when a cone lists a ray inside one of its
-    walls.  A normal fan of a polytope is complete by construction."""
-    if fan.polytope is not None:
+    A normal fan of a polytope is complete by construction, and a fan
+    with wall relations by complete_fan_certificate.  Any other fan is
+    decided by wall pairing (Ziegler, Lectures on Polytopes, Ch. 7):
+    every maximal cone is full-dimensional and every wall of a maximal
+    cone lies in exactly two maximal cones.  Two cones of a fan that meet
+    in a wall lie on opposite sides of it, so the support has no boundary
+    and is all of R^n.  The walls of a full-dimensional pointed cone are
+    its inclusion-maximal proper faces.  A wall is keyed by its extreme
+    rays, the rays i of the wall with (i,) a face of the cone, which name
+    each geometric cone once even when a cone lists a ray inside one of
+    its walls."""
+    if fan.polytope is not None or fan.wall_relations():
         return True
     n = fan.dimension
     wall_owners = {}
@@ -455,47 +478,32 @@ def is_polytopal(fan: Fan) -> Optional[tuple]:
     """Offsets making the fan a normal fan, or None.
 
     Feasibility of the wall-crossing strict-convexity system: for adjacent
-    maximal cones s, s' and the ray k of s' not in s, the vertex of s must
-    satisfy the k-th constraint strictly.  Adjacent cones are found by
-    their shared wall, and each wall takes one solve: its row f from s to
-    s' is the one linear relation among the wall's rays and the two
-    apexes, with -1 at k, so the row from s' to s is -f / f[a] for a the
-    apex of s.  The rows are listed in the order of the ordered pairs of
-    maximal cones.  A found witness is verified by reconstructing the
-    polytope and comparing normal fans."""
+    maximal cones s, t and the ray k of t not in s, the vertex of s must
+    satisfy the k-th constraint strictly.  Its rows are the fan's wall
+    relations, one per wall: c on the rays of s and -1 at k.  The row from
+    t to s would be a positive multiple of it, since c_a < 0 at the apex a
+    of s, and so adds nothing.  A found witness is verified by
+    reconstructing the polytope and comparing normal fans."""
     preds = fan_predicates(fan)
     if not (preds.valid and preds.complete and preds.simplicial):
         raise InvalidFan(
             "polytopality requires a valid, complete, simplicial fan; got "
             f"valid={preds.valid} simplicial={preds.simplicial} "
             f"complete={preds.complete}")
-    n = fan.dimension
-    d = fan.ray_count
-    field = fan.field
-    maximal = [c for c in fan.maximal_cones() if len(c) == n]
+    relations = fan.wall_relations()
+    if not relations:
+        raise InternalInvariantError("the fan failed its wall certificate")
+    d, field = fan.ray_count, fan.field
     zero, minus_one = field.zero, -field.one
-    rows = {}
-    for owners in _wall_owners(maximal).values():
-        for (s, a), (t, k) in itertools.combinations(owners, 2):
-            sigma = maximal[s]
-            A_t = [[fan.rays[j][i] for j in sigma] for i in range(n)]
-            c = solve_unique(A_t, list(fan.rays[k]))
-            f = [zero] * d
-            for pos, j in enumerate(sigma):
-                f[j] = c[pos]
-            f[k] = minus_one
-            g = [zero] * d
-            scale = -f[a].inverse()
-            for j in maximal[t]:
-                g[j] = f[j] * scale
-            g[a] = minus_one
-            rows[s, t] = tuple(f)
-            rows[t, s] = tuple(g)
-    constraints = [(rows[pair], zero, ">") for pair in sorted(rows)]
-    witness = strict_lp_feasible(constraints, d, field)
+    rows = []
+    for sigma, c, k in relations:
+        f = dict(zip(sigma, c))
+        f[k] = minus_one
+        rows.append(tuple(f.get(j, zero) for j in range(d)))
+    witness = strict_lp_feasible([(f, zero, ">") for f in rows], d, field)
     if witness is None:
         return None
-    H = HalfspaceRep(n, list(zip(fan.rays, witness)))
+    H = HalfspaceRep(fan.dimension, list(zip(fan.rays, witness)))
     rebuilt = normal_fan(H)
     if set(rebuilt.cones) != set(fan.cones):
         raise InternalInvariantError(

@@ -451,6 +451,26 @@ class TestErrorHandling:
             f"RedundantFacet: facets {redundant} are redundant; "
             "strip them first"]
 
+    @pytest.mark.parametrize("command", ["validate-config", "gale"])
+    @pytest.mark.parametrize("n,vectors,triangulation,message", [
+        (0, [], [], "InvalidConfiguration: dimension must be >= 1"),
+        (0, [[]], [], "InvalidConfiguration: dimension must be >= 1"),
+        (-1, [], [], "InvalidConfiguration: dimension must be >= 1"),
+        (1, [[["1"]], [["-1"]]], [[1, 1], [2]],
+         "InvalidConfiguration: simplex (0, 0) repeats a vector index"),
+    ], ids=["n0-empty", "n0-empty-vector", "n-negative", "repeated-index"])
+    def test_malformed_configuration_single_line(
+            self, capsys, tmp_path, command, n, vectors, triangulation,
+            message):
+        doc = {"field": {"minpoly": ["0", "1"], "interval": ["-1", "1"]},
+               "n": n, "vectors": vectors, "triangulation": triangulation}
+        path = tmp_path / "configuration.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == [message]
+
     def test_augment_refuses_a_non_fan(self, capsys, tmp_path):
         # three 2-cones on rays at 0, 27 and 63 degrees: every ray lies in
         # two cones, but the cones overlap and cover only one sector

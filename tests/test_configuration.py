@@ -323,3 +323,32 @@ def test_maximal_pairs_decide_compatibility(case):
         cones_meet_in_common_face(config.vectors, a, b, config.field)
         for a, b in itertools.combinations(sorted(tri.simplices), 2))
     assert config_validate(config, tri).cone_compatibility == all_pairs
+
+
+# ---------------------------------------------------------------------------
+# maximal simplices from the given ones against the pair-loop definition
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.sets(st.integers(0, 6), max_size=5), max_size=7))
+def test_maximal_simplices_agree_with_pair_loop(simplices):
+    tri = Triangulation([tuple(s) for s in simplices])
+    assert tri.maximal() == tuple(sorted(
+        s for s in tri.simplices
+        if not any(set(s) < set(t) for t in tri.simplices)))
+
+
+def test_empty_triangulation_has_the_empty_simplex():
+    assert Triangulation([]).maximal() == ((),)
+    assert Triangulation([()]).maximal() == ((),)
+
+
+def test_repeated_index_rejected():
+    with pytest.raises(InvalidConfiguration, match="repeats a vector index"):
+        Triangulation([(1, 1), (2,)])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_dimension_below_one_rejected(n):
+    with pytest.raises(InvalidConfiguration, match="dimension must be >= 1"):
+        VectorConfiguration(n, [])

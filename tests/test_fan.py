@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import Q, qvec
 from quasitoric import configuration as configuration_module
 from quasitoric import fan as fan_module
+from quasitoric import linalg as linalg_module
 from quasitoric.configuration import (
     Triangulation,
     VectorConfiguration,
@@ -18,10 +19,15 @@ from quasitoric.configuration import (
 )
 from quasitoric.corpus import (
     fifth_roots_of_unity,
+    hirzebruch_configuration_data,
+    kite_configuration_data,
+    kite_facets,
     pentagon_facets,
     pentagon_field,
     sqrt2_field,
+    thick_rhombus_configuration_data,
     thick_rhombus_facets,
+    thin_rhombus_facets,
     trapezoid_facets,
     twisted_cube_fan_data,
     unit_square_facets,
@@ -48,7 +54,13 @@ from quasitoric.fan import (
     redundant_facets_lp,
 )
 from quasitoric.field import FieldElement, RealAlgebraicField
-from quasitoric.linalg import dot, mat_rank, rref_rows, solve_unique
+from quasitoric.linalg import (
+    dot,
+    mat_rank,
+    rank_kernel_solve,
+    rref_rows,
+    solve_unique,
+)
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
     FaceLattice,
@@ -484,6 +496,23 @@ class TestPolytopality:
         assert is_polytopal(fan) is None
         assert 0 < len(calls) <= len(fan.maximal_cones())
 
+    def test_twisted_cube_takes_one_elimination_per_wall_and_cone(
+            self, monkeypatch):
+        # the certificate's 18 wall solves and 11 point solves and the 12
+        # ranks (the LP has no equalities to eliminate); the rows took 18
+        # more solves of their own before they were read off the
+        # certificate
+        calls = []
+        gauss_jordan = linalg_module._gauss_jordan
+
+        def counting(*args):
+            calls.append(args)
+            return gauss_jordan(*args)
+
+        monkeypatch.setattr(linalg_module, "_gauss_jordan", counting)
+        assert is_polytopal(Fan(3, *twisted_cube_fan_data(Q))) is None
+        assert len(calls) <= 41
+
     def test_twisted_cube_sweep_oracle(self):
         """Independent confirmation: no offset vector with entries in
         (1/2)Z over [-2, 2] (after exact translation normalization) makes
@@ -916,6 +945,107 @@ def test_complete_fan_certificate_agrees_with_lp_path(fan):
         assert expected[0] == (True, True, True)
 
 
+def _wall_owners(maximal) -> dict:
+    """Each wall of the simplicial cones on the index tuples in maximal,
+    a cone less one ray, mapped to its owners: (position in maximal,
+    apex) for each cone on it, the apex being the ray it adds."""
+    owners = {}
+    for pos, cone in enumerate(maximal):
+        for apex in cone:
+            wall = tuple(i for i in cone if i != apex)
+            owners.setdefault(wall, []).append((pos, apex))
+    return owners
+
+
+def kernel_sign_certificate(vectors, maximal, n) -> bool:
+    """complete_fan_certificate as it was: a kernel vector of each wall
+    and the signs of its dot products with the two apexes."""
+    maximal = list(maximal)
+    if any(len(cone) != n for cone in maximal):
+        return False
+    zero = vectors[maximal[0][0]][0].field.zero
+    for wall, owners in _wall_owners(maximal).items():
+        if len(owners) != 2:
+            return False
+        # n = 1: the wall () spans {0}, whose normal space is all of R
+        rows = [list(vectors[i]) for i in wall] or [[zero] * n]
+        kernel = rank_kernel_solve(rows).kernel
+        if len(kernel) != 1:
+            return False
+        a, b = (dot(kernel[0], vectors[k]).sign() for _, k in owners)
+        if a * b != -1:
+            return False
+    first, *others = maximal
+    point = [sum((vectors[j][i] for j in first), zero) for i in range(n)]
+    for cone in others:
+        A_t = [[vectors[j][i] for j in cone] for i in range(n)]
+        if all(x.sign() >= 0 for x in solve_unique(A_t, point)):
+            return False
+    return True
+
+
+def assert_certificates_agree(vectors, maximal, n):
+    relations = complete_fan_certificate(vectors, maximal, n)
+    assert bool(relations) == kernel_sign_certificate(vectors, maximal, n)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(certificate_cases())
+@example(non_fan_with_paired_walls("pentagram"))
+@example(non_fan_with_paired_walls("fold"))
+@example(non_fan_with_paired_walls("zig-zag"))
+def test_relation_certificate_agrees_with_kernel_signs(fan):
+    assert_certificates_agree(fan.rays, fan.maximal_cones(), fan.dimension)
+
+
+def algebraic_certificate_cases():
+    """Cases (rays, maximal cones, n) over Q(sqrt2) and the pentagon
+    field: normal fans of corpus polygons and the fans of corpus
+    configurations, as they are, with one maximal cone dropped, or with
+    one ray negated; plus 1-d fans on two rays that point the same way or
+    opposite ways."""
+    k, k2 = pentagon_field(), sqrt2_field()
+    fans = []
+    for name, facets in [("pentagon", pentagon_facets(k)),
+                         ("kite", kite_facets(k)),
+                         ("thick-rhombus", thick_rhombus_facets(k)),
+                         ("thin-rhombus", thin_rhombus_facets(k)),
+                         ("trapezoid-sqrt2", trapezoid_facets(k2, k2.alpha))]:
+        fan = normal_fan(HalfspaceRep(2, facets))
+        fans.append((name, list(fan.rays), list(fan.maximal_cones())))
+    for name, (vectors, maximal, _) in [
+            ("kite-config", kite_configuration_data(k)),
+            ("thick-rhombus-config", thick_rhombus_configuration_data(k)),
+            ("hirzebruch-sqrt2-config",
+             hirzebruch_configuration_data(k2, k2.alpha))]:
+        fans.append((name, list(vectors), list(maximal)))
+    cases = []
+    for name, rays, maximal in fans:
+        cases.append(pytest.param(rays, maximal, 2, id=name))
+        for cone in maximal:
+            dropped = [c for c in maximal if c != cone]
+            cases.append(pytest.param(rays, dropped, 2,
+                                      id=f"{name}-drop{cone}"))
+        for j in range(len(rays)):
+            negated = list(rays)
+            negated[j] = tuple(-x for x in rays[j])
+            cases.append(pytest.param(negated, maximal, 2,
+                                      id=f"{name}-negate{j}"))
+    for sign in (1, -1):
+        rays = [(k2.alpha,), (sign * (k2.one + k2.alpha),)]
+        cases.append(pytest.param(rays, [(0,), (1,)], 1,
+                                  id=f"sqrt2-line{sign}"))
+    return cases
+
+
+@pytest.mark.parametrize("rays,maximal,n", algebraic_certificate_cases())
+def test_relation_certificate_agrees_with_kernel_signs_over_algebraic_fields(
+        rays, maximal, n):
+    assert_certificates_agree(rays, maximal, n)
+
+
 # ---------------------------------------------------------------------------
 # keyed fan bookkeeping against the pairwise loops it replaced
 # ---------------------------------------------------------------------------
@@ -1152,6 +1282,21 @@ def simple_polytopes(draw):
     return H
 
 
+def assert_rows_serve_the_oracle(fan):
+    """is_polytopal's rows are half of the ordered-pair rows, one per
+    wall, and the LP over them answers as over all of those; returns
+    the witness."""
+    rows, witness = polytopal_rows(fan)
+    oracle = wall_crossing_rows(fan)
+    walls = {tuple(i for i in cone if i != apex)
+             for cone in fan.maximal_cones() for apex in cone}
+    assert set(rows) <= set(as_pairs(oracle))
+    assert len(rows) == len(walls)
+    assert 2 * len(rows) == len(oracle)
+    assert witness == strict_lp_feasible(oracle, fan.ray_count, fan.field)
+    return witness
+
+
 @settings(max_examples=25, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
@@ -1160,14 +1305,9 @@ def simple_polytopes(draw):
 @example(truncated_cube(4))
 @example(HalfspaceRep(2, pentagon_facets(pentagon_field())))
 def test_wall_keyed_rows_equal_ordered_pair_rows(H):
-    fan = normal_fan(H)
-    rows, witness = polytopal_rows(fan)
-    assert witness is not None
-    assert rows == as_pairs(wall_crossing_rows(fan))
+    assert assert_rows_serve_the_oracle(normal_fan(H)) is not None
 
 
 def test_twisted_cube_rows_equal_ordered_pair_rows():
     fan = Fan(3, *twisted_cube_fan_data(Q))
-    rows, witness = polytopal_rows(fan)
-    assert witness is None
-    assert rows == as_pairs(wall_crossing_rows(fan))
+    assert assert_rows_serve_the_oracle(fan) is None

@@ -9,11 +9,14 @@ rather than a verdict on the input, prints one
 are 1-based, matching the document convention.  When a file argument does
 not exist and QUASITORIC_CORPUS is set, the path is retried below that
 directory.  The argument parser is built once per process, on first use.
+A file that cannot be read is a ParseError, and an output that cannot
+be written an OutputError.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -27,6 +30,7 @@ from .errors import (
     FieldMismatch,
     InternalInvariantError,
     InvalidFan,
+    OutputError,
     ParseError,
     ToolkitError,
 )
@@ -153,8 +157,26 @@ def _resolve(path: str) -> Path:
     raise ParseError(f"file not found: {path}")
 
 
-def _load(path: str) -> dict:
-    return docs.parse_json(_resolve(path).read_text(encoding="utf-8"))
+def _load(path) -> dict:
+    """The document in the file at path; unreadable input is a
+    ParseError, like malformed input."""
+    path = _resolve(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    return docs.parse_json(text)
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turns a failure to create or write path into an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _indices(items) -> list:
@@ -168,9 +190,11 @@ def _indices(items) -> list:
 def _cmd_analyze(args):
     if args.all:
         directory = _resolve(args.file)
+        if not directory.is_dir():
+            raise ParseError(f"--all needs a directory: {args.file}")
         reports = []
         for name in sorted(directory.glob("*.json")):
-            doc = docs.parse_json(name.read_text(encoding="utf-8"))
+            doc = _load(name)
             if docs.document_kind(doc) != "polytope":
                 continue
             reports.append({"file": name.name,
@@ -387,7 +411,8 @@ def _cmd_render(args):
                       stroke_width=stroke_width)
     svg = render_svg(target, spec)
     out = Path(args.out)
-    out.write_text(svg, encoding="utf-8")
+    with _writing(out):
+        out.write_text(svg, encoding="utf-8")
     return {"command": "render", "out": str(out), "target": kind,
             "bytes": len(svg.encode("utf-8"))}
 
@@ -396,12 +421,13 @@ def _cmd_examples(args):
     entry = corpus_entry(args.name, args.a)
     base = args.dir or os.environ.get(CORPUS_ENV) or "."
     directory = Path(base) / args.name
-    directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for filename in sorted(entry):
-        path = directory / filename
-        path.write_text(docs.dumps(entry[filename]), encoding="utf-8")
-        written.append(str(path))
+    with _writing(directory):
+        directory.mkdir(parents=True, exist_ok=True)
+        for filename in sorted(entry):
+            path = directory / filename
+            path.write_text(docs.dumps(entry[filename]), encoding="utf-8")
+            written.append(str(path))
     return {"command": "examples", "name": args.name,
             "directory": str(directory), "files": written}
 

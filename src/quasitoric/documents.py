@@ -324,6 +324,10 @@ def triple_from_doc(doc) -> FundamentalTriple:
         body = fan_from_doc(body_doc, field)
     else:
         raise ParseError("triple document needs a polytope or a fan")
+    if n is not None and n != body.dimension:
+        raise ParseError(f"dimensions differ: triple {n}, "
+                         f"body {body.dimension}")
+    n = body.dimension
     ql_doc = doc.get("quasilattice")
     if not isinstance(ql_doc, dict):
         raise ParseError("triple document needs a quasilattice")

@@ -131,3 +131,7 @@ class ParseError(ToolkitError):
 
 class FieldMismatch(ToolkitError):
     """Two documents declare different scalar fields."""
+
+
+class OutputError(ToolkitError):
+    """An output file or directory cannot be written."""

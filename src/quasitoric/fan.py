@@ -253,9 +253,20 @@ def cone_contains_index(vectors, cone, index, field, cache=None) -> bool:
 def cones_meet_in_common_face(vectors, S1, S2, field, cache=None) -> bool:
     """Whether cone(S1) and cone(S2) intersect in a common face.
 
-    Decided by an exact separating-functional LP; when the separated
-    faces differ the check recurses into them.  Works for any ambient
-    dimension within the LP variable budget."""
+    F1 is the set of rays of S1 that lie in cone(S2), and F2 the set of
+    rays of S2 that lie in cone(S1).  Unless each cone lies in the other,
+    the answer is one exact LP: it asks for a functional h with h = 0 on
+    F1 and F2, h > 0 on the other rays of S1 and h < 0 on the other rays
+    of S2.  Works for any ambient dimension within the LP variable budget.
+
+    No recursion into F1 and F2 is needed once h exists.  Every point of
+    cone(S2) has h <= 0, with equality exactly on cone(F2), so
+    cone(S2) and the hyperplane h = 0 meet in cone(F2).  Each ray of F1
+    lies in cone(S2) and on that hyperplane, so it lies in cone(F2);
+    likewise each ray of F2 lies in cone(F1).  So the cones meet in
+    cone(F1) = cone(F2), a face of each that h exposes, and a recursive
+    check on F1 and F2 would find every ray of each in the other and
+    answer yes."""
     S1, S2 = tuple(S1), tuple(S2)
     F1 = tuple(i for i in S1
                if i in S2 or cone_contains_index(vectors, S2, i, field,
@@ -279,9 +290,7 @@ def cones_meet_in_common_face(vectors, S1, S2, field, cache=None) -> bool:
             constraints.append((ray, field.zero, "="))
         else:
             constraints.append((tuple(-x for x in ray), field.zero, ">"))
-    if strict_lp_feasible(constraints, dimension, field) is None:
-        return False
-    return cones_meet_in_common_face(vectors, F1, F2, field, cache)
+    return strict_lp_feasible(constraints, dimension, field) is not None
 
 
 def complete_fan_certificate(vectors, maximal, n) -> Optional[list]:
@@ -329,7 +338,7 @@ def complete_fan_certificate(vectors, maximal, n) -> Optional[list]:
         (sigma, a), (_, k) = owners
         A_t = [[vectors[j][i] for j in sigma] for i in range(n)]
         try:
-            c = solve_unique(A_t, list(vectors[k]))
+            c, = solve_unique(A_t, [vectors[k]])
         except ValueError:  # the rays of sigma are dependent
             return None
         if c[sigma.index(a)].sign() >= 0:
@@ -340,7 +349,7 @@ def complete_fan_certificate(vectors, maximal, n) -> Optional[list]:
     point = [sum((vectors[j][i] for j in first), zero) for i in range(n)]
     for cone in others:
         A_t = [[vectors[j][i] for j in cone] for i in range(n)]
-        if all(x.sign() >= 0 for x in solve_unique(A_t, point)):
+        if all(x.sign() >= 0 for x in solve_unique(A_t, [point])[0]):
             return None
     return relations
 

@@ -3,12 +3,13 @@ Smith normal forms over Z, and integral linear-system solving.
 
 Field matrices are plain lists of rows of FieldElement; integer matrices
 are lists of rows of int.  Everything is deterministic for a fixed input:
-pivots are chosen first-nonzero in fixed column order.
+pivots are chosen first-nonzero in fixed column order.  A right-hand
+side is one more column of the one field elimination, _gauss_jordan.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 # dot is the field's kernel, imported from here by the other modules
 from .field import dot, sub_multiple  # noqa: F401
@@ -21,22 +22,17 @@ from .field import dot, sub_multiple  # noqa: F401
 class LinearSolveResult(NamedTuple):
     rank: int
     kernel: list  # kernel basis vectors, reduced-echelon parametrization
-    solution: Optional[tuple]  # present iff the system is consistent
 
 
-def _gauss_jordan(A, b=None):
-    """Reduced row echelon form of A, carrying the right-hand side b.
+def _gauss_jordan(A):
+    """Reduced row echelon form of A.
 
-    Returns (rows, rhs, pivot_cols): all rows of the reduced matrix, the
-    nonzero ones first; b transformed alongside (None when b is None); and
-    the pivot column of each nonzero row.  b rides along as a last
-    column, and each elimination step is one sub_multiple kernel call."""
-    cols = len(A[0])
-    if b is None:
-        work = [list(row) for row in A]
-    else:
-        work = [[*row, x] for row, x in zip(A, b, strict=True)]
-    rows = len(work)
+    Returns (rows, pivot_cols): all rows of the reduced matrix, the
+    nonzero ones first, and the pivot column of each nonzero row.  Each
+    elimination step is one sub_multiple kernel call; the loop stops at
+    the last row, so columns right of the last pivot are only carried."""
+    work = [list(row) for row in A]
+    rows, cols = len(work), len(work[0])
     pivot_cols = []
     r = 0
     for c in range(cols):
@@ -54,25 +50,17 @@ def _gauss_jordan(A, b=None):
         r += 1
         if r == rows:
             break
-    if b is None:
-        return work, None, pivot_cols
-    return [row[:cols] for row in work], [row[cols] for row in work], \
-        pivot_cols
+    return work, pivot_cols
 
 
-def rank_kernel_solve(A, b=None) -> LinearSolveResult:
-    """Exact elimination on A (optionally augmented by b).
-
-    Returns the rank, a deterministic reduced-echelon kernel basis, and,
-    when b is given, a particular solution (free variables zero) or None
-    when the system is inconsistent.
-    """
+def rank_kernel_solve(A) -> LinearSolveResult:
+    """Exact elimination on A: its rank and a deterministic
+    reduced-echelon kernel basis."""
     if not A:
         raise ValueError("matrix must have at least one row")
-    work, rhs, pivot_cols = _gauss_jordan(A, b)
+    work, pivot_cols = _gauss_jordan(A)
     cols = len(A[0])
     field = A[0][0].field
-    rank = len(pivot_cols)
     kernel = []
     for f in (c for c in range(cols) if c not in pivot_cols):
         vec = [field.zero] * cols
@@ -80,34 +68,36 @@ def rank_kernel_solve(A, b=None) -> LinearSolveResult:
         for i, pc in enumerate(pivot_cols):
             vec[pc] = -work[i][f]
         kernel.append(tuple(vec))
-
-    solution = None
-    if rhs is not None and all(x.is_zero() for x in rhs[rank:]):
-        sol = [field.zero] * cols
-        for i, pc in enumerate(pivot_cols):
-            sol[pc] = rhs[i]
-        solution = tuple(sol)
-    return LinearSolveResult(rank, kernel, solution)
+    return LinearSolveResult(len(pivot_cols), kernel)
 
 
-def solve_unique(A, b):
-    """Solution of a square system with invertible A; raises on failure."""
-    res = rank_kernel_solve(A, b)
-    if res.solution is None or res.rank != len(A[0]):
+def solve_unique(A, columns) -> list:
+    """The solution x of A x = b for each b in columns, for a square
+    invertible A; raises ValueError otherwise.
+
+    One elimination of [A | columns] serves every column: A is
+    invertible exactly when its n pivots are the columns 0..n-1, and the
+    reduced right-hand sides are then the solutions."""
+    n = len(A)
+    if not n or any(len(v) != n for v in (*A, *columns)):
+        raise ValueError("system is not square")
+    reduced = rref_rows([[*row, *(b[i] for b in columns)]
+                         for i, row in enumerate(A)])
+    if len(reduced) < n or reduced[n - 1][n - 1].is_zero():
         raise ValueError("system is not uniquely solvable")
-    return res.solution
+    return list(zip(*(row[n:] for row in reduced)))
 
 
 def rref_rows(rows):
     """Nonzero rows of the reduced row echelon form, deterministically."""
     if not rows:
         return []
-    work, _, pivot_cols = _gauss_jordan(rows)
+    work, pivot_cols = _gauss_jordan(rows)
     return [tuple(row) for row in work[:len(pivot_cols)]]
 
 
 def mat_rank(A) -> int:
-    return rank_kernel_solve(A).rank
+    return len(rref_rows(A))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ class Quasilattice:
         if not generators:
             raise NotSpanning("no generators")
         self.dimension = len(generators[0])
+        if self.dimension < 1:
+            raise ParseError("dimension must be >= 1")
         self.field = generators[0][0].field
         for g in generators:
             if len(g) != self.dimension:

@@ -9,6 +9,8 @@ point) whose order is the index [L : Z^n] of the lattice L generated by
 Z^n and the images, computed through the Smith normal form after
 clearing denominators; any irrational coordinate gives an infinite group
 (quasifold point).
+
+The images at a vertex all come from one solve of its frame.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .fan import Fan, fan_is_simplicial, positively_proportional
 from .field import FieldElement
-from .linalg import rank_kernel_solve, snf
+from .linalg import snf, solve_unique
 from .polytope import (
     HalfspaceRep,
     is_simple,
@@ -125,13 +127,12 @@ def chart_groups(triple: FundamentalTriple) -> list:
                 f"vertex {vertex_id} meets {len(active)} facets, "
                 f"expected {n} (nonsimple bodies are refused)")
         frame = [triple.normals[j] for j in active]
-        images = []
-        for g in triple.quasilattice.generators:
-            res = rank_kernel_solve([list(row) for row in frame], list(g))
-            if res.rank != n or res.solution is None:
-                raise SingularVertexFrame(
-                    f"normals at vertex {vertex_id} are dependent")
-            images.append(tuple(_reduce_mod_one(y) for y in res.solution))
+        try:
+            solutions = solve_unique(frame, triple.quasilattice.generators)
+        except ValueError:
+            raise SingularVertexFrame(
+                f"normals at vertex {vertex_id} are dependent") from None
+        images = [tuple(_reduce_mod_one(y) for y in x) for x in solutions]
         classification, order = _classify(images, n)
         reports.append(ChartGroupReport(vertex_id, vertex, tuple(
             tuple(r) for r in frame), tuple(images), classification, order))

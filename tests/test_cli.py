@@ -504,6 +504,115 @@ class TestErrorHandling:
             "InternalInvariantError: vectors must Z-span Q"]
 
 
+
+def single_error(code, out, err, prefix):
+    """The run exited 1 with no report and one error line that begins
+    with prefix; returns that line."""
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+    return lines[0]
+
+
+class TestGeneratorDimensions:
+    @pytest.mark.parametrize("n", [None, 0], ids=["no-n", "n-0"])
+    def test_empty_quasilattice_generators(self, capsys, tmp_path, corpus,
+                                           n):
+        square = corpus("square")
+        doc = json.loads((square / "quasilattice.json").read_text())
+        doc["generators"] = [[]]
+        del doc["n"]
+        if n is not None:
+            doc["n"] = n
+        path = tmp_path / "empty-ql.json"
+        path.write_text(json.dumps(doc))
+        result = run(capsys, "quasirational", str(square / "polytope.json"),
+                     "--ql", str(path))
+        assert single_error(*result, "ParseError:") == \
+            "ParseError: dimension must be >= 1"
+
+    @pytest.mark.parametrize("command", ["check-triple", "charts",
+                                         "augment"])
+    def test_empty_triple_generators(self, capsys, tmp_path, corpus,
+                                     command):
+        # the polytope declares n, the triple does not
+        doc = json.loads((corpus("square") / "triple.json").read_text())
+        del doc["n"]
+        doc["quasilattice"]["generators"] = [[]]
+        path = tmp_path / "empty-triple.json"
+        path.write_text(json.dumps(doc))
+        single_error(*run(capsys, command, str(path)), "ParseError:")
+
+    @pytest.mark.parametrize("command", ["check-triple", "charts",
+                                         "augment"])
+    def test_triple_quasilattice_of_another_dimension(self, capsys,
+                                                      tmp_path, corpus,
+                                                      command):
+        # with no n on the triple, its 1-d quasilattice was taken for a
+        # 2-d square's: check-triple reported it valid
+        doc = json.loads((corpus("square") / "triple.json").read_text())
+        del doc["n"]
+        doc["quasilattice"]["generators"] = [[["1"]]]
+        path = tmp_path / "short-triple.json"
+        path.write_text(json.dumps(doc))
+        assert single_error(*run(capsys, command, str(path)),
+                            "ParseError:") == \
+            "ParseError: vector has length 1, expected 2"
+
+    def test_triple_and_body_dimensions_differ(self, capsys, tmp_path,
+                                               corpus):
+        doc = json.loads((corpus("square") / "triple.json").read_text())
+        doc["n"] = 3
+        path = tmp_path / "n3-triple.json"
+        path.write_text(json.dumps(doc))
+        assert single_error(*run(capsys, "charts", str(path)),
+                            "ParseError:") == \
+            "ParseError: dimensions differ: triple 3, body 2"
+
+
+class TestFileErrors:
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": "\xe9"}')
+        line = single_error(*run(capsys, "charts", str(path)),
+                            "ParseError: cannot read")
+        assert line.endswith("not UTF-8")
+
+    def test_directory_as_file(self, capsys, tmp_path):
+        single_error(*run(capsys, "charts", str(tmp_path)),
+                     "ParseError: cannot read")
+
+    def test_analyze_all_needs_a_directory(self, capsys, corpus):
+        path = corpus("square") / "polytope.json"
+        single_error(*run(capsys, "analyze", "--all", str(path)),
+                     "ParseError: --all needs a directory")
+
+    def test_analyze_all_with_an_unreadable_entry(self, capsys, corpus):
+        directory = corpus("square")
+        (directory / "stray.json").mkdir()
+        single_error(*run(capsys, "analyze", "--all", str(directory)),
+                     "ParseError: cannot read")
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_render_out_not_writable(self, capsys, tmp_path, corpus,
+                                     target):
+        out = tmp_path if target == "directory" else \
+            tmp_path / "missing" / "x.svg"
+        result = run(capsys, "render",
+                     str(corpus("square") / "polytope.json"),
+                     "--out", str(out))
+        single_error(*result, "OutputError: cannot write")
+        assert not (tmp_path / "missing").exists()
+
+    def test_examples_dir_below_a_file(self, capsys, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        result = run(capsys, "examples", "square", "--dir",
+                     str(plain / "sub"))
+        single_error(*result, "OutputError: cannot write")
+
 def negated(vector):
     return [[format_rational(-Fraction(c)) for c in x] for x in vector]
 

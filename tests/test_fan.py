@@ -589,9 +589,9 @@ def all_pairs_valid(fan):
                for a, b in itertools.combinations(fan.cones, 2))
 
 
-def is_pointed(rays, cone):
-    return strict_lp_feasible([(rays[i], Q.zero, ">") for i in cone],
-                              len(rays[0]), Q) is not None
+def is_pointed(rays, cone, field=Q):
+    return strict_lp_feasible([(rays[i], field.zero, ">") for i in cone],
+                              len(rays[0]), field) is not None
 
 
 def primitive(v):
@@ -624,6 +624,97 @@ def small_fans(draw):
 @given(small_fans())
 def test_maximal_pairs_agree_with_all_pairs(fan):
     assert fan_is_valid(fan) == all_pairs_valid(fan)
+
+
+# ---------------------------------------------------------------------------
+# the pairwise check against its recursive form
+# ---------------------------------------------------------------------------
+
+def recursive_cones_meet(vectors, S1, S2, field, cache=None):
+    """cones_meet_in_common_face as it was: after a feasible separation
+    LP it recursed into the separated faces F1 and F2."""
+    S1, S2 = tuple(S1), tuple(S2)
+    F1 = tuple(i for i in S1 if i in S2 or fan_module.cone_contains_index(
+        vectors, S2, i, field, cache))
+    F2 = tuple(j for j in S2 if j in S1 or fan_module.cone_contains_index(
+        vectors, S1, j, field, cache))
+    if F1 == S1 and F2 == S2:
+        return True
+    dimension = len(vectors[S1[0]]) if S1 else len(vectors[S2[0]])
+    constraints = [(vectors[i], field.zero, "=" if i in F1 else ">")
+                   for i in S1]
+    constraints += [(vectors[j], field.zero, "=") if j in F2 else
+                    (tuple(-x for x in vectors[j]), field.zero, ">")
+                    for j in S2]
+    if strict_lp_feasible(constraints, dimension, field) is None:
+        return False
+    return recursive_cones_meet(vectors, F1, F2, field, cache)
+
+
+def corpus_configurations():
+    """Vectors of the corpus configurations over the pentagon field and
+    Q(sqrt2)."""
+    k, k2 = pentagon_field(), sqrt2_field()
+    return [kite_configuration_data(k)[0],
+            thick_rhombus_configuration_data(k)[0],
+            hirzebruch_configuration_data(k2, k2.alpha)[0]]
+
+
+@st.composite
+def cone_pairs(draw):
+    """(vectors, S1, S2, field): two pointed cones, either on the vectors
+    of a corpus configuration or on rays r + alpha s, r and s in a small
+    box, over Q, Q(sqrt2) or the pentagon field."""
+    if draw(st.booleans()):
+        vectors = draw(st.sampled_from(corpus_configurations()))
+        field = vectors[0][0].field
+        n = len(vectors[0])
+    else:
+        field = draw(st.sampled_from(ORACLE_FIELDS))
+        n = draw(st.sampled_from([2, 3]))
+        box = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        pairs = draw(st.lists(st.tuples(box, box), min_size=n + 1,
+                              max_size=6))
+        vectors = [tuple(field.element(r) + field.alpha * field.element(t)
+                         for r, t in zip(rs, ts)) for rs, ts in pairs]
+        assume(all(any(not x.is_zero() for x in v) for v in vectors))
+    indices = st.lists(st.integers(0, len(vectors) - 1), min_size=1,
+                       max_size=n + 1, unique=True).map(
+                           lambda c: tuple(sorted(c)))
+    S1, S2 = draw(indices), draw(indices)
+    assume(is_pointed(vectors, S1, field) and is_pointed(vectors, S2, field))
+    return vectors, S1, S2, field
+
+
+@settings(max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(cone_pairs())
+def test_pairwise_check_agrees_with_its_recursive_form(case):
+    vectors, S1, S2, field = case
+    assert cones_meet_in_common_face(vectors, S1, S2, field) == \
+        recursive_cones_meet(vectors, S1, S2, field)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_fans())
+def test_pairwise_check_agrees_with_its_recursive_form_on_fans(fan):
+    for a, b in itertools.combinations(fan.cones, 2):
+        assert cones_meet_in_common_face(fan.rays, a, b, fan.field) == \
+            recursive_cones_meet(fan.rays, a, b, fan.field)
+
+
+def test_repeated_ray_configuration_takes_eight_lps(monkeypatch):
+    # four membership LPs and one separation LP for the pair of simplices,
+    # and three covering LPs; the recursion into the separated faces
+    # added two more membership LPs
+    calls = counting(monkeypatch, "strict_lp_feasible")
+    config = VectorConfiguration(
+        2, [qvec(1, 0), qvec(2, 0), qvec(0, 1), qvec(-1, -1)])
+    report = config_validate(config, Triangulation([(0, 2), (1, 3)]))
+    assert report.complete is None
+    assert len(calls) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +1070,7 @@ def kernel_sign_certificate(vectors, maximal, n) -> bool:
     point = [sum((vectors[j][i] for j in first), zero) for i in range(n)]
     for cone in others:
         A_t = [[vectors[j][i] for j in cone] for i in range(n)]
-        if all(x.sign() >= 0 for x in solve_unique(A_t, point)):
+        if all(x.sign() >= 0 for x in solve_unique(A_t, [point])[0]):
             return False
     return True
 
@@ -1230,7 +1321,7 @@ def wall_crossing_rows(fan):
             continue
         (k,) = set(tau) - shared
         A_t = [[fan.rays[j][i] for j in sigma] for i in range(n)]
-        c = solve_unique(A_t, list(fan.rays[k]))
+        c, = solve_unique(A_t, [fan.rays[k]])
         coeffs = [field.zero] * d
         for pos, j in enumerate(sigma):
             coeffs[j] = c[pos]

@@ -60,3 +60,57 @@ def test_unused_import_check_sees_an_unused_name():
               "from .linalg import rank_kernel_solve, solve_unique\n"
               "x = os.path.join(solve_unique)\n")
     assert unused_imports(source) == ["rank_kernel_solve:4"]
+
+
+def dead_private_names(sources: dict) -> list:
+    """Module-level private names (one leading underscore, no dunder)
+    that no module of sources reads: not as a name, an attribute or an
+    imported name.  sources maps a module's file name to its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                targets = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                targets = [(n.id, n.lineno) for target in nodes
+                           for n in ast.walk(target)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{ident}:{line}" for ident, line in targets
+                      if ident.startswith("_")
+                      and not ident.startswith("__")
+                      and ident not in read]
+    return found
+
+
+def test_package_has_no_dead_private_helpers():
+    package = Path(quasitoric.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_helper_check_sees_an_unread_helper():
+    sources = {"a.py": "_LIMIT = 3\n"
+                       "def _used():\n    return _LIMIT\n"
+                       "def _dead():\n    return _used()\n"
+                       "__all__ = ['x']\n",
+               "b.py": "from .a import _used as used\n"
+                       "class _Box:\n    pass\n"
+                       "def _helper():\n    pass\n"
+                       "x = _helper\n"}
+    assert dead_private_names(sources) == ["a.py:_dead:4", "b.py:_Box:2"]

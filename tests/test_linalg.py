@@ -116,15 +116,14 @@ class TestRankKernelSolve:
 
     def test_solve_unique(self):
         A = qmat([[2, 1], [1, 3]])
-        b = qvec([5, 10])
-        x = solve_unique(A, b)
-        assert x == qvec([1, 3])
-        # a singular system: inconsistent for (1, 3), consistent for (1, 2)
+        assert solve_unique(A, [qvec([5, 10])]) == [qvec([1, 3])]
+        assert solve_unique(A, [qvec([5, 10]), qvec([2, 1])]) == [
+            qvec([1, 3]), qvec([1, 0])]
+        # a singular system raises, inconsistent for (1, 3) or not
         A = qmat([[1, 1], [2, 2]])
-        assert rank_kernel_solve(A, qvec([1, 3])).solution is None
-        assert rank_kernel_solve(A, qvec([1, 2])).solution == qvec([1, 0])
-        with pytest.raises(ValueError):
-            solve_unique(A, qvec([1, 2]))
+        for b in (qvec([1, 3]), qvec([1, 2])):
+            with pytest.raises(ValueError):
+                solve_unique(A, [b])
 
     def test_rank_nullity(self):
         rng = random.Random(11)
@@ -144,11 +143,10 @@ KERNEL_FIELDS = (Q, RealAlgebraicField(["-2", "0", "1"], ("1", "2")),
 FOREIGN_FIELD = RealAlgebraicField(["-3", "0", "1"], ("1", "2"))
 
 
-def scalar_gauss_jordan(A, b=None):
+def scalar_gauss_jordan(A):
     """_gauss_jordan with each elimination step a loop of scalar
     operators: the reference of the row kernel's use."""
     work = [list(row) for row in A]
-    rhs = list(b) if b is not None else None
     rows, cols = len(work), len(work[0])
     pivot_cols = []
     r = 0
@@ -158,23 +156,24 @@ def scalar_gauss_jordan(A, b=None):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        if rhs is not None:
-            rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
         inv = work[r][c].inverse()
         work[r] = [inv * x for x in work[r]]
-        if rhs is not None:
-            rhs[r] = inv * rhs[r]
         for i in range(rows):
             if i != r and not work[i][c].is_zero():
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                if rhs is not None:
-                    rhs[i] = rhs[i] - f * rhs[r]
         pivot_cols.append(c)
         r += 1
         if r == rows:
             break
-    return work, rhs, pivot_cols
+    return work, pivot_cols
+
+
+def augmented(A, b):
+    """A with b as its last column; A itself when b is None."""
+    if b is None:
+        return A
+    return [[*row, x] for row, x in zip(A, b, strict=True)]
 
 
 def same_entries(xs, ys):
@@ -190,6 +189,15 @@ def outcome(fn, *args):
         return MixedFields
 
 
+def power_basis_coefficients(k):
+    """Coefficient lists of elements of k: small integers and fractions,
+    zero often."""
+    return st.lists(st.one_of(st.just(0), st.integers(-3, 3),
+                              st.builds(Fraction, st.integers(-3, 3),
+                                        st.integers(1, 4))),
+                    min_size=k.degree, max_size=k.degree)
+
+
 @st.composite
 def field_systems(draw, foreign=False):
     """(A, b): 1-4 rows and 1-4 columns over Q, Q(sqrt 2) or the pentagon
@@ -198,10 +206,7 @@ def field_systems(draw, foreign=False):
     A or b lies in another field."""
     k = draw(st.sampled_from(KERNEL_FIELDS))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    coeffs = st.lists(st.one_of(st.just(0), st.integers(-3, 3),
-                                st.builds(Fraction, st.integers(-3, 3),
-                                          st.integers(1, 4))),
-                      min_size=k.degree, max_size=k.degree)
+    coeffs = power_basis_coefficients(k)
     A = [[k.element(draw(coeffs)) for _ in range(cols)]
          for _ in range(rows)]
     if rows > 1 and draw(st.booleans()):
@@ -222,14 +227,11 @@ def field_systems(draw, foreign=False):
 @given(field_systems())
 def test_gauss_jordan_matches_scalar_loop(system):
     A, b = system
-    work, rhs, pivots = _gauss_jordan(A, b)
-    ref_work, ref_rhs, ref_pivots = scalar_gauss_jordan(A, b)
+    work, pivots = _gauss_jordan(augmented(A, b))
+    ref_work, ref_pivots = scalar_gauss_jordan(augmented(A, b))
     assert pivots == ref_pivots
     assert all(same_entries(x, y) for x, y in zip(work, ref_work))
     assert len(work) == len(ref_work)
-    assert (rhs is None) == (ref_rhs is None)
-    if rhs is not None:
-        assert same_entries(rhs, ref_rhs)
     for row in A:
         assert same_entries([dot(row, row)], [scalar_dot(row, row)])
 
@@ -240,12 +242,12 @@ def test_gauss_jordan_matches_scalar_loop(system):
 def test_foreign_entries_as_in_scalar_loop(system):
     # the kernels raise MixedFields exactly where the scalar loops do
     A, b = system
-    got, expected = outcome(_gauss_jordan, A, b), \
-        outcome(scalar_gauss_jordan, A, b)
+    got, expected = outcome(_gauss_jordan, augmented(A, b)), \
+        outcome(scalar_gauss_jordan, augmented(A, b))
     if expected is MixedFields:
         assert got is MixedFields
     else:
-        assert got[2] == expected[2]
+        assert got[1] == expected[1]
         assert all(same_entries(x, y) for x, y in zip(got[0], expected[0]))
     for row in A:
         ones = [FOREIGN_FIELD.one] * len(row)
@@ -255,6 +257,41 @@ def test_foreign_entries_as_in_scalar_loop(system):
             assert got is MixedFields
         else:
             assert same_entries([got], [expected])
+
+
+@st.composite
+def square_systems(draw):
+    """(A, columns): an n x n matrix, n = 1-4, over Q, Q(sqrt 2) or the
+    pentagon field and 1-4 right-hand sides; A is singular when its last
+    row is the sum of the others or a row is zero."""
+    k = draw(st.sampled_from(KERNEL_FIELDS))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeffs = power_basis_coefficients(k)
+    A = [[k.element(draw(coeffs)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        A[-1] = [sum(col, k.zero) for col in zip(*A[:-1])]
+    columns = [tuple(k.element(draw(coeffs)) for _ in range(n))
+               for _ in range(m)]
+    return A, columns
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(square_systems())
+def test_solve_unique_matches_scalar_solutions(system):
+    # column by column, as the scalar loop solves [A | b]; A is
+    # invertible exactly when its pivots are its own n columns
+    A, columns = system
+    n = len(A)
+    solved = [scalar_gauss_jordan(augmented(A, b)) for b in columns]
+    if any(pivots[:n] != list(range(n)) for _, pivots in solved):
+        with pytest.raises(ValueError):
+            solve_unique(A, columns)
+        return
+    got = solve_unique(A, columns)
+    assert len(got) == len(columns)
+    for x, b, (work, _) in zip(got, columns, solved):
+        assert same_entries(x, [row[n] for row in work])
+        assert all((dot(row, x) - y).is_zero() for row, y in zip(A, b))
 
 
 # ---- integer normal forms --------------------------------------------------

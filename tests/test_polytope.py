@@ -24,7 +24,7 @@ from quasitoric.errors import (
     UnboundedPolytope,
 )
 from quasitoric.fan import positively_proportional
-from quasitoric.linalg import dot, rank_kernel_solve, rref_rows
+from quasitoric.linalg import dot, rref_rows, solve_unique
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
     HalfspaceRep,
@@ -272,11 +272,13 @@ def subset_scan(H):
     n, d = H.dimension, H.facet_count
     seen = {}
     for subset in itertools.combinations(range(d), n):
-        res = rank_kernel_solve([list(H.normals[j]) for j in subset],
-                                [H.offsets[j] for j in subset])
-        if res.rank < n or res.solution in seen:
+        try:
+            mu, = solve_unique([H.normals[j] for j in subset],
+                               [[H.offsets[j] for j in subset]])
+        except ValueError:  # the normals of the subset are dependent
             continue
-        mu = res.solution
+        if mu in seen:
+            continue
         signs = [(dot(mu, H.normals[j]) - H.offsets[j]).sign()
                  for j in range(d)]
         if min(signs) >= 0:

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import Q, qvec
+from quasitoric import linalg as linalg_module
 from quasitoric.corpus import (
+    ENTRY_NAMES,
+    corpus_entry,
     fifth_roots_of_unity,
     orbifold_interval_facets,
     pentagon_facets,
@@ -14,13 +17,20 @@ from quasitoric.corpus import (
     trapezoid_quasilattice_generators,
     unit_square_facets,
 )
+from quasitoric.documents import triple_from_doc
 from quasitoric.errors import (
     CountMismatch,
     NormalNotInQuasilattice,
     NormalWrongDirection,
     SingularVertexFrame,
 )
-from quasitoric.polytope import HalfspaceRep, halfspaces_from_vertices
+from quasitoric.fan import normal_fan
+from quasitoric.linalg import solve_unique
+from quasitoric.polytope import (
+    HalfspaceRep,
+    halfspaces_from_vertices,
+    vertices_from_halfspaces,
+)
 from quasitoric.quasilattice import ql_span
 from quasitoric.triple import FundamentalTriple, chart_groups, triple_validate
 
@@ -193,3 +203,102 @@ class TestChartGroups:
             H = HalfspaceRep(2, facets)
             reports = chart_groups(FundamentalTriple(H, lattice, H.normals))
             assert all(r.classification == "trivial" for r in reports)
+
+
+# ---- one elimination per vertex against one per generator ----------------
+
+def per_generator_charts(triple):
+    """(vertex, images, classification, order) per chart as chart_groups
+    found them before it solved all generators at once: one solve per
+    generator, and the order from the subgroup enumeration."""
+    body = triple.body
+    if isinstance(body, HalfspaceRep):
+        V = vertices_from_halfspaces(body)
+        charts = [(tuple(v), sorted(act))
+                  for v, act in zip(V.vertices, V.active)]
+    else:
+        charts = [(c, list(c)) for c in body.maximal_cones() if c]
+    out = []
+    for vertex, active in charts:
+        frame = [triple.normals[j] for j in active]
+        images = []
+        for g in triple.quasilattice.generators:
+            x, = solve_unique(frame, [g])
+            images.append(tuple(y - y.floor() for y in x))
+        if all(y.is_zero() for img in images for y in img):
+            kind, order = "trivial", 1
+        elif any(not y.is_rational() for img in images for y in img):
+            kind, order = "infinite", None
+        else:
+            kind, order = "finite", subgroup_order_oracle(images)
+        out.append((vertex, tuple(images), kind, order))
+    return out
+
+
+def corpus_triples():
+    """Every corpus triple (hirzebruch at three parameters), on its
+    polytope and on the polytope's normal fan."""
+    triples = []
+    for name in ENTRY_NAMES:
+        for a in (("sqrt2", "3/7", "2/1") if name == "hirzebruch"
+                  else ("sqrt2",)):
+            doc = corpus_entry(name, a).get("triple.json")
+            if doc is None:
+                continue
+            triple = triple_from_doc(doc)
+            fan_triple = FundamentalTriple(normal_fan(triple.body),
+                                           triple.quasilattice,
+                                           triple.normals)
+            label = f"{name}-{a}" if name == "hirzebruch" else name
+            triples += [pytest.param(triple, id=label),
+                        pytest.param(fan_triple, id=f"{label}-fan")]
+    return triples
+
+
+def chart_tuples(triple):
+    return [(r.vertex, r.images, r.classification, r.order)
+            for r in chart_groups(triple)]
+
+
+@pytest.mark.parametrize("triple", corpus_triples())
+def test_charts_agree_with_per_generator_solves_on_corpus(triple):
+    assert chart_tuples(triple) == per_generator_charts(triple)
+
+
+def test_charts_agree_with_per_generator_solves_on_rectangles():
+    # rectangles whose normals are multiples of the axes, over Z^2 and a
+    # random rational point: trivial and finite charts
+    rng = random.Random(20261020)
+    for _ in range(60):
+        x0, y0 = rng.randint(-4, 4), rng.randint(-4, 4)
+        w, h = rng.randint(1, 4), rng.randint(1, 4)
+        m = [rng.randint(1, 3) for _ in range(4)]
+        facets = [(qvec(m[0], 0), Q.element(m[0] * x0)),
+                  (qvec(0, m[1]), Q.element(m[1] * y0)),
+                  (qvec(-m[2], 0), Q.element(-m[2] * (x0 + w))),
+                  (qvec(0, -m[3]), Q.element(-m[3] * (y0 + h)))]
+        H = HalfspaceRep(2, facets)
+        extra = qvec(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                     Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        lattice = ql_span([qvec(1, 0), qvec(0, 1), extra])
+        triple = FundamentalTriple(H, lattice, H.normals)
+        assert chart_tuples(triple) == per_generator_charts(triple)
+
+
+@pytest.mark.parametrize("name,a,vertices", [
+    ("pentagon", "sqrt2", 5),     # 5 generators, not 5 x 5 solves
+    ("hirzebruch", "3/7", 4),     # 3 generators, not 4 x 3 solves
+])
+def test_charts_take_one_elimination_per_vertex(monkeypatch, name, a,
+                                                vertices):
+    triple = triple_from_doc(corpus_entry(name, a)["triple.json"])
+    calls = []
+    gauss_jordan = linalg_module._gauss_jordan
+
+    def counting(*args):
+        calls.append(args)
+        return gauss_jordan(*args)
+
+    monkeypatch.setattr(linalg_module, "_gauss_jordan", counting)
+    assert len(chart_groups(triple)) == vertices
+    assert len(calls) == vertices

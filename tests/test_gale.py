@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, qvec
+from quasitoric import gale as gale_module
 from quasitoric.configuration import (
     Triangulation,
     VectorConfiguration,
@@ -20,7 +23,8 @@ from quasitoric.corpus import (
 from quasitoric.errors import NotBalanced, NotOdd, NotSpanning
 from quasitoric.fan import normal_fan
 from quasitoric.gale import chamber_check, gale_dual
-from quasitoric.linalg import dot
+from quasitoric.linalg import dot, rank_kernel_solve, rref_rows
+from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import HalfspaceRep
 from quasitoric.quasilattice import ql_span
 from quasitoric.triple import FundamentalTriple
@@ -160,3 +164,127 @@ class TestChamberCheck:
         report = chamber_check(gale, chamber=((), (0, 1, 2, 3, 4)))
         assert not report.members[0].zero_in_interior
         assert isinstance(report.members[1].zero_in_interior, bool)
+
+    def test_member_index_out_of_range(self):
+        k = sqrt2_field()
+        config, tri = build(k, hirzebruch_configuration_data(k, k.alpha))
+        gale = gale_dual(config, tri)
+        for member in ((0, 5), (-1, 2, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                chamber_check(gale, chamber=(member,))
+
+
+# ---- the dual coordinates as reference -----------------------------------
+
+def reference_kernel_rows(config):
+    """The ones vector, then the reduced row echelon form of the kernel
+    projected off the ones direction."""
+    p = config.count
+    field = config.field
+    matrix = [list(row) for row in zip(*config.vectors)]
+    ones = tuple(field.one for _ in range(p))
+    projected = [tuple(x - vec[0] * o for x, o in zip(vec, ones))
+                 for vec in rank_kernel_solve(matrix).kernel]
+    return (ones,) + tuple(rref_rows(projected))
+
+
+def reference_interior(gale, sigma) -> bool:
+    """The LP in the |sigma| convex weights of the chosen dual points."""
+    field = gale.kernel_rows[0][0].field
+    one, zero = field.one, field.zero
+    k = len(sigma)
+    constraints = [(tuple(one for _ in sigma), one, "=")]
+    for i in range(gale.m):
+        for part in (0, 1):
+            constraints.append((tuple(gale.points[j][part][i]
+                                      for j in sigma), zero, "="))
+    for idx in range(k):
+        unit = [zero] * k
+        unit[idx] = one
+        constraints.append((tuple(unit), zero, ">"))
+    return strict_lp_feasible(constraints, k, field) is not None
+
+
+FIELDS = {"Q": Q, "sqrt2": sqrt2_field(), "pentagon": pentagon_field()}
+
+
+@st.composite
+def balanced_configurations(draw):
+    """A balanced configuration of p = n + 2m + 1 vectors, the last one
+    the negated sum of the others.  Entries a + b * alpha are drawn from
+    few values, so zero, repeated and parallel vectors occur; with a
+    repeat the complement of range(n) is dependent.  Random members are
+    rarely interior: the weights e_0 + yA vanish off the member, so every
+    vector but the first lies on one side of y's hyperplane."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    p = n + 2 * m + 1
+    entry = st.tuples(st.integers(-2, 2), st.integers(-1, 1))
+    vectors = [tuple(field.element(a) + b * field.alpha
+                     for a, b in draw(st.lists(entry, min_size=n,
+                                               max_size=n)))
+               for _ in range(p - 1)]
+    if n > 1 and draw(st.booleans()):
+        vectors[1] = vectors[0]
+    vectors.append(tuple(-sum(col, field.zero) for col in zip(*vectors)))
+    # (0,) is interior (weights e_0) and (1,) is not, as a rule
+    members = [(), (0,), (1,), tuple(range(p)), tuple(range(n, p))]
+    members += draw(st.lists(
+        st.lists(st.integers(0, p - 1), unique=True, max_size=p).map(
+            lambda s: tuple(sorted(s))), max_size=4))
+    return VectorConfiguration(n, vectors), members
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(balanced_configurations())
+def test_gale_dual_matches_dual_coordinates(case):
+    config, members = case
+    matrix = [list(row) for row in zip(*config.vectors)]
+    if rank_kernel_solve(matrix).rank < config.dimension:
+        with pytest.raises(NotSpanning):
+            gale_dual(config)
+        return
+    gale = gale_dual(config)
+
+    def numerators(rows):
+        return [[(x.num, x.den) for x in row] for row in rows]
+
+    assert numerators(gale.kernel_rows) == numerators(
+        reference_kernel_rows(config))
+    report = chamber_check(gale, chamber=members)
+    assert [r.zero_in_interior for r in report.members] == [
+        reference_interior(gale, sigma) for sigma in members]
+
+
+def integral_16gon_facets():
+    """The centrally symmetric 16-gon with primitive normals invariant
+    under rotation by 90 degrees and unit edge multipliers."""
+    quarter = [(1, 0), (2, 1), (1, 1), (1, 2)]
+    normals = []
+    for _ in range(4):
+        normals += quarter
+        quarter = [(-y, x) for x, y in quarter]
+    vertex, facets = (0, 0), []
+    for x, y in normals:
+        facets.append((qvec(x, y), Q.element(vertex[0] * x + vertex[1] * y)))
+        vertex = (vertex[0] + y, vertex[1] - x)
+    return facets
+
+
+def test_chamber_lps_have_n_variables(monkeypatch):
+    fan = normal_fan(HalfspaceRep(2, integral_16gon_facets()))
+    aug = augment(FundamentalTriple(fan, ql_span(
+        [qvec(1, 0), qvec(0, 1)]), fan.rays))
+    gale = gale_dual(aug.configuration, aug.triangulation)
+    assert (gale.count, aug.configuration.dimension) == (19, 2)
+    widths = []
+
+    def recording(constraints, num_vars, field=None):
+        widths.append(num_vars)
+        return strict_lp_feasible(constraints, num_vars, field)
+
+    monkeypatch.setattr(gale_module, "strict_lp_feasible", recording)
+    report = chamber_check(gale)
+    assert len(report.members) == len(gale.virtual_chamber) > 0
+    assert widths == [2] * len(report.members)

@@ -37,7 +37,7 @@ from .fan import (
     maximal_index_sets,
 )
 from .linalg import mat_rank
-from .quasilattice import Quasilattice, integral_membership
+from .quasilattice import Quasilattice, integral_memberships
 from .triple import FundamentalTriple
 
 
@@ -240,6 +240,26 @@ class AugmentedTriple:
         return self.configuration.ghosts
 
 
+def _missing_generators(vectors, generators) -> list:
+    """The generators, in order, that are not in the Z-span of the vectors
+    and the generators taken before them.  The span grows only when a
+    generator is taken, so one Hermite form of the running vectors
+    answers every later generator until then."""
+    span = list(vectors)
+    missing = []
+    rest = tuple(generators)
+    while rest:
+        found = integral_memberships(span, rest)
+        if None not in found:
+            break
+        j = found.index(None)
+        g = tuple(rest[j])
+        span.append(g)
+        missing.append(g)
+        rest = rest[j + 1:]
+    return missing
+
+
 def augment(triple: FundamentalTriple) -> AugmentedTriple:
     """Deterministic ghost augmentation of a complete simplicial fan
     triple: (1) ray generators in fan order, (2) quasilattice generators
@@ -256,12 +276,9 @@ def augment(triple: FundamentalTriple) -> AugmentedTriple:
     n = body.dimension
     ql = triple.quasilattice
     vectors = [tuple(v) for v in triple.normals]
-    ghosts = []
-
-    for g in ql.generators:
-        if integral_membership(vectors, g) is None:
-            ghosts.append(len(vectors))
-            vectors.append(tuple(g))
+    missing = _missing_generators(vectors, ql.generators)
+    ghosts = list(range(len(vectors), len(vectors) + len(missing)))
+    vectors += missing
 
     def append_ghost(v):
         if all(x.is_zero() for x in v):
@@ -306,9 +323,8 @@ def augment(triple: FundamentalTriple) -> AugmentedTriple:
         raise InternalInvariantError("augmented sum must vanish")
     if (config.count - n) % 2 != 1:
         raise InternalInvariantError("augmented defect must be odd")
-    if not all(integral_membership(config.vectors, g) is not None
-               for g in ql.generators):
+    if None in integral_memberships(config.vectors, ql.generators):
         raise InternalInvariantError("vectors must Z-span Q")
-    if not all(ql.contains(v) is not None for v in config.vectors):
+    if None in ql.memberships(config.vectors):
         raise InternalInvariantError("every vector must lie in Q")
     return AugmentedTriple(config, triangulation, ql)

@@ -4,14 +4,17 @@ A field handle carries a monic squarefree minimal polynomial with rational
 coefficients together with an isolating interval for one of its real roots.
 Elements are dense power-basis polynomials in alpha, stored as integer
 numerators over one positive denominator in lowest terms, so equality is
-equality of that pair and every arithmetic operation is exact.  The
+equality of that pair and every arithmetic operation is exact.  A
+rational value, one whose numerators after the constant term are zero,
+multiplies and inverts as a rational number in every field.  The
 vector kernels (dot, sub_multiple) run a whole vector operation on the
 integer numerators and reduce each result once, not once per scalar
 operation; the double description and Fourier-Motzkin keep their rays
 and rows as integer numerator vectors, each divided by its content
 (numerator_dot, numerator_difference, ray_numerators).  Sign
 determination refines the isolating interval by bisection until interval
-evaluation of the element excludes zero; Sturm chains make root counting
+evaluation of the element excludes zero, reading the sign off integer
+Horner bounds over one positive scale; Sturm chains make root counting
 (and hence isolation) decidable.  Field set-up runs on integers: the
 canonical rational texts -?[0-9]+ and -?[0-9]+/[0-9]+ are read straight
 into (num, den) pairs (other texts go through Fraction), and one Sturm
@@ -132,11 +135,13 @@ def _poly_derivative(p):
 
 def _interval_eval(nums, den: int, lo: Fraction, hi: Fraction):
     """Evaluate the polynomial with coefficients nums[i] / den over
-    [lo, hi] by interval Horner; returns (min, max).
+    [lo, hi] by interval Horner; returns (alo, ahi, scale) with
+    alo / scale and ahi / scale the min and max, scale > 0.
 
     Runs on integers: with lo = l/q and hi = h/q, the k-th Horner value
     times q^(k-1) is an integer, and scaling by a positive number keeps
-    the min and max."""
+    the min and max, so signs read off alo and ahi and floors are
+    alo // scale and ahi // scale."""
     q = lcm(lo.denominator, hi.denominator)
     l = lo.numerator * (q // lo.denominator)
     h = hi.numerator * (q // hi.denominator)
@@ -147,8 +152,7 @@ def _interval_eval(nums, den: int, lo: Fraction, hi: Fraction):
         alo = min(cands) + c * power
         ahi = max(cands) + c * power
         power *= q
-    scale = den * power // q
-    return Fraction(alo, scale), Fraction(ahi, scale)
+    return alo, ahi, den * power // q
 
 
 # Sturm sequences run on primitive integer polynomials: each remainder is
@@ -462,13 +466,23 @@ class FieldElement:
         if o is None:
             return NotImplemented
         field = self.field
+        a = self.num
         b = o.num
         d = len(b)
         if d == 1:
             # Q: the table is empty, and skipping its loops pays
-            return _reduced(field, (self.num[0] * b[0],), self.den * o.den)
+            return _reduced(field, (a[0] * b[0],), self.den * o.den)
+        # a rational factor scales the other's numerators: no table
+        if not any(b[1:]):
+            c = b[0]
+            return _reduced(field, tuple([c * x for x in a]),
+                            self.den * o.den)
+        if not any(a[1:]):
+            c = a[0]
+            return _reduced(field, tuple([c * y for y in b]),
+                            self.den * o.den)
         conv = [0] * (2 * d - 1)
-        _accumulate(conv, self.num, b)
+        _accumulate(conv, a, b)
         return _reduced(field, _fold(field, conv),
                         self.den * o.den * field.scale)
 
@@ -476,17 +490,18 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Solve self * u = 1 by fraction-free Gauss-Jordan elimination on
-        the matrix of multiplication by self."""
+        the matrix of multiplication by self; a rational value n/den has
+        the inverse den/n."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         field = self.field
         num = self.num
-        d = len(num)
-        if d == 1:
-            # Q: the inverse of n/den is den/n, already in lowest terms
+        if not any(num[1:]):
+            # den/n is already in lowest terms
             n = num[0]
-            return FieldElement(field, (self.den if n > 0 else -self.den,),
-                                abs(n))
+            return FieldElement(field, (self.den if n > 0 else -self.den,)
+                                + field._pad, abs(n))
+        d = len(num)
         scale = field.scale
         # Column j is scale^j * den * (self * alpha^j): integers, each one
         # alpha times the previous, reduced through x^d = row 0 / scale.
@@ -591,10 +606,10 @@ class FieldElement:
         rounds = 0
         while True:
             lo, hi = self.field.interval
-            vlo, vhi = _interval_eval(self.num, self.den, lo, hi)
-            if vlo > 0:
+            alo, ahi, _ = _interval_eval(self.num, self.den, lo, hi)
+            if alo > 0:
                 return 1
-            if vhi < 0:
+            if ahi < 0:
                 return -1
             if lo == hi:
                 # alpha is the rational point lo and the element vanishes
@@ -640,10 +655,9 @@ class FieldElement:
         rounds = 0
         while True:
             lo, hi = self.field.interval
-            vlo, vhi = _interval_eval(self.num, self.den, lo, hi)
-            flo = vlo.numerator // vlo.denominator
-            fhi = vhi.numerator // vhi.denominator
-            if flo == fhi:
+            alo, ahi, scale = _interval_eval(self.num, self.den, lo, hi)
+            flo = alo // scale
+            if flo == ahi // scale:
                 return flo
             rounds += 1
             if rounds == _REDUCIBILITY_CHECK_AFTER:

@@ -1,5 +1,6 @@
 """Exact linear algebra: Gaussian elimination over a field, Hermite and
-Smith normal forms over Z, and integral linear-system solving.
+Smith normal forms over Z, and integral linear-system solving: one
+Hermite form per integer matrix serves every right-hand side.
 
 Field matrices are plain lists of rows of FieldElement; integer matrices
 are lists of rows of int.  Everything is deterministic for a fixed input:
@@ -270,33 +271,57 @@ def integer_kernel(A: Sequence[Sequence[int]]):
     return _kernel_rows(*hnf(list(zip(*A))))
 
 
-def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]):
-    """Some integral x with A x = b, or None.
+class IntegerSystem:
+    """A x = b over Z for one integer matrix A and any number of
+    right-hand sides b.
 
-    The witness is canonical: the particular solution from HNF
-    back-substitution, reduced modulo the integer kernel so that each
-    kernel-pivot coordinate lies in [0, pivot)."""
-    cols = len(A[0]) if A else 0
-    if cols == 0:
-        return None if any(x != 0 for x in b) else ()
-    H, U = hnf(list(zip(*A)))
-    residual = list(map(int, b))
-    t = [0] * cols
-    for i in range(cols):
-        pivot_col = next((j for j, h in enumerate(H[i]) if h != 0), None)
-        if pivot_col is None:
-            continue
-        if residual[pivot_col] % H[i][pivot_col] != 0:
+    One Hermite form U A^T = H serves every b, by back-substitution
+    through the rows of H (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4.3), and one Hermite form of the kernel rows of U,
+    taken on the first solution, reduces every witness.  The witness is
+    the unique solution whose kernel-pivot coordinates lie in [0, pivot),
+    so it depends on the solution set only: scaling the rows of A and b
+    by positive integers leaves it unchanged."""
+
+    def __init__(self, A: Sequence[Sequence[int]]):
+        self.cols = len(A[0]) if A else 0
+        H, U = hnf(list(zip(*A))) if self.cols else ([], [])
+        self._H, self._U = H, U
+        # (pivot column, H row, U row) of each nonzero row of H
+        self._steps = [(next(j for j, h in enumerate(row) if h), row, u)
+                       for row, u in zip(H, U) if any(row)]
+        self._kernel = None
+
+    @property
+    def rank(self) -> int:
+        return len(self._steps)
+
+    def solve(self, b: Sequence[int]):
+        """The canonical integral x with A x = b, or None."""
+        if not self.cols:
+            return None if any(b) else ()
+        residual = list(b)
+        x = [0] * self.cols
+        for pivot_col, row, u in self._steps:
+            q, r = divmod(residual[pivot_col], row[pivot_col])
+            if r:
+                return None
+            if q:
+                residual = [y - q * h for y, h in zip(residual, row)]
+                x = [y + q * c for y, c in zip(x, u)]
+        if any(residual):
             return None
-        q = residual[pivot_col] // H[i][pivot_col]
-        t[i] = q
-        residual = [x - q * y for x, y in zip(residual, H[i])]
-    if any(x != 0 for x in residual):
-        return None
-    x = [sum(t[i] * U[i][j] for i in range(cols)) for j in range(cols)]
-    for krow in _kernel_rows(H, U):
-        pivot_col = next(j for j, v in enumerate(krow) if v != 0)
-        q = x[pivot_col] // krow[pivot_col]
-        if q:
-            x = [a - q * k for a, k in zip(x, krow)]
-    return tuple(x)
+        if self._kernel is None:
+            self._kernel = [(next(j for j, v in enumerate(k) if v), k)
+                            for k in _kernel_rows(self._H, self._U)]
+        for pivot_col, krow in self._kernel:
+            q = x[pivot_col] // krow[pivot_col]
+            if q:
+                x = [y - q * k for y, k in zip(x, krow)]
+        return tuple(x)
+
+
+def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]):
+    """Some integral x with A x = b, or None: the canonical witness of
+    IntegerSystem(A).solve(b)."""
+    return IntegerSystem(A).solve(b)

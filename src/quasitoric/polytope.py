@@ -268,7 +268,10 @@ def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
     the length of the longest chain of faces from a vertex up to it: 0
     for a set in no other, else one more than the largest dimension of a
     set that strictly contains it, taken over the sets by decreasing
-    size.  The whole polytope, the empty set, must come out as n."""
+    size.  The whole polytope, the empty set, must come out as n, and the
+    face numbers f_i of the proper faces must satisfy the Euler-Poincare
+    relation sum_{i<n} (-1)^i f_i = 1 - (-1)^n (Ziegler, Lectures on
+    Polytopes, Ch. 8)."""
     n = H.dimension
     sets = intersection_closure({frozenset(a) for a in V.active})
     sets.add(frozenset())
@@ -278,6 +281,11 @@ def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
                       default=0)
     if dims[frozenset()] != n:
         raise InternalInvariantError("longest face chain misses dimension n")
+    # with the polytope's own (-1)^n added, the alternating sum is 1
+    euler = sum(-1 if dim % 2 else 1 for dim in dims.values())
+    if euler != 1:
+        raise InternalInvariantError(
+            "face numbers break the Euler-Poincare relation")
     faces = sorted(dims.items(), key=lambda t: (-t[1], sorted(t[0])))
     return FaceLattice(n, tuple(faces))
 

@@ -8,32 +8,72 @@ then reduces to an integral linear system and discreteness to a rank
 computation: the quasilattice is a lattice exactly when the abstract
 Z-rank of the module (the rank of the flattened matrix) equals the real
 span dimension n.
+
+A Quasilattice keeps one Hermite form of its flattened presentation,
+taken on first use, for its rank and for every membership it is asked;
+integral_memberships serves a batch of targets against any vector list
+from one Hermite form.  A target is flattened with the generators' own
+row scales, and one that is not integral after that scaling is no
+member.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantError, NotSpanning, ParseError
-from .linalg import hnf, integer_kernel, integer_solve, mat_rank
+from .linalg import IntegerSystem, integer_kernel, mat_rank
 from .polytope import HalfspaceRep, require_irredundant
 
 
-def _integer_rows(vectors):
-    """Integer rows of the flattened presentation, one column per vector:
-    one row per (coordinate, power-basis index) pair, the rows of each
-    coordinate cleared by the lcm of that coordinate's denominators.
+def _flatten(vectors):
+    """(scales, rows): the integer rows of the flattened presentation, one
+    column per vector and one row per (coordinate, power-basis index)
+    pair, the rows of coordinate i cleared by scales[i], the lcm of that
+    coordinate's denominators.
 
     Each row is a positive multiple of the rational row it flattens, so
     the integer relations among the columns are unchanged."""
+    scales = []
     rows = []
     for entries in zip(*vectors):
         scale = lcm(*(x.den for x in entries))
+        scales.append(scale)
         factors = [scale // x.den for x in entries]
         for k in range(len(entries[0].num)):
             rows.append([x.num[k] * f for x, f in zip(entries, factors)])
-    return rows
+    return scales, rows
+
+
+class _Presentation:
+    """The flattened presentation of a vector list and its IntegerSystem:
+    one Hermite form for every target."""
+
+    def __init__(self, vectors):
+        self.scales, self.rows = _flatten(vectors)
+        self.system = IntegerSystem(self.rows)
+
+    def witnesses(self, targets) -> list:
+        """Integer coefficients expressing each target, or None.
+
+        Coordinate i of a target is a member's only if scales[i] clears
+        its denominator: every power-basis coefficient of a member's
+        coordinate i lies in Z / scales[i], and a coordinate's numerators
+        have no factor in common with its denominator."""
+        out = []
+        for target in targets:
+            column = []
+            for x, scale in zip(target, self.scales):
+                factor, rest = divmod(scale, x.den)
+                if rest:
+                    column = None
+                    break
+                column.extend([c * factor for c in x.num])
+            out.append(None if column is None
+                       else self.system.solve(column))
+        return out
 
 
 class Quasilattice:
@@ -54,7 +94,15 @@ class Quasilattice:
                 != self.dimension:
             raise NotSpanning("generators do not span R^n")
         self.generators = generators
-        self.flattened = _integer_rows(generators)
+
+    @cached_property
+    def _presentation(self) -> _Presentation:
+        return _Presentation(self.generators)
+
+    @property
+    def flattened(self) -> list:
+        """Integer rows of the flattened presentation."""
+        return self._presentation.rows
 
     @property
     def generator_count(self) -> int:
@@ -62,8 +110,7 @@ class Quasilattice:
 
     def flattened_rank(self) -> int:
         """Abstract Z-rank of the module."""
-        H, _ = hnf(self.flattened)
-        return sum(1 for row in H if any(row))
+        return self._presentation.system.rank
 
     def is_lattice(self) -> bool:
         """Discrete iff the Z-rank equals the real span dimension."""
@@ -71,32 +118,41 @@ class Quasilattice:
 
     def contains(self, vector) -> Optional[tuple]:
         """Integer coefficients expressing the vector, or None."""
-        vector = tuple(vector)
-        return integral_membership(self.generators, vector)
+        return self.memberships([tuple(vector)])[0]
+
+    def memberships(self, vectors) -> list:
+        """contains for each vector, from the kept Hermite form."""
+        return self._presentation.witnesses(vectors)
 
     def __eq__(self, other):
         if not isinstance(other, Quasilattice):
             return NotImplemented
-        return (all(other.contains(g) is not None for g in self.generators)
-                and all(self.contains(g) is not None
-                        for g in other.generators))
+        if self.dimension != other.dimension \
+                or not self.field.same_field(other.field):
+            return False
+        return (None not in other.memberships(self.generators)
+                and None not in self.memberships(other.generators))
 
-    def __hash__(self):  # pragma: no cover - equality is set-like
-        return hash((self.dimension, self.generator_count))
+    def __hash__(self):
+        # equal quasilattices share a dimension and a field, and nothing
+        # finer: equal ones may have different generators
+        return hash((self.dimension, self.field.minpoly))
 
 
 def ql_span(vectors) -> Quasilattice:
     return Quasilattice(vectors)
 
 
-def integral_membership(vectors, target) -> Optional[tuple]:
-    """Integer x with sum(x_j * vectors[j]) = target, or None.
+def integral_memberships(vectors, targets) -> list:
+    """For each target, integer x with sum(x_j * vectors[j]) = target, or
+    None: the vectors are flattened into integer rows once, and one
+    Hermite form serves every target."""
+    return _Presentation(vectors).witnesses(targets)
 
-    Flattens the vectors and the target (the last column) into integer
-    rows, then solves over Z."""
-    rows = _integer_rows(list(vectors) + [target])
-    return integer_solve([row[:-1] for row in rows],
-                         [row[-1] for row in rows])
+
+def integral_membership(vectors, target) -> Optional[tuple]:
+    """Integer x with sum(x_j * vectors[j]) = target, or None."""
+    return integral_memberships(vectors, [target])[0]
 
 
 class RayWitness(NamedTuple):
@@ -129,7 +185,7 @@ def ray_generator(ql: Quasilattice, direction) -> Optional[RayWitness]:
     else:
         columns = [[g[i] * dp - g[pivot] * direction[i]
                     for i in range(n) if i != pivot] for g in ql.generators]
-        lattice_rows = integer_kernel(_integer_rows(columns))
+        lattice_rows = integer_kernel(_flatten(columns)[1])
 
     for row in lattice_rows:
         w = _combination(ql.generators, row, field, n)

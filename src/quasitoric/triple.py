@@ -35,7 +35,7 @@ from .polytope import (
     require_irredundant,
     vertices_from_halfspaces,
 )
-from .quasilattice import Quasilattice, integral_membership
+from .quasilattice import Quasilattice, integral_memberships
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,18 @@ def triple_validate(triple: FundamentalTriple) -> TripleReport:
             raise NormalWrongDirection(
                 f"normal {j} is not a positive multiple of its facet "
                 "normal / ray generator")
-    witnesses = []
-    for j, normal in enumerate(triple.normals):
-        coeffs = triple.quasilattice.contains(normal)
-        if coeffs is None:
-            raise NormalNotInQuasilattice(
-                f"normal {j} is not a member of the quasilattice")
-        witnesses.append(coeffs)
+    witnesses = triple.quasilattice.memberships(triple.normals)
+    if None in witnesses:
+        raise NormalNotInQuasilattice(
+            f"normal {witnesses.index(None)} is not a member of the "
+            "quasilattice")
     if isinstance(body, HalfspaceRep):
         simple = is_simple(body, V)
     else:
         simple = fan_is_simplicial(body)
     warning = None if simple else "stratified case, out of scope"
-    spans = all(
-        integral_membership(triple.normals, g) is not None
-        for g in triple.quasilattice.generators)
+    spans = None not in integral_memberships(
+        triple.normals, triple.quasilattice.generators)
     return TripleReport(True, simple, warning, tuple(witnesses), spans)
 
 

@@ -495,13 +495,35 @@ class TestErrorHandling:
         directory = corpus("thin-rhombus")
         # a membership test that never finds a combination breaks the
         # postcondition that the augmented vectors Z-span the quasilattice
-        monkeypatch.setattr("quasitoric.configuration.integral_membership",
-                            lambda vectors, target: None)
+        monkeypatch.setattr("quasitoric.configuration.integral_memberships",
+                            lambda vectors, targets: [None] * len(targets))
         code, out, err = run(capsys, "augment", str(directory / "triple.json"))
         assert code == 3
         assert out == ""
         assert err.strip().splitlines() == [
             "InternalInvariantError: vectors must Z-span Q"]
+
+    def test_broken_euler_poincare_exits_3(self, capsys, corpus,
+                                           monkeypatch):
+        directory = corpus("square")
+        closure = polytope.intersection_closure
+
+        def without_a_vertex(generators):
+            # a vertex of the square lies on two facets; without one,
+            # f_0 - f_1 = 3 - 4, not 1 - (-1)^2 = 0
+            faces = closure(generators)
+            return faces - {min((f for f in faces if len(f) == 2),
+                                key=sorted)}
+
+        monkeypatch.setattr(polytope, "intersection_closure",
+                            without_a_vertex)
+        code, out, err = run(capsys, "analyze",
+                             str(directory / "polytope.json"))
+        assert code == 3
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "InternalInvariantError: face numbers break the "
+            "Euler-Poincare relation"]
 
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+import math
 from math import gcd, lcm
 
 import pytest
@@ -789,3 +790,152 @@ def test_field_setup_matches_the_fraction_reference(declaration, data):
     except NotInvertible:
         vanishes = True
     assert vanishes == ref.vanishes([Fraction(c) for c in coeffs], lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# the general kernels as references of the rational path and integer bounds
+# ---------------------------------------------------------------------------
+# Rational values multiply and invert without the reduction table, and
+# sign and floor read integer Horner bounds.  The references below are the
+# kernels those shortcuts replace: the convolution product folded through
+# the table, the Bareiss inverse of the multiplication matrix, and
+# interval Horner evaluation to Fractions.
+
+def lowest_terms(num, den):
+    g = gcd(den, *num)
+    return tuple(x // g for x in num), den // g
+
+
+def convolution_product(x, y):
+    """(num, den) of x * y by the convolution folded through the table."""
+    k = x.field
+    d = k.degree
+    if d == 1:
+        return lowest_terms((x.num[0] * y.num[0],), x.den * y.den)
+    conv = [0] * (2 * d - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            conv[i + j] += a * b
+    out = [c * k.scale for c in conv[:d]]
+    for c, row in zip(conv[d:], k._reduce):
+        for i, r in enumerate(row):
+            out[i] += c * r
+    return lowest_terms(out, x.den * y.den * k.scale)
+
+
+def bareiss_inverse(x):
+    """(num, den) of 1 / x by fraction-free Gauss-Jordan elimination on
+    the matrix of multiplication by x, rational values included."""
+    k = x.field
+    num = x.num
+    d = len(num)
+    if d == 1:
+        n = num[0]
+        return (x.den if n > 0 else -x.den,), abs(n)
+    scale = k.scale
+    cols = [list(num)]
+    for _ in range(d - 1):
+        prev = cols[-1]
+        top = prev[-1]
+        cols.append([scale * c + top * r
+                     for c, r in zip([0] + prev[:-1], k._reduce[0])])
+    rows = [[*row, 0] for row in zip(*cols)]
+    rows[0][-1] = x.den
+    last = 1
+    for c in range(d):
+        p = next(i for i in range(c, d) if rows[i][c])
+        rows[p], rows[c] = rows[c], rows[p]
+        pivot = rows[c]
+        pk = pivot[c]
+        for i, row in enumerate(rows):
+            if i != c:
+                f = row[c]
+                rows[i] = [(pk * a - f * b) // last
+                           for a, b in zip(row, pivot)]
+        last = pk
+    sign = 1 if last > 0 else -1
+    return lowest_terms([sign * scale ** j * row[-1]
+                         for j, row in enumerate(rows)], sign * last)
+
+
+def fraction_bounds(x):
+    """Min and max of x over its field's interval, by interval Horner on
+    Fractions."""
+    lo, hi = x.field.interval
+    vlo = vhi = Fraction(0)
+    for c in reversed(x.coeffs):
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + c, max(cands) + c
+    return vlo, vhi
+
+
+def reference_sign(x):
+    if x.is_rational():
+        return (x.num[0] > 0) - (x.num[0] < 0)
+    while True:
+        vlo, vhi = fraction_bounds(x)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        x.field.refine()
+
+
+def reference_floor(x):
+    if x.is_rational():
+        return x.num[0] // x.den
+    while True:
+        vlo, vhi = fraction_bounds(x)
+        if math.floor(vlo) == math.floor(vhi):
+            return math.floor(vlo)
+        x.field.refine()
+
+
+def oracle_coefficients(degree):
+    """Coefficient lists of rational values, zero and general elements."""
+    zero = st.just([Fraction(0)] * degree)
+    rational = small_rationals.map(
+        lambda r: [r] + [Fraction(0)] * (degree - 1))
+    general = st.lists(small_rationals, min_size=degree, max_size=degree)
+    return st.one_of(zero, rational, general)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_rational_path_matches_the_general_kernels(data):
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    coeffs = oracle_coefficients(k.degree)
+    a = k.element(data.draw(coeffs))
+    b = k.element(data.draw(coeffs))
+    for x, y in ((a, b), (b, a), (a, a)):
+        product = x * y
+        assert (product.num, product.den) == convolution_product(x, y)
+    for x in (a, b):
+        if x.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+        else:
+            inverse = x.inverse()
+            assert (inverse.num, inverse.den) == bareiss_inverse(x)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_integer_bounds_decide_as_fraction_bounds(data):
+    # twin fields: one answers through the integer bounds, the other
+    # through the references; they must agree on every answer and end
+    # with the same interval, so the same bisections were taken
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    twin = RealAlgebraicField(k.minpoly, k.interval)
+    ref = RealAlgebraicField(k.minpoly, k.interval)
+    queries = data.draw(st.lists(st.tuples(
+        st.sampled_from(["sign", "floor"]), oracle_coefficients(k.degree)),
+        min_size=1, max_size=8))
+    for method, coeffs in queries:
+        x = twin.element(coeffs)
+        y = ref.element(coeffs)
+        if method == "sign":
+            assert x.sign() == reference_sign(y)
+        else:
+            assert x.floor() == reference_floor(y)
+        assert twin.interval == ref.interval

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_dot
+from conftest import reference_integer_solve, scalar_dot
 from quasitoric.corpus import pentagon_field
 from quasitoric.errors import MixedFields
 from quasitoric.field import RealAlgebraicField, rational_field
 from quasitoric.linalg import (
+    IntegerSystem,
     _gauss_jordan,
     dot,
     hnf,
@@ -429,6 +430,41 @@ class TestIntegerSolve:
         # x + y = 3 has kernel (1, -1); canonical witness has x in [0, 1)
         got = integer_solve([[1, 1]], [3])
         assert got == (0, 3)
+
+
+small_ints = st.integers(-6, 6)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_batched_integer_solve_matches_per_column_solves(data):
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    A = data.draw(st.lists(st.lists(small_ints, min_size=cols,
+                                    max_size=cols),
+                           min_size=rows, max_size=rows))
+    # images of integer vectors (solvable) and arbitrary right-hand sides
+    xs = data.draw(st.lists(st.lists(small_ints, min_size=cols,
+                                     max_size=cols), max_size=3))
+    columns = [[sum(a * x for a, x in zip(row, xv)) for row in A]
+               for xv in xs]
+    columns += data.draw(st.lists(st.lists(small_ints, min_size=rows,
+                                           max_size=rows), max_size=3))
+    system = IntegerSystem(A)
+    got = [system.solve(b) for b in columns]
+    assert got == [reference_integer_solve(A, b) for b in columns]
+    assert got == [integer_solve(A, b) for b in columns]
+    # rows scaled by positive integers: the solution set and so the
+    # witness stay; right-hand sides left unscaled are mostly no longer
+    # solvable, and must agree with the reference too
+    factors = data.draw(st.lists(st.integers(1, 5), min_size=rows,
+                                 max_size=rows))
+    scaled = [[f * a for a in row] for f, row in zip(factors, A)]
+    scaled_system = IntegerSystem(scaled)
+    for b, want in zip(columns, got):
+        assert scaled_system.solve([f * y for f, y in zip(factors, b)]) \
+            == want
+        assert scaled_system.solve(b) == reference_integer_solve(scaled, b)
 
 
 def test_integer_kernel():

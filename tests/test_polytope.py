@@ -227,6 +227,29 @@ class TestFaceLattice:
         assert len(fl.of_dimension(1)) == 4
         assert len(fl.of_dimension(0)) == 4
 
+    @pytest.mark.parametrize("dimension, dropped", [(2, 0), (3, 1),
+                                                    (3, 2)])
+    def test_a_dropped_face_breaks_euler_poincare(self, monkeypatch,
+                                                  dimension, dropped):
+        # a face missing from the closure keeps every chain to the top,
+        # so only the Euler-Poincare check sees it
+        corners = [qvec(*c)
+                   for c in itertools.product((0, 1), repeat=dimension)]
+        H = halfspaces_from_vertices(corners)
+        V = vertices_from_halfspaces(H)
+        closure = polytope_module.intersection_closure
+        full = face_lattice(H, V)
+        face = min(set(full.of_dimension(dropped)), key=sorted)
+
+        def dropping(generators):
+            return closure(generators) - {face}
+
+        monkeypatch.setattr(polytope_module, "intersection_closure",
+                            dropping)
+        with pytest.raises(InternalInvariantError,
+                           match="Euler-Poincare relation"):
+            face_lattice(H, V)
+
     def test_any_polygon_is_simple(self):
         k = pentagon_field()
         H = HalfspaceRep(2, pentagon_facets(k))

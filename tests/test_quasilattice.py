@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, qvec
+from conftest import Q, qvec, reference_membership
 from quasitoric import linalg
+from quasitoric.configuration import _missing_generators
 from quasitoric.corpus import (
     fifth_roots_of_unity,
     interval_za_generators,
@@ -24,7 +25,9 @@ from quasitoric.field import rational_field
 from quasitoric.linalg import integer_kernel, rank_kernel_solve
 from quasitoric.polytope import HalfspaceRep
 from quasitoric.quasilattice import (
+    Quasilattice,
     integral_membership,
+    integral_memberships,
     is_quasirational,
     ql_span,
     RayWitness,
@@ -328,3 +331,92 @@ def test_ray_generator_matches_rational_kernel_oracle(data):
     assume(any(not c.is_zero() for c in direction))
     assert ray_generator(ql, direction) == \
         reference_ray_generator(ql, direction)
+
+
+# ---- memberships from the kept Hermite form against the reference ------
+
+def oracle_vectors(k, n):
+    small = st.builds(Fraction, st.integers(-3, 3),
+                      st.sampled_from([1, 1, 1, 2, 3]))
+    sparse = st.one_of(st.just(Fraction(0)), small)
+    element = st.lists(sparse, min_size=k.degree, max_size=k.degree).map(
+        k.element)
+    return st.tuples(*[element] * n)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_kept_hermite_form_matches_the_reference_membership(data):
+    k = data.draw(st.sampled_from(ORACLE_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(n, n + 2))
+    vector = oracle_vectors(k, n)
+    gens = data.draw(st.lists(vector, min_size=p, max_size=p))
+    try:
+        ql = ql_span(gens)
+    except NotSpanning:
+        assume(False)
+    xs = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=p,
+                                     max_size=p), max_size=3))
+    members = [combination(gens, x) for x in xs]
+    # fractions of members: mostly not integral after the generators'
+    # row scaling, so refused before any solve
+    divisor = data.draw(st.integers(2, 6))
+    targets = members + [tuple(c / divisor for c in m) for m in members]
+    targets += data.draw(st.lists(vector, max_size=3))
+    got = ql.memberships(targets)
+    assert got == [reference_membership(gens, t) for t in targets]
+    assert got == [ql.contains(t) for t in targets]
+    assert got == [integral_membership(gens, t) for t in targets]
+    assert got == integral_memberships(gens, targets)
+    assert None not in got[:len(members)]
+    # the span with its members added is the same quasilattice
+    bigger = ql_span(list(gens) + targets[:len(members)])
+    assert bigger == ql and hash(bigger) == hash(ql)
+
+
+def sequential_missing_generators(vectors, generators):
+    """The ghost loop one generator at a time: each generator not in the
+    Z-span of the running vectors is appended to them."""
+    span = list(vectors)
+    missing = []
+    for g in generators:
+        if reference_membership(span, g) is None:
+            span.append(g)
+            missing.append(g)
+    return missing
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_batched_ghost_loop_picks_the_sequential_ghosts(data):
+    k = data.draw(st.sampled_from(ORACLE_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    vector = oracle_vectors(k, n)
+    vectors = data.draw(st.lists(vector, min_size=1, max_size=4))
+    generators = data.draw(st.lists(vector, max_size=5))
+    if vectors and data.draw(st.booleans()):
+        # a member of the starting span among the generators
+        x = data.draw(st.lists(st.integers(-2, 2), min_size=len(vectors),
+                               max_size=len(vectors)))
+        generators.append(combination(vectors, x))
+    assert _missing_generators(vectors, generators) == \
+        sequential_missing_generators(vectors, generators)
+
+
+class TestHashAndEquality:
+    def test_equal_quasilattices_hash_alike(self):
+        e1, e2 = qvec(1, 0), qvec(0, 1)
+        e12 = qvec(1, 1)
+        a = Quasilattice([e1, e2])
+        b = Quasilattice([e1, e2, e12])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_quasilattices(self):
+        a = Quasilattice([qvec(1, 0), qvec(0, 1)])
+        assert a != Quasilattice([qvec(2, 0), qvec(0, 1)])
+        assert a != Quasilattice([qvec(1)])
+        k = sqrt2_field()
+        assert a != Quasilattice([(k.one, k.zero), (k.zero, k.one)])

@@ -6,12 +6,14 @@ Elements are dense power-basis polynomials in alpha, stored as integer
 numerators over one positive denominator in lowest terms, so equality is
 equality of that pair and every arithmetic operation is exact.  A
 rational value, one whose numerators after the constant term are zero,
-multiplies and inverts as a rational number in every field.  The
-vector kernels (dot, sub_multiple) run a whole vector operation on the
-integer numerators and reduce each result once, not once per scalar
-operation; the double description and Fourier-Motzkin keep their rays
-and rows as integer numerator vectors, each divided by its content
-(numerator_dot, numerator_difference, ray_numerators).  Sign
+multiplies and inverts as a rational number in every field, scales the
+numerators of the vector kernels as a factor, and has the sign of its
+integer.  The vector kernels (dot, sub_multiple) run a whole vector
+operation on the integer numerators and reduce each result once, not
+once per scalar operation; the double description and Fourier-Motzkin
+keep their rays and rows as integer numerator vectors, each divided by
+its content, and check their results on them (numerator_dot,
+numerator_difference, ray_numerators, numerator_sign).  Sign
 determination refines the isolating interval by bisection until interval
 evaluation of the element excludes zero, reading the sign off integer
 Horner bounds over one positive scale; Sturm chains make root counting
@@ -276,8 +278,8 @@ class RealAlgebraicField:
     Q): the vector kernels' numerators are scale times the plain values.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "_lo_negative", "scale",
-                 "_reduce", "_pad", "_sturm")
+    __slots__ = ("minpoly", "degree", "_lo", "_hi", "_lo_negative",
+                 "scale", "_reduce", "_pad", "_sturm")
 
     def __init__(self, minpoly: Iterable[RationalLike],
                  interval: tuple[RationalLike, RationalLike]):
@@ -308,6 +310,7 @@ class RealAlgebraicField:
             raise MultipleRootsInInterval(
                 f"{roots} roots of the minimal polynomial in [{lo}, {hi}]")
         self.minpoly = poly
+        self.degree = _deg(poly)
         self._sturm = chain
         self._lo = lo
         self._hi = hi
@@ -317,13 +320,9 @@ class RealAlgebraicField:
         self._lo_negative = at_lo < 0
         self.scale, self._reduce = _reduction_table(poly)
         # zero numerators after the constant term of a rational element
-        self._pad = (0,) * (_deg(poly) - 1)
+        self._pad = (0,) * (self.degree - 1)
 
     # -- basic data --
-
-    @property
-    def degree(self) -> int:
-        return _deg(self.minpoly)
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
@@ -788,9 +787,10 @@ def _members(field: RealAlgebraicField, xs: Sequence) -> Sequence:
     return xs
 
 
-def _flat(field: RealAlgebraicField, vector: Sequence) -> tuple[list, int]:
+def flat_numerators(field: RealAlgebraicField,
+                    vector: Sequence) -> tuple[list, int]:
     """(nums, den): the numerator vector of den * vector, den the lcm of
-    the entries' denominators."""
+    the entries' denominators, so vector is nums over den exactly."""
     vector = _members(field, vector)
     den = lcm(*[x.den for x in vector])
     if den == 1:
@@ -801,15 +801,27 @@ def _flat(field: RealAlgebraicField, vector: Sequence) -> tuple[list, int]:
 def numerators(field: RealAlgebraicField, vector: Sequence) -> tuple:
     """The numerator vector of the positive multiple of vector whose
     integers have no common factor (content 1)."""
-    nums, _ = _flat(field, vector)
+    nums, _ = flat_numerators(field, vector)
     return _primitive(nums)
 
 
-def from_numerators(field: RealAlgebraicField, nums: Sequence[int]) -> tuple:
-    """The vector of elements with the given numerators over 1."""
+def from_numerators(field: RealAlgebraicField, nums: Sequence[int],
+                    den: int = 1) -> tuple:
+    """The vector of elements with the given numerators over the positive
+    integer den, each in lowest terms."""
     d = field.degree
-    return tuple([FieldElement(field, tuple(nums[k:k + d]), 1)
+    return tuple([_reduced(field, tuple(nums[k:k + d]), den)
                   for k in range(0, len(nums), d)])
+
+
+def numerator_sign(field: RealAlgebraicField, nums: Sequence[int]) -> int:
+    """Sign of the field element with the given numerators over 1.  A
+    rational value, every value over Q among them, reads the sign of its
+    integer with no element built, as FieldElement.sign would."""
+    head = nums[0]
+    if not any(nums[1:]):
+        return (head > 0) - (head < 0)
+    return FieldElement(field, tuple(nums), 1).sign()
 
 
 def numerator_dot(field: RealAlgebraicField, u: Sequence[int],
@@ -835,6 +847,11 @@ def numerator_difference(field: RealAlgebraicField, a: Sequence[int],
     d = len(a)
     if d == 1:
         a, b = a[0], b[0]
+        return [a * x - b * y for x, y in zip(u, v)]
+    if not any(a[1:]) and not any(b[1:]):
+        # rational factors scale the numerators, as in FieldElement.__mul__
+        scale = field.scale
+        a, b = scale * a[0], scale * b[0]
         return [a * x - b * y for x, y in zip(u, v)]
     nb = tuple(map(neg, b))
     out = []
@@ -888,8 +905,8 @@ def dot(u: Sequence, v: Sequence) -> FieldElement:
     are brought to one denominator per vector and the integer dot
     product is taken by numerator_dot."""
     field = u[0].field
-    a, p = _flat(field, u)
-    b, q = _flat(field, v)
+    a, p = flat_numerators(field, u)
+    b, q = flat_numerators(field, v)
     return _reduced(field, numerator_dot(field, a, b), p * q * field.scale)
 
 
@@ -912,6 +929,18 @@ def sub_multiple(xs: Sequence, f: FieldElement, ys: Sequence) -> list:
             p = x.den
             q = r * y.den
             out.append(_reduced(field, (x.num[0] * q - c * b * p,), p * q))
+        return out
+    if not any(c[1:]):
+        # a rational f scales the numerators of y, as in FieldElement.__mul__
+        c = c[0]
+        for x, y in zip(xs, ys):
+            if not any(y.num):
+                out.append(x)
+                continue
+            p = x.den
+            q = r * y.den
+            out.append(_reduced(field, tuple([
+                a * q - c * b * p for a, b in zip(x.num, y.num)]), p * q))
         return out
     d = len(c)
     scale = field.scale

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 # dot is the field's kernel, imported from here by the other modules
-from .field import dot, sub_multiple  # noqa: F401
+from .field import _members, dot, sub_multiple  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,10 @@ def _gauss_jordan(A):
             continue
         work[r], work[pivot] = work[pivot], work[r]
         inv = work[r][c].inverse()
-        work[r] = [inv * x for x in work[r]]
+        # coerced as the products would coerce it, so a foreign field
+        # still raises MixedFields; a zero entry stays zero, no product
+        work[r] = [inv * x if any(x.num) else x
+                   for x in _members(inv.field, work[r])]
         for i in range(rows):
             if i != r and not work[i][c].is_zero():
                 work[i] = sub_multiple(work[i], work[i][c], work[r])

@@ -17,7 +17,12 @@ interval as far, and over Q no row takes an inverse.  A row whose normal
 vanishes keeps b as the rows scaled to a leading +-1 give it: such rows
 merge by the sign of b - b', which rescaled b would change.
 The witness is deterministic: free variables are fixed at the midpoint
-of their final bound interval.
+of their final bound interval.  Back-substitution flattens the witness
+into one numerator vector per eliminated variable and takes each bound
+(b - <c, x>) / c_v straight from the integer row; the exact recheck
+flattens the finished witness once and asks each sign of a positive
+multiple of <a, x> - b over 1.  A rational value, every value over Q,
+reads its sign off the integer (field.numerator_sign).
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, VariableBudgetExceeded
-from .field import (FieldElement, from_numerators, numerator_difference,
-                    numerators, ray_numerators)
+from .field import (flat_numerators, from_numerators, numerator_difference,
+                    numerator_dot, numerator_sign, numerators,
+                    ray_numerators)
 from .linalg import dot, rref_rows, sub_multiple
 
 VARIABLE_BUDGET = 16
@@ -48,7 +54,6 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
         if not constraints:
             raise ValueError("cannot infer the field from zero constraints")
         field = constraints[0][1].field
-    zero, one = field.zero, field.one
 
     equalities = []   # rows [a | b]
     inequalities = []  # (coeffs list, rhs, strict)
@@ -97,7 +102,8 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     while True:
         # one sign per (row, active variable), read by the counts and the
         # split alike
-        signs = [{v: _sign(field, row[v * d:v * d + d]) for v in active}
+        signs = [{v: numerator_sign(field, row[v * d:v * d + d])
+                  for v in active}
                  for row, _, _ in rows]
         candidates = []
         for v in sorted(active):
@@ -134,23 +140,88 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     if _contradiction(rows, width, field):
         return None
 
-    # --- back-substitution ----------------------------------------------
-    # variables never eliminated stay zero; witness[v] is still zero when
-    # v's bounds are taken, so the full dot product leaves it out
+    witness = _back_substitution(field, num_vars, solved, eliminated)
+    _recheck(field, constraints, witness)
+    return tuple(witness)
+
+
+def _dedup(rows, width, field):
+    """Keep only the strongest row per normal direction.
+
+    A row (r, g, strict) states <c, x> >= b with [c | b] = r / g over
+    the implicit denominator 1, and c content 1 or zero; with c fixed, a
+    larger b is stronger, and a strict row beats an equal one."""
+    best = {}
+    for row, g, s in rows:
+        key = row[:width] if g == 1 else tuple([x // g for x in row[:width]])
+        old = best.get(key)
+        if old is not None:
+            orow, og, os = old
+            # a positive multiple of b - b'
+            cmp = numerator_sign(field, [x * og - y * g for x, y in
+                                         zip(row[width:], orow[width:])])
+            if cmp < 0 or (cmp == 0 and (os or not s)):
+                continue
+        best[key] = (row, g, s)
+    return list(best.values())
+
+
+def _contradiction(rows, width, field) -> bool:
+    """Whether a row with a vanished normal states a false 0 >= b or
+    0 > b."""
+    for row, _, s in rows:
+        if not any(row[:width]):
+            bs = numerator_sign(field, row[width:])
+            if bs > 0 or (bs == 0 and s):
+                return True
+    return False
+
+
+def _bound(field, row, v, w, w_den):
+    """(b - <c, x>) / c_v for the integer row [c | b] over 1 and the
+    point x with numerator vector w over w_den: numerator_dot gives
+    scale * w_den * <c, x> over 1, and a rational c_v divides the
+    numerators of the difference with no inverse."""
+    d = field.degree
+    k = w_den * field.scale
+    width = len(w)
+    diff = [k * b - t for b, t in
+            zip(row[width:], numerator_dot(field, row[:width], w))]
+    c = row[v * d:v * d + d]
+    if any(c[1:]):
+        (c,) = from_numerators(field, c)
+        (top,) = from_numerators(field, diff, k)
+        return top / c
+    if c[0] < 0:
+        diff = [-x for x in diff]
+    (bound,) = from_numerators(field, diff, k * abs(c[0]))
+    return bound
+
+
+def _back_substitution(field, num_vars, solved, eliminated) -> list:
+    """The witness: each eliminated variable, last first, fixed at the
+    midpoint of its bound interval (or one past its only bound), then
+    each pivot variable of the equalities read off its reduced row.
+
+    Each bound (b - <c, x>) / c_v is taken by _bound from the integer
+    row and the numerator vector of the witness so far, flattened once
+    per variable.  Variables never eliminated stay zero; witness[v] is
+    still zero when v's bounds are taken, so the full dot product
+    leaves it out."""
+    zero, one = field.zero, field.one
     witness = [zero] * num_vars
     for v, lowers, uppers in reversed(eliminated):
+        w, w_den = flat_numerators(field, witness)
         lo = hi = None
         lo_strict = hi_strict = False
         for row, _, s in lowers:
-            *c, b = from_numerators(field, row)
-            val = (b - dot(c, witness)) / c[v]
+            val = _bound(field, row, v, w, w_den)
             if lo is None or val > lo:
                 lo, lo_strict = val, s
             elif val == lo:
                 lo_strict = lo_strict or s
         for row, _, s in uppers:
-            *c, b = from_numerators(field, row)
-            val = (b - dot(c, witness)) / c[v]
+            val = _bound(field, row, v, w, w_den)
             if hi is None or val < hi:
                 hi, hi_strict = val, s
             elif val == hi:
@@ -174,50 +245,22 @@ def strict_lp_feasible(constraints: Sequence[tuple], num_vars: int,
     # a reduced row is zero on the other pivots, and witness[p] is zero
     for p, eq in solved:
         witness[p] = eq[-1] - dot(eq[:-1], witness)
+    return witness
 
-    # --- exact recheck ----------------------------------------------------
+
+def _recheck(field, constraints, witness) -> None:
+    """Raise InternalInvariantError unless the witness satisfies every
+    constraint exactly.  The witness is flattened once, and each sign is
+    asked of a positive multiple of <coeffs, witness> - rhs over 1."""
+    w, w_den = flat_numerators(field, witness)
+    k = w_den * field.scale
+    width = len(w)
     for coeffs, rhs, rel in constraints:
-        val = dot(coeffs, witness) if num_vars else zero
-        diff = (val - rhs).sign()
+        row, _ = flat_numerators(field, [*coeffs, rhs])
+        diff = numerator_sign(field, [
+            t - k * b for t, b in
+            zip(numerator_dot(field, row[:width], w), row[width:])])
         ok = diff == 0 if rel == "=" else (diff > 0 if rel == ">"
                                            else diff >= 0)
         if not ok:
             raise InternalInvariantError("witness failed the exact recheck")
-    return tuple(witness)
-
-
-def _dedup(rows, width, field):
-    """Keep only the strongest row per normal direction.
-
-    A row (r, g, strict) states <c, x> >= b with [c | b] = r / g over
-    the implicit denominator 1, and c content 1 or zero; with c fixed, a
-    larger b is stronger, and a strict row beats an equal one."""
-    best = {}
-    for row, g, s in rows:
-        key = row[:width] if g == 1 else tuple([x // g for x in row[:width]])
-        old = best.get(key)
-        if old is not None:
-            orow, og, os = old
-            # a positive multiple of b - b'
-            cmp = _sign(field, [x * og - y * g for x, y in
-                                zip(row[width:], orow[width:])])
-            if cmp < 0 or (cmp == 0 and (os or not s)):
-                continue
-        best[key] = (row, g, s)
-    return list(best.values())
-
-
-def _contradiction(rows, width, field) -> bool:
-    """Whether a row with a vanished normal states a false 0 >= b or
-    0 > b."""
-    for row, _, s in rows:
-        if not any(row[:width]):
-            bs = _sign(field, row[width:])
-            if bs > 0 or (bs == 0 and s):
-                return True
-    return False
-
-
-def _sign(field, nums) -> int:
-    """Sign of the field element with the given numerators over 1."""
-    return FieldElement(field, tuple(nums), 1).sign()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -29,10 +30,10 @@ from .errors import (
     UnboundedPolytope,
 )
 from .field import (
-    FieldElement,
     from_numerators,
     numerator_difference,
     numerator_dot,
+    numerator_sign,
     numerators,
     ray_numerators,
 )
@@ -159,9 +160,12 @@ def extreme_rays(rows) -> tuple:
     inverse over Q, only the division by its content.  Every ray is a
     positive rational multiple of the ray scaled to a leading +-1, so
     each sign is decided as on that ray and the isolating interval of
-    the field is refined as far.  Each returned ray is scaled once and
-    then checked against every row exactly, on the numerators of the
-    scaled ray: a positive rational multiple of each <h, ray>."""
+    the field is refined as far; a rational value, every value over Q,
+    reads its sign off the integer (field.numerator_sign).  Each returned
+    ray is built from its canonical numerators by one division by the
+    size of its rational first nonzero coordinate (_unit_lead), and then
+    checked against every row exactly, on the numerators of the returned
+    ray: a positive rational multiple of each <h, ray>."""
     dim = len(rows[0])
     field = rows[0][0].field
     # [rows^T | identity] reduces to [R | E]: a row with its pivot in R
@@ -190,7 +194,7 @@ def extreme_rays(rows) -> tuple:
         for ray, zero in rays:
             value = numerator_dot(field, h, ray)
             # a positive rational multiple of <h, ray>, over 1
-            side = FieldElement(field, value, 1).sign()
+            side = numerator_sign(field, value)
             if side > 0:
                 kept.append((ray, zero))
                 above.append((ray, zero, value))
@@ -208,18 +212,7 @@ def extreme_rays(rows) -> tuple:
                 kept.append((ray_numerators(field, numerator_difference(
                     field, v_up, r_down, v_down, r_up)), common | bit))
         rays = kept
-    checked = []
-    for ray, mask in rays:
-        ray = _scaled(from_numerators(field, ray))
-        nums = numerators(field, ray)
-        signs = [FieldElement(field, numerator_dot(field, h, nums), 1).sign()
-                 for h in row_nums]
-        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
-        if min(signs) < 0 or mask != sum(1 << j for j in zero):
-            raise InternalInvariantError(
-                "extreme ray fails its exact recheck")
-        checked.append((ray, zero))
-    return checked, lines
+    return _recheck(field, rays, row_nums), lines
 
 
 def vertices_from_halfspaces(H: HalfspaceRep) -> VertexRep:
@@ -269,9 +262,17 @@ def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
     for a set in no other, else one more than the largest dimension of a
     set that strictly contains it, taken over the sets by decreasing
     size.  The whole polytope, the empty set, must come out as n, and the
-    face numbers f_i of the proper faces must satisfy the Euler-Poincare
-    relation sum_{i<n} (-1)^i f_i = 1 - (-1)^n (Ziegler, Lectures on
-    Polytopes, Ch. 8)."""
+    face numbers f_i, f_n = 1 for the polytope itself, must satisfy the
+    Euler-Poincare relation sum_i (-1)^i f_i = 1 (Ziegler, Lectures on
+    Polytopes, Ch. 8).
+
+    A simple polytope must also satisfy the Dehn-Sommerville equations
+    (Ziegler, Ch. 8): "the h-vector of a simple d-polytope is symmetric,
+    h_k = h_{d-k} for 0 <= k <= d", where h_k counts the vertices of
+    in-degree k for a generic linear function and f_i = sum_k C(k, i)
+    h_k, so h_k = sum_i (-1)^(i-k) C(i, k) f_i.  The equation for k = 0
+    is the Euler-Poincare relation, which every polytope is checked
+    against after the equations for 0 < k < d."""
     n = H.dimension
     sets = intersection_closure({frozenset(a) for a in V.active})
     sets.add(frozenset())
@@ -281,9 +282,16 @@ def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
                       default=0)
     if dims[frozenset()] != n:
         raise InternalInvariantError("longest face chain misses dimension n")
-    # with the polytope's own (-1)^n added, the alternating sum is 1
-    euler = sum(-1 if dim % 2 else 1 for dim in dims.values())
-    if euler != 1:
+    f = [0] * (n + 1)
+    for dim in dims.values():
+        f[dim] += 1
+    if is_simple(H, V):
+        h = [sum((-1) ** (i - k) * comb(i, k) * f[i]
+                 for i in range(k, n + 1)) for k in range(n + 1)]
+        if h[1:n] != h[n - 1:0:-1]:
+            raise InternalInvariantError(
+                "face numbers break the Dehn-Sommerville equations")
+    if sum(-x if i % 2 else x for i, x in enumerate(f)) != 1:
         raise InternalInvariantError(
             "face numbers break the Euler-Poincare relation")
     faces = sorted(dims.items(), key=lambda t: (-t[1], sorted(t[0])))
@@ -342,6 +350,35 @@ def _interior_lp(n: int, normals, offsets) -> None:
     if strict_lp_feasible([(a, b, ">") for a, b in zip(normals, offsets)],
                           n, normals[0][0].field) is None:
         raise DegenerateDimension("halfspace intersection has empty interior")
+
+
+def _recheck(field, rays, row_nums) -> list:
+    """The (ray, zero set) pairs of the double description's (numerator
+    vector, zero mask) pairs, each ray built by _unit_lead and checked
+    against every row exactly, on the numerators of that returned ray;
+    InternalInvariantError unless every <h, ray> >= 0 and the zero set
+    is the mask."""
+    checked = []
+    for ray, mask in rays:
+        ray = _unit_lead(field, ray)
+        nums = numerators(field, ray)
+        signs = [numerator_sign(field, numerator_dot(field, h, nums))
+                 for h in row_nums]
+        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
+        if min(signs) < 0 or mask != sum(1 << j for j in zero):
+            raise InternalInvariantError(
+                "extreme ray fails its exact recheck")
+        checked.append((ray, zero))
+    return checked
+
+
+def _unit_lead(field, nums) -> tuple:
+    """The vector of the canonical numerator vector nums
+    (field.ray_numerators) scaled to a leading +-1: its first nonzero
+    coordinate is rational, so that is one division of every numerator
+    by the size of that coordinate's integer, the vector _scaled gives."""
+    lead = next(x for x in nums[::field.degree] if x)
+    return from_numerators(field, nums, abs(lead))
 
 
 def _scaled(ray) -> tuple:

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from quasitoric.field import rational_field
+from quasitoric.field import FieldElement, rational_field
 
 Q = rational_field()
 
@@ -28,6 +28,12 @@ def scalar_dot(u, v):
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
     return acc
+
+
+def fieldelement_sign(field, nums):
+    """The sign of the element with the given numerators over 1, asked
+    of the element: the reference of field.numerator_sign."""
+    return FieldElement(field, tuple(nums), 1).sign()
 
 
 def reference_integer_solve(A, b):

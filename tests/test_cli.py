@@ -11,11 +11,23 @@ import pytest
 from quasitoric import cli, lp, polytope
 from quasitoric.cli import main
 from quasitoric.corpus import corpus_entry
-from quasitoric.documents import dumps, fan_to_doc
+from quasitoric.documents import dumps, fan_to_doc, polytope_to_doc
 from quasitoric.fan import normal_fan
 from quasitoric.field import format_rational, rational_field
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def cube_facets():
+    """The facets <+-e_i, x> >= -1 of the cube [-1, 1]^3 over Q."""
+    Q = rational_field()
+    facets = []
+    for i in range(3):
+        for s in (Q.one, -Q.one):
+            normal = [Q.zero] * 3
+            normal[i] = s
+            facets.append((tuple(normal), -Q.one))
+    return facets
 
 
 def run(capsys, *argv):
@@ -221,15 +233,7 @@ class TestWorkflows:
         # the wall-crossing LP, then the interior LP of the witness
         # polytope, which is certified bounded, and its normal fan rebuilt,
         # from one double-description run
-        Q = rational_field()
-        one, zero = Q.one, Q.zero
-        facets = []
-        for i in range(3):
-            for s in (one, -one):
-                normal = [zero] * 3
-                normal[i] = s
-                facets.append((tuple(normal), -one))
-        cube_fan = normal_fan(polytope.HalfspaceRep(3, facets))
+        cube_fan = normal_fan(polytope.HalfspaceRep(3, cube_facets()))
         path = tmp_path / "fan.json"
         path.write_text(dumps(fan_to_doc(cube_fan)))
         lp_calls = count_calls(monkeypatch, lp.strict_lp_feasible)
@@ -524,6 +528,28 @@ class TestErrorHandling:
         assert err.strip().splitlines() == [
             "InternalInvariantError: face numbers break the "
             "Euler-Poincare relation"]
+
+    def test_broken_dehn_sommerville_exits_3(self, capsys, tmp_path,
+                                             monkeypatch):
+        # the cube without an edge: h = (2, 2, 3, 1), so h_1 != h_2
+        path = tmp_path / "cube.json"
+        path.write_text(dumps(polytope_to_doc(
+            polytope.HalfspaceRep(3, cube_facets()))))
+        closure = polytope.intersection_closure
+
+        def without_an_edge(generators):
+            faces = closure(generators)
+            return faces - {min((f for f in faces if len(f) == 2),
+                                key=sorted)}
+
+        monkeypatch.setattr(polytope, "intersection_closure",
+                            without_an_edge)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "InternalInvariantError: face numbers break the "
+            "Dehn-Sommerville equations"]
 
 
 

@@ -22,6 +22,7 @@ from quasitoric.field import (
     FieldElement,
     RealAlgebraicField,
     dot,
+    numerator_difference,
     numerator_dot,
     numerators,
     parse_rational,
@@ -917,6 +918,65 @@ def test_rational_path_matches_the_general_kernels(data):
         else:
             inverse = x.inverse()
             assert (inverse.num, inverse.den) == bareiss_inverse(x)
+
+
+def convolved_sub_multiple(xs, f, ys):
+    """(num, den) of each x - f * y, with f * y by convolution_product:
+    the reference of sub_multiple's rational path."""
+    out = []
+    for x, y in zip(xs, ys):
+        num, den = convolution_product(f, y)
+        out.append(lowest_terms([a * den - b * x.den
+                                 for a, b in zip(x.num, num)], x.den * den))
+    return out
+
+
+def convolved_difference(k, a, u, b, v):
+    """numerator_difference by the convolutions a * u_i - b * v_i folded
+    through the table, unreduced, so with the factor scale."""
+    d = k.degree
+    out = []
+    for i in range(0, len(u), d):
+        conv = [0] * (2 * d - 1)
+        for p, x in enumerate(a):
+            for q, y in enumerate(u[i:i + d]):
+                conv[p + q] += x * y
+        for p, x in enumerate(b):
+            for q, z in enumerate(v[i:i + d]):
+                conv[p + q] -= x * z
+        row = [c * k.scale for c in conv[:d]]
+        for c, reduction in zip(conv[d:], k._reduce):
+            for j, r in enumerate(reduction):
+                row[j] += c * r
+        out.extend(row)
+    return out
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_rational_scalars_match_the_convolution(data):
+    # over a field of degree > 1 a rational f in sub_multiple, or
+    # rational a and b in numerator_difference, scales the numerators;
+    # the convolution path gives the same elements and the same
+    # integers, factor scale included
+    k = data.draw(st.sampled_from(PRODUCT_FIELDS[1:]))
+    d = k.degree
+    n = data.draw(st.integers(1, 4))
+    coeffs = oracle_coefficients(d)
+    xs = [k.element(data.draw(coeffs)) for _ in range(n)]
+    ys = [k.element(data.draw(coeffs)) for _ in range(n)]
+    f = k.element(data.draw(coeffs))
+    got = sub_multiple(xs, f, ys)
+    assert [(x.num, x.den) for x in got] == convolved_sub_multiple(xs, f, ys)
+    integers = st.integers(-9, 9)
+    u, v = (data.draw(st.lists(integers, min_size=n * d, max_size=n * d))
+            for _ in range(2))
+    scalar = st.one_of(
+        st.tuples(integers).map(lambda c: c + (0,) * (d - 1)),
+        st.tuples(*[integers] * d))
+    a, b = data.draw(scalar), data.draw(scalar)
+    assert numerator_difference(k, a, u, b, v) == \
+        convolved_difference(k, a, u, b, v)
 
 
 @settings(max_examples=200, deadline=None, database=None)

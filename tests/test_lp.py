@@ -6,9 +6,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fieldelement_sign
+from quasitoric import lp as lp_module
 from quasitoric.corpus import pentagon_field, sqrt2_field
-from quasitoric.errors import MixedFields, VariableBudgetExceeded
-from quasitoric.field import FieldElement, RealAlgebraicField, rational_field
+from quasitoric.errors import (InternalInvariantError, MixedFields,
+                               VariableBudgetExceeded)
+from quasitoric.field import (FieldElement, RealAlgebraicField,
+                              from_numerators, rational_field)
 from quasitoric.linalg import dot, rref_rows, sub_multiple
 from quasitoric.lp import strict_lp_feasible
 
@@ -539,6 +543,122 @@ class TestIntegerRowOracle:
     def test_agrees_with_fieldelement_rows(self, system):
         assert_same_decisions(logged_solve(strict_lp_feasible, system),
                               logged_solve(scalar_lp_feasible, system))
+
+
+# ---------------------------------------------------------------------------
+# reference tail: back-substitution and recheck on FieldElements
+# ---------------------------------------------------------------------------
+
+def fieldelement_back_substitution(field, num_vars, solved, eliminated):
+    """lp._back_substitution with each integer row rebuilt as elements by
+    from_numerators and each bound (b - <c, x>) / c_v taken by dot over
+    the whole witness, once per row: the reference of the bounds taken
+    from the integer rows."""
+    zero, one = field.zero, field.one
+    witness = [zero] * num_vars
+    for v, lowers, uppers in reversed(eliminated):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for row, _, s in lowers:
+            *c, b = from_numerators(field, row)
+            val = (b - dot(c, witness)) / c[v]
+            if lo is None or val > lo:
+                lo, lo_strict = val, s
+            elif val == lo:
+                lo_strict = lo_strict or s
+        for row, _, s in uppers:
+            *c, b = from_numerators(field, row)
+            val = (b - dot(c, witness)) / c[v]
+            if hi is None or val < hi:
+                hi, hi_strict = val, s
+            elif val == hi:
+                hi_strict = hi_strict or s
+        if hi is None:
+            witness[v] = lo + one
+        elif lo is None:
+            witness[v] = hi - one
+        else:
+            cmp = (hi - lo).sign()
+            assert cmp > 0 or (cmp == 0 and not (lo_strict or hi_strict))
+            witness[v] = lo if cmp == 0 else (lo + hi) / 2
+    for p, eq in solved:
+        witness[p] = eq[-1] - dot(eq[:-1], witness)
+    return witness
+
+
+def fieldelement_recheck(field, constraints, witness):
+    """lp._recheck by dot and the sign of <coeffs, witness> - rhs in
+    lowest terms."""
+    for coeffs, rhs, rel in constraints:
+        val = dot(coeffs, witness) if witness else field.zero
+        diff = (val - rhs).sign()
+        if not (diff == 0 if rel == "=" else (diff > 0 if rel == ">"
+                                              else diff >= 0)):
+            raise InternalInvariantError("witness failed the exact recheck")
+
+
+def fieldelement_tail_lp_feasible(constraints, num_vars, field):
+    """strict_lp_feasible closed as it was on FieldElements: the
+    reference back-substitution and recheck, and every sign of the
+    rounds asked of an element built over 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "numerator_sign", fieldelement_sign)
+        patch.setattr(lp_module, "_back_substitution",
+                      fieldelement_back_substitution)
+        patch.setattr(lp_module, "_recheck", fieldelement_recheck)
+        return strict_lp_feasible(constraints, num_vars, field)
+
+
+def irrational_history(asked) -> list:
+    """The irrational values among the (num, den) pairs asked, in order,
+    each as its numerators over their positive content: positive
+    multiples of one value read alike."""
+    out = []
+    for num, _ in asked:
+        if any(num[1:]):
+            g = gcd(*num)
+            out.append(tuple(x // g for x in num))
+    return out
+
+
+class TestFieldElementTailOracle:
+    """Bounds taken from the integer rows and the recheck on integer
+    numerators give the witness (or None) of the FieldElement tail, ask
+    the signs of the same irrational values in the same order, up to
+    positive factors, and so leave twin field handles with the same
+    interval."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lp_systems(max_vars=5, max_rows=9))
+    @example(("Q", 2, ((0,), (0,)), [(((1,), (1,)), (1,), ">"),
+                                     (((-1,), (-1,)), (0,), ">")]))
+    @example(("sqrt2", 2, ((1, 1), (0, -1)),
+              [(((1, 0), (0, 1)), (1, 0), ">"),
+               (((0, -1), (1, 1)), (0, 0), ">="),
+               (((-1, 1), (0, 0)), (-1, 0), ">")]))
+    @example(("pentagon", 2, ((1, 0, 0, 0), (0, 1, 0, 0)),
+              [(((0, 1, 0, 0), (1, 0, -1, 0)), (1, 0, 0, 0), ">"),
+               (((0, -1, 0, 0), (1, 1, 0, 0)), (1, 0, 0, 0), ">"),
+               (((1, 0, 0, 1), (-1, 0, 0, 0)), (1, 0, 0, 0), ">=")]))
+    def test_agrees_with_fieldelement_tail(self, system):
+        outcome = logged_solve(strict_lp_feasible, system)
+        expected = logged_solve(fieldelement_tail_lp_feasible, system)
+        assert outcome[0] == expected[0]
+        assert irrational_history(outcome[1]) == \
+            irrational_history(expected[1])
+        assert outcome[2] == expected[2]
+
+
+def test_recheck_refuses_a_moved_bound(monkeypatch):
+    # every bound moved up by one: 0 < x < 1 gives x = 3/2, which the
+    # exact recheck refuses, with or without python -O
+    bound = lp_module._bound
+    monkeypatch.setattr(lp_module, "_bound",
+                        lambda *args: bound(*args) + 1)
+    with pytest.raises(InternalInvariantError,
+                       match="witness failed the exact recheck"):
+        strict_lp_feasible([qc([1], 0, ">"), qc([-1], -1, ">")], 1)
 
 
 def test_polygon_interior_lp_takes_few_inverses_and_products(monkeypatch):

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Q, as_fractions, fvec, qvec, scalar_dot
+from conftest import (Q, as_fractions, fieldelement_sign, fvec, qvec,
+                      scalar_dot)
 from quasitoric import corpus as corpus_module
 from quasitoric import polytope as polytope_module
 from quasitoric.corpus import (
@@ -24,6 +26,8 @@ from quasitoric.errors import (
     UnboundedPolytope,
 )
 from quasitoric.fan import positively_proportional
+from quasitoric.field import (FieldElement, from_numerators, numerator_dot,
+                              numerators)
 from quasitoric.linalg import dot, rref_rows, solve_unique
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import (
@@ -203,6 +207,26 @@ class TestHull:
         assert len(apex) == 4
 
 
+SQUARE_CORNERS = list(itertools.product((0, 1), repeat=2))
+CUBE_CORNERS = list(itertools.product((0, 1), repeat=3))
+PYRAMID_CORNERS = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+
+
+def drop_a_face(monkeypatch, corners, dropped):
+    """(H, V) of the hull of the corners, with the intersection closure
+    patched to leave out its first face of dimension dropped."""
+    H = halfspaces_from_vertices([qvec(*c) for c in corners])
+    V = vertices_from_halfspaces(H)
+    closure = polytope_module.intersection_closure
+    face = min(set(face_lattice(H, V).of_dimension(dropped)), key=sorted)
+
+    def dropping(generators):
+        return closure(generators) - {face}
+
+    monkeypatch.setattr(polytope_module, "intersection_closure", dropping)
+    return H, V
+
+
 class TestFaceLattice:
     def test_square_counts(self):
         H = square()
@@ -227,27 +251,28 @@ class TestFaceLattice:
         assert len(fl.of_dimension(1)) == 4
         assert len(fl.of_dimension(0)) == 4
 
-    @pytest.mark.parametrize("dimension, dropped", [(2, 0), (3, 1),
-                                                    (3, 2)])
+    @pytest.mark.parametrize("corners, dropped", [
+        (SQUARE_CORNERS, 0), (CUBE_CORNERS, 0), (PYRAMID_CORNERS, 1),
+        (PYRAMID_CORNERS, 2)])
     def test_a_dropped_face_breaks_euler_poincare(self, monkeypatch,
-                                                  dimension, dropped):
+                                                  corners, dropped):
         # a face missing from the closure keeps every chain to the top,
-        # so only the Euler-Poincare check sees it
-        corners = [qvec(*c)
-                   for c in itertools.product((0, 1), repeat=dimension)]
-        H = halfspaces_from_vertices(corners)
-        V = vertices_from_halfspaces(H)
-        closure = polytope_module.intersection_closure
-        full = face_lattice(H, V)
-        face = min(set(full.of_dimension(dropped)), key=sorted)
-
-        def dropping(generators):
-            return closure(generators) - {face}
-
-        monkeypatch.setattr(polytope_module, "intersection_closure",
-                            dropping)
+        # so only the face numbers see it; the Euler-Poincare relation
+        # is the one equation a square has, a cube without a vertex
+        # keeps h_1 = h_2 = 3, and a square pyramid is not simple
+        H, V = drop_a_face(monkeypatch, corners, dropped)
         with pytest.raises(InternalInvariantError,
                            match="Euler-Poincare relation"):
+            face_lattice(H, V)
+
+    @pytest.mark.parametrize("dropped", [1, 2])
+    def test_a_dropped_face_breaks_dehn_sommerville(self, monkeypatch,
+                                                    dropped):
+        # the cube has f = (8, 12, 6, 1) and h = (1, 3, 3, 1); without an
+        # edge h = (2, 2, 3, 1), without a facet h = (0, 5, 2, 1)
+        H, V = drop_a_face(monkeypatch, CUBE_CORNERS, dropped)
+        with pytest.raises(InternalInvariantError,
+                           match="Dehn-Sommerville equations"):
             face_lattice(H, V)
 
     def test_any_polygon_is_simple(self):
@@ -785,14 +810,103 @@ class TestIntegerRayOracle:
 
 
 def test_recheck_refuses_a_wrong_ray(monkeypatch):
-    # a ray moved off its zero set fails the exact recheck, with or
-    # without python -O
-    scaled = polytope_module._scaled
+    # a returned ray moved off its zero set fails the exact recheck,
+    # with or without python -O
+    unit_lead = polytope_module._unit_lead
 
-    def moved(ray):
-        ray = scaled(ray)
+    def moved(field, nums):
+        ray = unit_lead(field, nums)
         return ray[:-1] + (ray[-1] + 1,)
 
-    monkeypatch.setattr(polytope_module, "_scaled", moved)
-    with pytest.raises(InternalInvariantError):
+    monkeypatch.setattr(polytope_module, "_unit_lead", moved)
+    with pytest.raises(InternalInvariantError,
+                       match="extreme ray fails its exact recheck"):
         vertices_from_halfspaces(square())
+
+
+def fieldelement_recheck(field, rays, row_nums):
+    """polytope._recheck with each returned ray scaled by _scaled, an
+    inverse and n + 1 products, and each sign asked of an element built
+    over 1: the reference of the rays built from their numerators."""
+    checked = []
+    for ray, mask in rays:
+        ray = polytope_module._scaled(from_numerators(field, ray))
+        nums = numerators(field, ray)
+        signs = [FieldElement(field, numerator_dot(field, h, nums), 1).sign()
+                 for h in row_nums]
+        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
+        if min(signs) < 0 or mask != sum(1 << j for j in zero):
+            raise InternalInvariantError(
+                "extreme ray fails its exact recheck")
+        checked.append((ray, zero))
+    return checked
+
+
+def logged_extreme_rays(rows, reference):
+    """extreme_rays of the rows as (rays, zero sets, lines) in (num, den)
+    pairs, with the irrational values whose sign was asked, in order,
+    each as its numerators of content 1.  The reference closes the run
+    as the engine did on FieldElements: fieldelement_recheck, and every
+    side test asked of an element built over 1."""
+    asked = []
+    sign = FieldElement.sign
+
+    def logged(self):
+        if any(self.num[1:]):
+            g = gcd(*self.num)
+            asked.append(tuple(x // g for x in self.num))
+        return sign(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FieldElement, "sign", logged)
+        if reference:
+            patch.setattr(polytope_module, "numerator_sign",
+                          fieldelement_sign)
+            patch.setattr(polytope_module, "_recheck",
+                          fieldelement_recheck)
+        rays, lines = polytope_module.extreme_rays(rows)
+    return ([(numerator_pairs(ray), zero) for ray, zero in rays],
+            [numerator_pairs(line) for line in lines], asked)
+
+
+class TestFieldElementRecheckOracle:
+    """The rays built from their numerators by one division, rechecked
+    with integer signs, are the rays of the FieldElement recheck, with
+    the same zero sets and lines; the irrational values asked are the
+    same, in the same order, so twin field handles end with the same
+    interval after every call."""
+
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.filter_too_much])
+    @given(ray_systems())
+    @example(("hull", (2, [(0, 0), (1, 0), (0, 1), (1, 1)])))
+    @example(("hull", (3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])))
+    @example(("pentagon", [(0, 2, (1, 0)), (1, 1, (0, -1)),
+                           (3, 2, (0, 0)), (4, 1, (-1, 1))]))
+    @example(("lifted", [(j, 1, (0, 0)) for j in range(5)]))
+    @example(("collinear", ("sqrt2", ((0, 1), (1, 0)), ((1, 1), (0, -1)),
+                            [-1, 0, 2])))
+    def test_agrees_with_fieldelement_recheck(self, system):
+        fields = ray_system_fields(system)
+        systems = [ray_system_rows(system, k) for k in fields]
+        outcome = logged_extreme_rays(systems[0], reference=False)
+        expected = logged_extreme_rays(systems[1], reference=True)
+        assert outcome == expected
+        assert fields[0].interval == fields[1].interval
+
+    def test_pentagon_family_on_one_pair_of_handles(self):
+        # one call after another on the same twin handles: the intervals
+        # agree after each
+        fields = pentagon_field(), pentagon_field()
+        for facets in (corpus_module.pentagon_facets,
+                       corpus_module.kite_facets,
+                       corpus_module.thick_rhombus_facets,
+                       corpus_module.thin_rhombus_facets):
+            found = []
+            for k, reference in zip(fields, (False, True)):
+                rows = [(-b,) + a for a, b in facets(k)]
+                rows.append((k.one, k.zero, k.zero))
+                found.append(logged_extreme_rays(rows, reference))
+            assert found[0] == found[1]
+            assert fields[0].interval == fields[1].interval

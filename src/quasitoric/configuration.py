@@ -30,11 +30,13 @@ from .errors import (
 from .fan import (
     Fan,
     complete_fan_certificate,
-    cone_contains_index,
+    cone_dual,
     cones_meet_in_common_face,
     fan_is_complete,
     fan_is_simplicial,
+    in_cone,
     maximal_index_sets,
+    walls_paired,
 )
 from .linalg import mat_rank
 from .quasilattice import Quasilattice, integral_memberships
@@ -143,12 +145,14 @@ def config_validate(config: VectorConfiguration,
 
     When the maximal simplices pass complete_fan_certificate they form a
     complete fan, which covers every vector, so compatibility, covering
-    and completeness are all true without an LP or a Fan.  Otherwise
-    compatibility is decided pairwise by LP and covering by one
-    membership LP per vector and simplex, as needed."""
+    and completeness are all true without a Fan.  Otherwise the dual of
+    each maximal simplex is taken once (cone_dual): compatibility is
+    decided pairwise by cones_meet_in_common_face, covering by membership
+    of each vector in the duals, as needed, and completeness of a
+    compatible triangulation by walls_paired, since the certificate has
+    already refused it."""
     n = config.dimension
     p = config.count
-    field = config.field
     vectors = config.vectors
     total = config.vector_sum()
     balanced = all(x.is_zero() for x in total)
@@ -174,17 +178,18 @@ def config_validate(config: VectorConfiguration,
         if complete_fan_certificate(vectors, maximal, n):
             compatibility = covering = complete = True
         else:
-            cache = {}
+            duals = {}
             compatibility = all(
-                cones_meet_in_common_face(vectors, a, b, field, cache)
+                cones_meet_in_common_face(vectors, a, b, duals)
                 for a, b in combinations(maximal, 2))
             covering = all(
-                any(cone_contains_index(vectors, s, i, field, cache)
+                any(i in s or in_cone(cone_dual(vectors, s, duals),
+                                      vectors[i])
                     for s in maximal)
                 for i in range(p))
             if compatibility:
                 try:
-                    complete = fan_is_complete(
+                    complete = walls_paired(
                         _fan_from(config, triangulation))
                 except ToolkitError:
                     complete = None

@@ -16,15 +16,17 @@ point, by linear algebra alone, with one solve per wall.  The linear
 relation each solve finds among a wall's rays and its two apexes is
 kept by the fan (Fan.wall_relations), and it serves validity,
 completeness and the rows of the polytopality system alike.  On any
-other fan the predicates reduce to exact LP feasibility, membership of
-a point in a cone and the separation argument for the
-pairwise-intersection axiom, and to the faces of each cone, which
-polytope.extreme_rays enumerates in any dimension from the dual cone,
-whose lines it splits off when the cone is not full-dimensional.
-Completeness of a valid fan the certificate refuses is one wall-pairing
-test in every dimension: each maximal cone is full-dimensional and each
-of its walls lies in exactly two maximal cones.  Every cone here is
-assumed pointed, which holds for all normal fans of bounded polytopes.
+other fan the predicates read each cone off its dual cone, which
+polytope.extreme_rays enumerates in any dimension by exact double
+description, splitting off its lines when the cone is not
+full-dimensional, and which is computed once per cone (cone_dual).  The
+dual gives the faces of a cone, membership of a point in it, and, with
+one more double description of the two duals together, whether two
+cones meet in a common face.  Completeness of a valid fan the
+certificate refuses is one wall-pairing test in every dimension: each
+maximal cone is full-dimensional and each of its walls lies in exactly
+two maximal cones.  Only polytopality and the redundancy of facets ask
+an LP.
 
 Validity uses the standard fan lemma (Ziegler, Lectures on Polytopes,
 Ch. 7): a collection closed under faces in which every cone is a face of
@@ -107,7 +109,7 @@ class Fan:
         self.polytope = polytope
         self._maximal = None
         self._relations = None
-        self._membership_cache = {}
+        self._dual_cache = {}
         self._face_cache = {}
         self._rank_cache = {}
 
@@ -173,7 +175,7 @@ class Fan:
             for face in faces:
                 self._rank_cache[face] = len(face)
         else:
-            rays, _ = extreme_rays([self.rays[i] for i in cone])
+            rays, _ = cone_dual(self.rays, cone, self._dual_cache)
             facets = {frozenset(cone[p] for p in zero) for _, zero in rays}
             faces = {tuple(sorted(face))
                      for face in intersection_closure(facets)}
@@ -221,76 +223,86 @@ def positively_proportional(u, v) -> bool:
     return dot(u, v).sign() > 0
 
 
-def cone_contains_point(vectors, cone, point, field) -> bool:
-    """Exact membership of a point in the cone of the indexed vectors."""
+def cone_dual(vectors, cone, cache=None) -> tuple:
+    """The dual {y : <v, y> >= 0 for every indexed v} of the cone on the
+    indexed vectors, as extreme_rays returns it: (rays with their zero
+    sets, as positions in cone, and lines), taken once per cone when a
+    cache dict is given.  The zero cone's dual is the whole space, the
+    dual of the zero vector."""
     cone = tuple(cone)
-    if not cone:
-        return all(x.is_zero() for x in point)
-    k = len(cone)
-    dimension = len(point)
-    constraints = []
-    for i in range(dimension):
-        coeffs = tuple(vectors[j][i] for j in cone)
-        constraints.append((coeffs, point[i], "="))
-    zero = field.zero
-    for j in range(k):
-        unit = [zero] * k
-        unit[j] = field.one
-        constraints.append((tuple(unit), zero, ">="))
-    return strict_lp_feasible(constraints, k, field) is not None
-
-
-def cone_contains_index(vectors, cone, index, field, cache=None) -> bool:
-    key = (index, tuple(cone))
-    if cache is not None and key in cache:
-        return cache[key]
-    result = cone_contains_point(vectors, cone, vectors[index], field)
+    if cache is not None and cone in cache:
+        return cache[cone]
+    zero = vectors[0][0].field.zero
+    dual = extreme_rays([vectors[i] for i in cone]
+                        or [(zero,) * len(vectors[0])])
     if cache is not None:
-        cache[key] = result
-    return result
+        cache[cone] = dual
+    return dual
 
 
-def cones_meet_in_common_face(vectors, S1, S2, field, cache=None) -> bool:
-    """Whether cone(S1) and cone(S2) intersect in a common face.
+def in_cone(dual, point) -> bool:
+    """Whether the point lies in the cone whose cone_dual is given: the
+    cone is the dual of its dual, so the point is orthogonal to every
+    line and nonnegative on every ray of it."""
+    rays, lines = dual
+    return (all(dot(line, point).is_zero() for line in lines)
+            and all(dot(ray, point).sign() >= 0 for ray, _ in rays))
+
+
+def _facets_on(dual_rays, face, size) -> Optional[list]:
+    """The indices of the facets through face, a set of positions among
+    a cone's size rays, given the cone's dual rays with their zero sets
+    (its facets), if face is the set of rays on a face of the cone: the
+    facets through it meet in face alone.  None otherwise.  No facet
+    passes through the whole cone, and the empty meet is all of it."""
+    on = [k for k, (_, zero) in enumerate(dual_rays) if face <= zero]
+    meet = frozenset(range(size)).intersection(*(dual_rays[k][1]
+                                                 for k in on))
+    return on if meet == face else None
+
+
+def cones_meet_in_common_face(vectors, S1, S2, cache=None) -> bool:
+    """Whether cone(S1) and cone(S2) intersect in a common face, decided
+    from the duals of the two cones (cone_dual, kept in cache) with no
+    LP.
 
     F1 is the set of rays of S1 that lie in cone(S2), and F2 the set of
     rays of S2 that lie in cone(S1).  Unless each cone lies in the other,
-    the answer is one exact LP: it asks for a functional h with h = 0 on
-    F1 and F2, h > 0 on the other rays of S1 and h < 0 on the other rays
-    of S2.  Works for any ambient dimension within the LP variable budget.
+    the cones meet in a common face iff F1 is the set of rays on a face
+    of cone(S1), F2 one on a face of cone(S2), and the intersection lies
+    in cone(F1) and in cone(F2).  Then cone(F1), which lies in both
+    cones, is their whole intersection, and so is cone(F2).  Conversely,
+    a common face G holds exactly the rays of F1 and of F2, and a face is
+    the cone of the rays on it.
 
-    No recursion into F1 and F2 is needed once h exists.  Every point of
-    cone(S2) has h <= 0, with equality exactly on cone(F2), so
-    cone(S2) and the hyperplane h = 0 meet in cone(F2).  Each ray of F1
-    lies in cone(S2) and on that hyperplane, so it lies in cone(F2);
-    likewise each ray of F2 lies in cone(F1).  So the cones meet in
-    cone(F1) = cone(F2), a face of each that h exposes, and a recursive
-    check on F1 and F2 would find every ray of each in the other and
-    answer yes."""
+    The first condition reads off the facets: the zero sets of the dual's
+    rays.  A face is the intersection of the facets through it, and so
+    is cone(F1) when F1 is a face's ray set; a point of cone(S1) lies in
+    it iff it vanishes on the dual rays of those facets.  The
+    intersection is the cone whose dual the rays and lines of both duals
+    span, so one extreme_rays on them, each line taken with both signs,
+    gives its rays with their zero sets.  Its lines lie in every face of
+    both cones, and each of its rays must vanish on the facets through
+    F1 and through F2."""
     S1, S2 = tuple(S1), tuple(S2)
-    F1 = tuple(i for i in S1
-               if i in S2 or cone_contains_index(vectors, S2, i, field,
-                                                 cache))
-    F2 = tuple(j for j in S2
-               if j in S1 or cone_contains_index(vectors, S1, j, field,
-                                                 cache))
-    if F1 == S1 and F2 == S2:
+    dual1 = cone_dual(vectors, S1, cache)
+    dual2 = cone_dual(vectors, S2, cache)
+    F1 = frozenset(p for p, i in enumerate(S1)
+                   if i in S2 or in_cone(dual2, vectors[i]))
+    F2 = frozenset(p for p, j in enumerate(S2)
+                   if j in S1 or in_cone(dual1, vectors[j]))
+    if len(F1) == len(S1) and len(F2) == len(S2):
         return True  # mutual containment: the intersection is the cone itself
-    dimension = len(vectors[S1[0]]) if S1 else len(vectors[S2[0]])
-    constraints = []
-    for i in S1:
-        ray = vectors[i]
-        if i in F1:
-            constraints.append((ray, field.zero, "="))
-        else:
-            constraints.append((ray, field.zero, ">"))
-    for j in S2:
-        ray = vectors[j]
-        if j in F2:
-            constraints.append((ray, field.zero, "="))
-        else:
-            constraints.append((tuple(-x for x in ray), field.zero, ">"))
-    return strict_lp_feasible(constraints, dimension, field) is not None
+    (rays1, lines1), (rays2, lines2) = dual1, dual2
+    on1 = _facets_on(rays1, F1, len(S1))
+    on2 = _facets_on(rays2, F2, len(S2))
+    if on1 is None or on2 is None:
+        return False
+    lines = lines1 + lines2
+    meet, _ = extreme_rays([ray for ray, _ in rays1 + rays2] + lines
+                           + [tuple(-x for x in line) for line in lines])
+    on = {*on1, *(len(rays1) + k for k in on2)}
+    return all(on <= zero for _, zero in meet)
 
 
 def complete_fan_certificate(vectors, maximal, n) -> Optional[list]:
@@ -322,7 +334,7 @@ def complete_fan_certificate(vectors, maximal, n) -> Optional[list]:
     any two cones meet in a common face.
 
     The check only ever answers yes: None says nothing, and the caller
-    decides by the pairwise LP path instead."""
+    decides by the pairwise path instead."""
     maximal = list(maximal)
     if any(len(cone) != n for cone in maximal):
         return None
@@ -417,7 +429,8 @@ def fan_is_valid(fan: Fan) -> bool:
     face-closed collection with wall relations: its maximal cones pass
     complete_fan_certificate, so they are simplicial, every index subset
     of one is a face of it, and they are exactly the cones maximal in the
-    face order.  Otherwise every pair of those is decided by LP."""
+    face order.  Otherwise every pair of those is decided by
+    cones_meet_in_common_face, on the duals cone_faces took."""
     if fan.polytope is not None:
         return True
     cone_set = set(fan.cones)
@@ -430,8 +443,7 @@ def fan_is_valid(fan: Fan) -> bool:
     proper = set().union(*(fan.cone_faces(c) - {c} for c in fan.cones))
     candidates = [c for c in fan.cones if c not in proper]
     for a, b in itertools.combinations(candidates, 2):
-        if not cones_meet_in_common_face(fan.rays, a, b, fan.field,
-                                         fan._membership_cache):
+        if not cones_meet_in_common_face(fan.rays, a, b, fan._dual_cache):
             return False
     return True
 
@@ -445,17 +457,23 @@ def fan_is_complete(fan: Fan) -> bool:
 
     A normal fan of a polytope is complete by construction, and a fan
     with wall relations by complete_fan_certificate.  Any other fan is
-    decided by wall pairing (Ziegler, Lectures on Polytopes, Ch. 7):
-    every maximal cone is full-dimensional and every wall of a maximal
-    cone lies in exactly two maximal cones.  Two cones of a fan that meet
+    decided by walls_paired."""
+    if fan.polytope is not None or fan.wall_relations():
+        return True
+    return walls_paired(fan)
+
+
+def walls_paired(fan: Fan) -> bool:
+    """Completeness of a fan by wall pairing (Ziegler, Lectures on
+    Polytopes, Ch. 7), with the precondition of fan_is_complete: every
+    maximal cone is full-dimensional and every wall of a maximal cone
+    lies in exactly two maximal cones.  Two cones of a fan that meet
     in a wall lie on opposite sides of it, so the support has no boundary
     and is all of R^n.  The walls of a full-dimensional pointed cone are
     its inclusion-maximal proper faces.  A wall is keyed by its extreme
     rays, the rays i of the wall with (i,) a face of the cone, which name
     each geometric cone once even when a cone lists a ray inside one of
     its walls."""
-    if fan.polytope is not None or fan.wall_relations():
-        return True
     n = fan.dimension
     wall_owners = {}
     for cone in fan.maximal_cones():
@@ -524,7 +542,8 @@ def fans_equivalent(f1: Fan, f2: Fan) -> bool:
     """Equality up to positive ray scaling and ray reordering.  Each ray
     of f1 is looked up among the rays of f2 on its line, whose keys are
     taken in the field of f1, and only those are tested for a positive
-    factor."""
+    factor: rays on one line are positive multiples iff their dot
+    product is positive."""
     if f1.dimension != f2.dimension or f1.ray_count != f2.ray_count:
         return False
     lines = {}
@@ -533,7 +552,7 @@ def fans_equivalent(f1: Fan, f2: Fan) -> bool:
     perm = []
     for r in f1.rays:
         matches = [j for j in lines.get(_line_key(f1.field, r), ())
-                   if positively_proportional(r, f2.rays[j])]
+                   if dot(r, f2.rays[j]).sign() > 0]
         if len(matches) != 1:
             return False
         perm.append(matches[0])

@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, qvec
+from quasitoric import configuration as configuration_module
+from quasitoric import fan as fan_module
 from quasitoric.configuration import (
     AugmentedTriple,
     Triangulation,
@@ -33,6 +35,7 @@ from quasitoric.errors import (
 )
 from quasitoric.fan import (
     Fan,
+    complete_fan_certificate,
     cones_meet_in_common_face,
     fans_equivalent,
     normal_fan,
@@ -60,7 +63,7 @@ class TestValidate:
     def test_completeness_program_error_propagates(self, monkeypatch):
         def broken(fan):
             raise RuntimeError("not a domain error")
-        monkeypatch.setattr("quasitoric.configuration.fan_is_complete",
+        monkeypatch.setattr("quasitoric.configuration.walls_paired",
                             broken)
         # one cone: compatible, refused by the complete-fan certificate,
         # so completeness is decided on a Fan
@@ -69,10 +72,29 @@ class TestValidate:
         with pytest.raises(RuntimeError):
             config_validate(config, Triangulation([(0, 1)]))
 
+    def test_refused_certificate_runs_once(self, monkeypatch):
+        # two quadrants meeting in the ray e2: compatible, and refused by
+        # the certificate, whose verdict the wall-pairing test on the Fan
+        # does not ask again
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return complete_fan_certificate(*args)
+
+        for module in (configuration_module, fan_module):
+            monkeypatch.setattr(module, "complete_fan_certificate", counted)
+        config = VectorConfiguration(2, [qvec(1, 0), qvec(0, 1),
+                                         qvec(-1, 0)])
+        report = config_validate(config, Triangulation([(0, 1), (1, 2)]))
+        assert report.cone_compatibility and report.covering
+        assert report.complete is False
+        assert len(runs) == 1
+
     def test_certified_fan_is_complete_without_a_fan(self, monkeypatch):
         def unused(fan):
             raise AssertionError("completeness decided on a Fan")
-        monkeypatch.setattr("quasitoric.configuration.fan_is_complete",
+        monkeypatch.setattr("quasitoric.configuration.walls_paired",
                             unused)
         k = pentagon_field()
         config, tri = build(k, thick_rhombus_configuration_data(k))
@@ -320,7 +342,7 @@ def triangulated_configurations(draw):
 def test_maximal_pairs_decide_compatibility(case):
     config, tri = case
     all_pairs = all(
-        cones_meet_in_common_face(config.vectors, a, b, config.field)
+        cones_meet_in_common_face(config.vectors, a, b)
         for a, b in itertools.combinations(sorted(tri.simplices), 2))
     assert config_validate(config, tri).cone_compatibility == all_pairs
 

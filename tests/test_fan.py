@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,7 +137,7 @@ def verdicts(fan):
 
 def unmarked(fan):
     """The same rays and cones without the normal-fan mark, so that the
-    predicates decide them by LP and wall pairing."""
+    predicates decide them on the cones' duals and by wall pairing."""
     return Fan(fan.dimension, fan.rays, fan.cones)
 
 
@@ -426,7 +427,7 @@ class TestPredicates:
     def test_paired_walls_of_a_non_fan(self, name):
         fan = non_fan_with_paired_walls(name)
         assert fan_is_complete(fan)  # outside its precondition
-        # the certificate answers no, and the LP path decides
+        # the certificate answers no, and the pairwise path decides
         assert not complete_fan_certificate(fan.rays, fan.maximal_cones(), 2)
         preds, report = verdicts(fan)
         assert not preds.valid and not preds.complete
@@ -585,7 +586,7 @@ def all_pairs_valid(fan):
     cone_set = set(fan.cones)
     if any(not fan.cone_faces(c) <= cone_set for c in fan.cones):
         return False
-    return all(cones_meet_in_common_face(fan.rays, a, b, fan.field)
+    return all(cones_meet_in_common_face(fan.rays, a, b)
                for a, b in itertools.combinations(fan.cones, 2))
 
 
@@ -627,16 +628,44 @@ def test_maximal_pairs_agree_with_all_pairs(fan):
 
 
 # ---------------------------------------------------------------------------
-# the pairwise check against its recursive form
+# the pairwise check on the double description against its LP forms
 # ---------------------------------------------------------------------------
 
+def cone_contains_point(vectors, cone, point, field) -> bool:
+    """Exact membership of a point in the cone of the indexed vectors by
+    one LP in a variable per vector, the rule the duals replaced, kept as
+    their oracle."""
+    cone = tuple(cone)
+    if not cone:
+        return all(x.is_zero() for x in point)
+    k = len(cone)
+    constraints = [(tuple(vectors[j][i] for j in cone), point[i], "=")
+                   for i in range(len(point))]
+    for j in range(k):
+        unit = [field.zero] * k
+        unit[j] = field.one
+        constraints.append((tuple(unit), field.zero, ">="))
+    return strict_lp_feasible(constraints, k, field) is not None
+
+
+def cone_contains_index(vectors, cone, index, field, cache=None) -> bool:
+    key = (index, tuple(cone))
+    if cache is not None and key in cache:
+        return cache[key]
+    result = cone_contains_point(vectors, cone, vectors[index], field)
+    if cache is not None:
+        cache[key] = result
+    return result
+
+
 def recursive_cones_meet(vectors, S1, S2, field, cache=None):
-    """cones_meet_in_common_face as it was: after a feasible separation
-    LP it recursed into the separated faces F1 and F2."""
+    """cones_meet_in_common_face as it was before the double description:
+    membership LPs, a separation LP, and a recursion into the separated
+    faces F1 and F2."""
     S1, S2 = tuple(S1), tuple(S2)
-    F1 = tuple(i for i in S1 if i in S2 or fan_module.cone_contains_index(
+    F1 = tuple(i for i in S1 if i in S2 or cone_contains_index(
         vectors, S2, i, field, cache))
-    F2 = tuple(j for j in S2 if j in S1 or fan_module.cone_contains_index(
+    F2 = tuple(j for j in S2 if j in S1 or cone_contains_index(
         vectors, S1, j, field, cache))
     if F1 == S1 and F2 == S2:
         return True
@@ -662,9 +691,10 @@ def corpus_configurations():
 
 @st.composite
 def cone_pairs(draw):
-    """(vectors, S1, S2, field): two pointed cones, either on the vectors
-    of a corpus configuration or on rays r + alpha s, r and s in a small
-    box, over Q, Q(sqrt2) or the pentagon field."""
+    """(vectors, S1, S2, field): two cones, pointed or not and the zero
+    cone among them, either on the vectors of a corpus configuration or
+    on rays r + alpha s, r and s in a small box, and some of their
+    opposites, over Q, Q(sqrt2) or the pentagon field."""
     if draw(st.booleans()):
         vectors = draw(st.sampled_from(corpus_configurations()))
         field = vectors[0][0].field
@@ -678,12 +708,12 @@ def cone_pairs(draw):
         vectors = [tuple(field.element(r) + field.alpha * field.element(t)
                          for r, t in zip(rs, ts)) for rs, ts in pairs]
         assume(all(any(not x.is_zero() for x in v) for v in vectors))
-    indices = st.lists(st.integers(0, len(vectors) - 1), min_size=1,
-                       max_size=n + 1, unique=True).map(
-                           lambda c: tuple(sorted(c)))
-    S1, S2 = draw(indices), draw(indices)
-    assume(is_pointed(vectors, S1, field) and is_pointed(vectors, S2, field))
-    return vectors, S1, S2, field
+        # opposite vectors put lines into the cones
+        vectors += [tuple(-x for x in v) for v in draw(
+            st.lists(st.sampled_from(vectors), max_size=2, unique=True))]
+    indices = st.lists(st.integers(0, len(vectors) - 1), max_size=n + 1,
+                       unique=True).map(lambda c: tuple(sorted(c)))
+    return vectors, draw(indices), draw(indices), field
 
 
 @settings(max_examples=120, deadline=None, database=None,
@@ -692,7 +722,7 @@ def cone_pairs(draw):
 @given(cone_pairs())
 def test_pairwise_check_agrees_with_its_recursive_form(case):
     vectors, S1, S2, field = case
-    assert cones_meet_in_common_face(vectors, S1, S2, field) == \
+    assert cones_meet_in_common_face(vectors, S1, S2) == \
         recursive_cones_meet(vectors, S1, S2, field)
 
 
@@ -701,20 +731,167 @@ def test_pairwise_check_agrees_with_its_recursive_form(case):
 @given(small_fans())
 def test_pairwise_check_agrees_with_its_recursive_form_on_fans(fan):
     for a, b in itertools.combinations(fan.cones, 2):
-        assert cones_meet_in_common_face(fan.rays, a, b, fan.field) == \
+        assert cones_meet_in_common_face(fan.rays, a, b) == \
             recursive_cones_meet(fan.rays, a, b, fan.field)
 
 
-def test_repeated_ray_configuration_takes_eight_lps(monkeypatch):
-    # four membership LPs and one separation LP for the pair of simplices,
-    # and three covering LPs; the recursion into the separated faces
-    # added two more membership LPs
-    calls = counting(monkeypatch, "strict_lp_feasible")
+# (vectors, S1, S2, whether the cones meet in a common face), with lines
+WEDGE = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1),
+         (0, -1, 1)]
+PLANE = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]
+PAIR_CASES = {
+    # {y, z >= 0} and {z >= |y|} meet in {z >= y >= 0}, which holds
+    # (0, 1, 1) off the face {y = 0} the rays of the first span there
+    "wedges": (WEDGE, (0, 1, 2, 3), (0, 1, 4, 5), False),
+    "wedge and its facet": (WEDGE, (0, 1, 2, 3), (0, 1, 3), True),
+    "opposite half-planes": (PLANE, (0, 1, 2), (0, 1, 3), True),
+    "line in a half-plane": (PLANE, (0, 1), (0, 1, 2), True),
+    "ray inside a half-plane": (PLANE, (0, 1, 2), (4,), False),
+    "ray in the plane": (PLANE, (0, 1, 2, 3), (4,), False),
+    "zero cone and a half-plane": (PLANE, (), (0, 1, 2), False),
+    "zero cone and a ray": (PLANE, (), (4,), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CASES))
+@pytest.mark.parametrize("field", ["Q", "sqrt2", "pentagon"])
+def test_pairwise_check_on_cones_with_lines(name, field):
+    k = {"Q": Q, "sqrt2": sqrt2_field(), "pentagon": pentagon_field()}[field]
+    vectors, S1, S2, expected = PAIR_CASES[name]
+    vectors = embedded_rays(k, vectors)
+    for a, b in ((S1, S2), (S2, S1)):
+        assert cones_meet_in_common_face(vectors, a, b) is expected
+        assert recursive_cones_meet(vectors, a, b, k) is expected
+
+
+def test_repeated_ray_configuration_takes_no_lp(monkeypatch):
+    # one dual per simplex and one double description of their meet;
+    # covering reads the same duals, and the Fan rejects the repeated ray
+    lps = counting(monkeypatch, "strict_lp_feasible")
+    dds = counting(monkeypatch, "extreme_rays")
     config = VectorConfiguration(
         2, [qvec(1, 0), qvec(2, 0), qvec(0, 1), qvec(-1, -1)])
     report = config_validate(config, Triangulation([(0, 2), (1, 3)]))
     assert report.complete is None
-    assert len(calls) == 8
+    assert not lps
+    v = config.vectors
+    assert [list(rows) for rows, in dds[:2]] == [[v[0], v[2]], [v[1], v[3]]]
+    assert len(dds) == 3
+
+
+@st.composite
+def cone_points(draw):
+    """(vectors, cone, point, field): up to 5 vectors r + alpha s, r and
+    s in a small box, over Q, Q(sqrt2) or the pentagon field, some of
+    them repeated; a cone on up to 5 of them, which may be simplicial or
+    not, pointed or not, or the zero cone; and a point that is one of
+    the vectors, an integer combination of the cone's vectors or a new
+    vector."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    n = draw(st.integers(1, 3))
+    box = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+
+    def vector():
+        return tuple(field.element(r) + field.alpha * field.element(t)
+                     for r, t in zip(draw(box), draw(box)))
+
+    vectors = [vector() for _ in range(draw(st.integers(1, 5)))]
+    vectors += draw(st.lists(st.sampled_from(vectors), max_size=2))
+    cone = tuple(sorted(draw(st.sets(
+        st.integers(0, len(vectors) - 1), max_size=5))))
+    kind = draw(st.sampled_from(["vector", "combination", "new"]))
+    if kind == "vector":
+        point = draw(st.sampled_from(vectors))
+    elif kind == "combination":
+        point = tuple(field.zero for _ in range(n))
+        for i in cone:
+            c = draw(st.integers(-1, 2))
+            point = tuple(x + c * y for x, y in zip(point, vectors[i]))
+    else:
+        point = vector()
+    return vectors, cone, point, field
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cone_points())
+def test_membership_from_the_dual_agrees_with_lp(case):
+    vectors, cone, point, field = case
+    assert fan_module.in_cone(fan_module.cone_dual(vectors, cone), point) \
+        == cone_contains_point(vectors, cone, point, field)
+
+
+# (vectors, cone, points in it, points outside it) in the plane
+MEMBERSHIP_CASES = {
+    "simplicial": ([(1, 0), (1, 1)], (0, 1), [(2, 1), (0, 0)],
+                   [(0, 1), (-1, 0)]),
+    "non-simplicial": ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+                       (0, 1, 2, 3), [(0, 0, 1), (1, 0, 1)],
+                       [(1, 1, 1), (0, 0, -1)]),
+    "half-plane": ([(1, 0), (-1, 0), (0, 1)], (0, 1, 2),
+                   [(-3, 0), (5, 2)], [(0, -1)]),
+    "line": ([(1, 2), (-1, -2)], (0, 1), [(-2, -4), (0, 0)], [(1, 1)]),
+    "zero cone": ([(1, 0)], (), [(0, 0)], [(1, 0), (-1, 0)]),
+    "repeated": ([(1, 0), (1, 0), (0, 1)], (0, 1), [(3, 0)],
+                 [(0, 1), (-1, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_CASES))
+@pytest.mark.parametrize("field", ["Q", "sqrt2", "pentagon"])
+def test_membership_from_the_dual_on_named_cones(name, field):
+    k = {"Q": Q, "sqrt2": sqrt2_field(), "pentagon": pentagon_field()}[field]
+    vectors, cone, inside, outside = MEMBERSHIP_CASES[name]
+    vectors = embedded_rays(k, vectors)
+    dual = fan_module.cone_dual(vectors, cone)
+    for points, expected in ((inside, True), (outside, False)):
+        for point in embedded_rays(k, points):
+            assert fan_module.in_cone(dual, point) is expected
+            assert cone_contains_point(vectors, cone, point, k) is expected
+
+
+def forbid_lp(monkeypatch):
+    """Make every module's strict_lp_feasible raise."""
+    def refused(*args):
+        raise AssertionError("an LP was asked")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quasitoric" and hasattr(
+                module, "strict_lp_feasible"):
+            monkeypatch.setattr(module, "strict_lp_feasible", refused)
+
+
+def cone_over_20_gon(apex):
+    """The cone over 20 points (1 - t^2, 2t, 1 + t^2) of the circle, a
+    pointed cone with 20 facets, and the ray apex, face-closed."""
+    rays = [qvec(1 - t * t, 2 * t, 1 + t * t)
+            for t in (Fraction(k, 5) for k in range(-10, 10))]
+    return face_closed(3, rays + [qvec(*apex)], [tuple(range(20)), (20,)])
+
+
+def test_cone_over_20_gon_and_its_opposite_ray_is_a_fan(monkeypatch):
+    # the membership LP of the opposite ray in the 20-ray cone exceeded
+    # the LP's variable budget
+    forbid_lp(monkeypatch)
+    fan = cone_over_20_gon((0, 0, -1))
+    assert len(fan.cone_faces(tuple(range(20)))) == 42
+    assert fan_predicates(fan) == (True, False, False)
+
+
+def test_ray_inside_the_cone_over_20_gon_is_no_fan(monkeypatch):
+    forbid_lp(monkeypatch)
+    assert not fan_is_valid(cone_over_20_gon((0, 0, 1)))
+
+
+def test_refused_triangulation_validates_without_lp(monkeypatch):
+    forbid_lp(monkeypatch)
+    config = VectorConfiguration(2, [qvec(1, 0), qvec(0, 1), qvec(-1, 0),
+                                     qvec(1, 1)])
+    report = config_validate(config, Triangulation([(0, 1), (1, 2)]))
+    assert report.cone_compatibility and report.covering
+    assert report.complete is False
+    report = config_validate(config, Triangulation([(0, 1), (2, 3)]))
+    assert not report.cone_compatibility
 
 
 # ---------------------------------------------------------------------------
@@ -974,12 +1151,12 @@ def test_face_dimensions_from_grading_agree_with_rank(H):
 
 
 # ---------------------------------------------------------------------------
-# the complete-fan certificate against the pairwise LP path
+# the complete-fan certificate against the pairwise path
 # ---------------------------------------------------------------------------
 
 def lp_path_verdicts(fan):
     """verdicts with the certificate switched off, so that every answer
-    comes from the pairwise LP path."""
+    comes from the pairwise path."""
     with pytest.MonkeyPatch.context() as patch:
         for module in (fan_module, configuration_module):
             patch.setattr(module, "complete_fan_certificate",

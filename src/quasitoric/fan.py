@@ -12,8 +12,8 @@ a marked fan's rays need no repeated-ray check, any other fan's rays
 are grouped by the line they span in one dict pass, and maximal cones
 are computed once per fan.  A complete simplicial fan needs no LP
 either: complete_fan_certificate proves it a fan from its walls and one
-point, by linear algebra alone, with one solve per wall.  The linear
-relation each solve finds among a wall's rays and its two apexes is
+point, by linear algebra alone, with one elimination per maximal cone.
+The linear relation it finds among each wall's rays and its two apexes is
 kept by the fan (Fan.wall_relations), and it serves validity,
 completeness and the rows of the polytopality system alike.  On any
 other fan the predicates read each cone off its dual cone, which
@@ -334,34 +334,59 @@ def complete_fan_certificate(vectors, maximal, n) -> Optional[list]:
     any two cones meet in a common face.
 
     The check only ever answers yes: None says nothing, and the caller
-    decides by the pairwise path instead."""
+    decides by the pairwise path instead.
+
+    Each maximal cone takes one elimination, when first needed: its
+    right-hand sides are the apexes k of the walls it is the first owner
+    of, then p unless it is the first cone.  An elimination asks no
+    sign, so the signs asked, of each c_a in wall order and then of the
+    coordinates of p in each cone, and the walls and cones reached
+    before a refusal, do not depend on how the solves are grouped."""
     maximal = list(maximal)
     if any(len(cone) != n for cone in maximal):
         return None
-    walls = {}  # wall -> [(cone, apex)] for each cone on it
-    for cone in maximal:
+    walls = {}  # wall -> [(position in maximal, apex)] for each cone on it
+    for pos, cone in enumerate(maximal):
         for apex in cone:
             wall = tuple(i for i in cone if i != apex)
-            walls.setdefault(wall, []).append((cone, apex))
+            walls.setdefault(wall, []).append((pos, apex))
+    zero = vectors[maximal[0][0]][0].field.zero
+    point = [sum((vectors[j][i] for j in maximal[0]), zero)
+             for i in range(n)]
+    columns = [[] for _ in maximal]  # right-hand sides of each cone
+    slot = {}  # wall -> its column in its first owner's elimination
+    for wall, owners in walls.items():
+        if len(owners) == 2:
+            (s, _), (_, k) = owners
+            slot[wall] = len(columns[s])
+            columns[s].append(vectors[k])
+    for cols in columns[1:]:
+        cols.append(point)
+    solved = {}
+
+    def solution(pos):
+        """The solutions of cone pos for its columns; ValueError when its
+        rays are dependent."""
+        if pos not in solved:
+            A_t = [[vectors[j][i] for j in maximal[pos]] for i in range(n)]
+            solved[pos] = solve_unique(A_t, columns[pos])
+        return solved[pos]
+
     relations = []
-    for owners in walls.values():
+    for wall, owners in walls.items():
         if len(owners) != 2:
             return None
-        (sigma, a), (_, k) = owners
-        A_t = [[vectors[j][i] for j in sigma] for i in range(n)]
+        (s, a), (_, k) = owners
+        sigma = maximal[s]
         try:
-            c, = solve_unique(A_t, [vectors[k]])
+            c = solution(s)[slot[wall]]
         except ValueError:  # the rays of sigma are dependent
             return None
         if c[sigma.index(a)].sign() >= 0:
             return None
         relations.append((sigma, c, k))
-    zero = vectors[maximal[0][0]][0].field.zero
-    first, *others = maximal
-    point = [sum((vectors[j][i] for j in first), zero) for i in range(n)]
-    for cone in others:
-        A_t = [[vectors[j][i] for j in cone] for i in range(n)]
-        if all(x.sign() >= 0 for x in solve_unique(A_t, [point])[0]):
+    for pos in range(1, len(maximal)):
+        if all(x.sign() >= 0 for x in solution(pos)[-1]):
             return None
     return relations
 

@@ -272,14 +272,20 @@ class RealAlgebraicField:
 
     The isolating interval only ever shrinks (refinements are cached on the
     handle); every cached state isolates the same root, so sharing a handle
-    across threads stays sound.
+    across threads stays sound.  Inverses are cached on the handle as
+    refinements are: `_inverses` maps the (num, den) of each irrational
+    value inverted over the handle to its inverse, for as long as the
+    handle lives.  Rational values and failed inverses are never stored.
+    An inverse decides no sign, and the worst a race can do is store one
+    value twice, equal both times, so sharing stays sound; elements are
+    never mutated, so one cached inverse serves every caller.
 
     `scale` is the positive denominator of the reduction table (1 over
     Q): the vector kernels' numerators are scale times the plain values.
     """
 
     __slots__ = ("minpoly", "degree", "_lo", "_hi", "_lo_negative",
-                 "scale", "_reduce", "_pad", "_sturm")
+                 "scale", "_reduce", "_pad", "_sturm", "_inverses")
 
     def __init__(self, minpoly: Iterable[RationalLike],
                  interval: tuple[RationalLike, RationalLike]):
@@ -321,6 +327,8 @@ class RealAlgebraicField:
         self.scale, self._reduce = _reduction_table(poly)
         # zero numerators after the constant term of a rational element
         self._pad = (0,) * (self.degree - 1)
+        # (num, den) of an irrational value -> its inverse over this handle
+        self._inverses = {}
 
     # -- basic data --
 
@@ -488,9 +496,9 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Solve self * u = 1 by fraction-free Gauss-Jordan elimination on
-        the matrix of multiplication by self; a rational value n/den has
-        the inverse den/n."""
+        """The inverse of a nonzero element: a rational value n/den has the
+        inverse den/n, an irrational one is solved once per field handle
+        (by _bareiss_inverse) and then read from the handle's cache."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         field = self.field
@@ -500,42 +508,12 @@ class FieldElement:
             n = num[0]
             return FieldElement(field, (self.den if n > 0 else -self.den,)
                                 + field._pad, abs(n))
-        d = len(num)
-        scale = field.scale
-        # Column j is scale^j * den * (self * alpha^j): integers, each one
-        # alpha times the previous, reduced through x^d = row 0 / scale.
-        cols = [list(num)]
-        for _ in range(d - 1):
-            prev = cols[-1]
-            top = prev[-1]
-            cols.append([scale * c + top * r
-                         for c, r in zip([0] + prev[:-1], field._reduce[0])])
-        # rows of [cols | den * e_0]; the solution w gives u_j = scale^j w_j
-        rows = [[*row, 0] for row in zip(*cols)]
-        rows[0][-1] = self.den
-        last = 1
-        for k in range(d):
-            p = next((i for i in range(k, d) if rows[i][k]), None)
-            if p is None:
-                raise NotInvertible(
-                    "element shares a factor with the modulus; "
-                    "the declared minimal polynomial is reducible")
-            pivot = rows[p]
-            rows[p] = rows[k]
-            rows[k] = pivot
-            pk = pivot[k]
-            # Bareiss step: every entry stays a minor, so // is exact
-            for i, row in enumerate(rows):
-                if i != k:
-                    f = row[k]
-                    rows[i] = [(pk * x - f * y) // last
-                               for x, y in zip(row, pivot)]
-            last = pk
-        # every diagonal entry is now the last pivot; keep den positive
-        sign = 1 if last > 0 else -1
-        return _reduced(field, tuple([
-            sign * scale ** j * row[-1] for j, row in enumerate(rows)]),
-            sign * last)
+        key = (num, self.den)
+        inv = field._inverses.get(key)
+        if inv is None:
+            inv = field._inverses[key] = _bareiss_inverse(field, num,
+                                                          self.den)
+        return inv
 
     def __truediv__(self, other):
         o = _coerce(self.field, other)
@@ -714,6 +692,50 @@ def _reduced(field: RealAlgebraicField, num: tuple[int, ...],
         num = tuple([x // g for x in num])
         den //= g
     return FieldElement(field, num, den)
+
+
+def _bareiss_inverse(field: RealAlgebraicField, num: tuple[int, ...],
+                     den: int) -> FieldElement:
+    """The inverse of the irrational element x = num / den: solve x * u = 1
+    by fraction-free Gauss-Jordan elimination (Bareiss 1968) on the matrix
+    of multiplication by x.  Raises NotInvertible when x shares a factor
+    with a reducible modulus."""
+    d = len(num)
+    scale = field.scale
+    # Column j is scale^j * den * (x * alpha^j): integers, each one
+    # alpha times the previous, reduced through x^d = row 0 / scale.
+    cols = [list(num)]
+    for _ in range(d - 1):
+        prev = cols[-1]
+        top = prev[-1]
+        cols.append([scale * c + top * r
+                     for c, r in zip([0] + prev[:-1], field._reduce[0])])
+    # rows of [cols | den * e_0]; the solution w gives u_j = scale^j w_j
+    rows = [[*row, 0] for row in zip(*cols)]
+    rows[0][-1] = den
+    last = 1
+    for k in range(d):
+        p = next((i for i in range(k, d) if rows[i][k]), None)
+        if p is None:
+            raise NotInvertible(
+                "element shares a factor with the modulus; "
+                "the declared minimal polynomial is reducible")
+        pivot = rows[p]
+        rows[p] = rows[k]
+        rows[k] = pivot
+        pk = pivot[k]
+        # Bareiss step: every entry stays a minor, so // is exact
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pk * x - f * y) // last
+                           for x, y in zip(row, pivot)]
+        last = pk
+    # every diagonal entry is now the last pivot; keep den positive
+    sign = 1 if last > 0 else -1
+    return _reduced(field, tuple([
+        sign * scale ** j * row[-1] for j, row in enumerate(rows)]),
+        sign * last)
 
 
 def _coerce(field: RealAlgebraicField, other):

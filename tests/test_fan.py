@@ -499,10 +499,9 @@ class TestPolytopality:
 
     def test_twisted_cube_takes_one_elimination_per_wall_and_cone(
             self, monkeypatch):
-        # the certificate's 18 wall solves and 11 point solves and the 12
-        # ranks (the LP has no equalities to eliminate); the rows took 18
-        # more solves of their own before they were read off the
-        # certificate
+        # the certificate's one elimination per maximal cone, 12 of them,
+        # each solving the cone's walls and point test together, and the
+        # 12 ranks (the LP has no equalities to eliminate)
         calls = []
         gauss_jordan = linalg_module._gauss_jordan
 
@@ -512,7 +511,7 @@ class TestPolytopality:
 
         monkeypatch.setattr(linalg_module, "_gauss_jordan", counting)
         assert is_polytopal(Fan(3, *twisted_cube_fan_data(Q))) is None
-        assert len(calls) <= 41
+        assert len(calls) <= 24
 
     def test_twisted_cube_sweep_oracle(self):
         """Independent confirmation: no offset vector with entries in
@@ -1312,6 +1311,92 @@ def algebraic_certificate_cases():
 def test_relation_certificate_agrees_with_kernel_signs_over_algebraic_fields(
         rays, maximal, n):
     assert_certificates_agree(rays, maximal, n)
+
+
+def per_wall_certificate(vectors, maximal, n):
+    """complete_fan_certificate as it was: one solve per wall and one per
+    point test."""
+    maximal = list(maximal)
+    if any(len(cone) != n for cone in maximal):
+        return None
+    relations = []
+    for owners in _wall_owners(maximal).values():
+        if len(owners) != 2:
+            return None
+        (s, a), (_, k) = owners
+        sigma = maximal[s]
+        A_t = [[vectors[j][i] for j in sigma] for i in range(n)]
+        try:
+            c, = solve_unique(A_t, [vectors[k]])
+        except ValueError:
+            return None
+        if c[sigma.index(a)].sign() >= 0:
+            return None
+        relations.append((sigma, c, k))
+    zero = vectors[maximal[0][0]][0].field.zero
+    first, *others = maximal
+    point = [sum((vectors[j][i] for j in first), zero) for i in range(n)]
+    for cone in others:
+        A_t = [[vectors[j][i] for j in cone] for i in range(n)]
+        if all(x.sign() >= 0 for x in solve_unique(A_t, [point])[0]):
+            return None
+    return relations
+
+
+def signs_asked(certificate, *args):
+    """(the relations as (cone, (num, den) of each coefficient, apex) or
+    None, the set of (num, den) whose sign the certificate asked)."""
+    asked = set()
+    sign = FieldElement.sign
+
+    def recording(x):
+        asked.add((x.num, x.den))
+        return sign(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FieldElement, "sign", recording)
+        relations = certificate(*args)
+    if relations is None:
+        return None, asked
+    return [(s, tuple((x.num, x.den) for x in c), k)
+            for s, c, k in relations], asked
+
+
+@st.composite
+def wall_certificate_cases(draw):
+    """A certificate case carried into Q, Q(sqrt2) or the pentagon field
+    by an invertible map I + alpha E, E with entries in {-1, 0, 1}, and
+    each ray scaled by p + q alpha, p in 1..3 and q in {0, 1}: the map
+    and the positive scales keep fans fans and non-fans non-fans."""
+    fan = draw(certificate_cases())
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    n = fan.dimension
+    alpha = field.alpha
+    M = [[field.element(int(i == j)) + draw(st.integers(-1, 1)) * alpha
+          for j in range(n)] for i in range(n)]
+    assume(mat_rank(M) == n)
+    vectors = []
+    for ray in fan.rays:
+        scale = draw(st.integers(1, 3)) + draw(st.integers(0, 1)) * alpha
+        image = [sum((row[j] * ray[j].as_fraction() for j in range(n)),
+                     field.zero) for row in M]
+        vectors.append(tuple(scale * x for x in image))
+    return vectors, fan.maximal_cones(), n
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(wall_certificate_cases())
+@example(kite_configuration_data(pentagon_field())[:2] + (2,))
+@example(thick_rhombus_configuration_data(pentagon_field())[:2] + (2,))
+def test_one_elimination_per_cone_agrees_with_one_solve_per_wall(case):
+    vectors, maximal, n = case
+    expected, expected_asked = signs_asked(per_wall_certificate, *case)
+    relations, asked = signs_asked(complete_fan_certificate, *case)
+    assert relations == expected
+    if expected is not None:
+        assert asked == expected_asked
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 import math
@@ -8,7 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import scalar_dot
-from quasitoric.corpus import pentagon_field
+from quasitoric import cli, render
+from quasitoric import field as field_module
+from quasitoric.corpus import corpus_entry, pentagon_field
+from quasitoric.documents import dumps
 from quasitoric.errors import (
     DivisionByZero,
     MixedFields,
@@ -918,6 +922,116 @@ def test_rational_path_matches_the_general_kernels(data):
         else:
             inverse = x.inverse()
             assert (inverse.num, inverse.den) == bareiss_inverse(x)
+
+
+# ---------------------------------------------------------------------------
+# the inverse memo against the uncached kernel
+# ---------------------------------------------------------------------------
+# Each handle keeps the inverse of every irrational value inverted over it;
+# bareiss_inverse above is the solve it saves.
+
+MEMO_FIELDS = (
+    lambda: RealAlgebraicField(["-2", "0", "1"], ("1", "2")),
+    pentagon_field,
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_inverse_memo_matches_the_uncached_kernel(data):
+    # k and other are two handles of one field; an element of other is
+    # inverted over other or coerced into k first
+    make = data.draw(st.sampled_from(MEMO_FIELDS))
+    k, other = make(), make()
+    for _ in range(data.draw(st.integers(0, 4))):
+        other.refine()
+    pool = data.draw(st.lists(oracle_coefficients(k.degree), min_size=1,
+                              max_size=4))
+    queries = data.draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1),
+                  st.sampled_from(["own", "coerced", "other"]),
+                  st.booleans()),
+        min_size=1, max_size=12))
+    stored = {k: set(), other: set()}
+    for i, kind, ask_sign in queries:
+        if kind == "own":
+            x = k.element(pool[i])
+        elif kind == "coerced":
+            x = k.element(other.element(pool[i]))
+        else:
+            x = other.element(pool[i])
+        if ask_sign:
+            x.sign()  # refines the handle between inverses
+        if x.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+            continue
+        inverse = x.inverse()
+        assert inverse.field is x.field
+        assert (inverse.num, inverse.den) == bareiss_inverse(x)
+        if not x.is_rational():
+            stored[x.field].add((x.num, x.den))
+    for handle, keys in stored.items():
+        assert set(handle._inverses) == keys
+        for (num, den), inverse in handle._inverses.items():
+            x = FieldElement(handle, num, den)
+            assert (inverse.num, inverse.den) == bareiss_inverse(x)
+
+
+def test_inverse_memo_stores_no_failure():
+    # x^2 - 1 = (x - 1)(x + 1) is squarefree; alpha is 1, so alpha - 1
+    # has nonzero coefficients and no inverse
+    k = RealAlgebraicField(["-1", "0", "1"], ("1/2", "3/2"))
+    elem = k.alpha - 1
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            elem.inverse()
+    assert k._inverses == {}
+
+
+def test_analyze_over_q_stores_no_inverse(tmp_path, monkeypatch, capsys):
+    handles = [render._Q]
+    init = RealAlgebraicField.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        handles.append(self)
+
+    monkeypatch.setattr(RealAlgebraicField, "__init__", recording)
+    path = tmp_path / "polytope.json"
+    path.write_text(dumps(corpus_entry("square")["polytope.json"]))
+    assert cli.main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert len(handles) > 1
+    assert all(k.degree == 1 and k._inverses == {} for k in handles)
+
+
+def test_augment_solves_each_irrational_inverse_once(tmp_path, monkeypatch,
+                                                     capsys):
+    # the redundancy LPs and interior LP of the pentagon triple's polytope
+    # ask for most of their inverses more than once
+    path = tmp_path / "triple.json"
+    path.write_text(dumps(corpus_entry("pentagon")["triple.json"]))
+    asked = collections.Counter()
+    solved = collections.Counter()
+    inverse = FieldElement.inverse
+    kernel = field_module._bareiss_inverse
+
+    def asking(x):
+        if not x.is_rational():
+            asked[x.field, x.num, x.den] += 1
+        return inverse(x)
+
+    def solving(field, num, den):
+        solved[field, num, den] += 1
+        return kernel(field, num, den)
+
+    monkeypatch.setattr(FieldElement, "inverse", asking)
+    monkeypatch.setattr(field_module, "_bareiss_inverse", solving)
+    assert cli.main(["augment", str(path)]) == 0
+    capsys.readouterr()
+    assert sum(asked.values()) > 2 * len(asked)
+    assert solved == collections.Counter(dict.fromkeys(asked, 1))
 
 
 def convolved_sub_multiple(xs, f, ys):

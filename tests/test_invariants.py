@@ -114,3 +114,60 @@ def test_dead_helper_check_sees_an_unread_helper():
                        "def _helper():\n    pass\n"
                        "x = _helper\n"}
     assert dead_private_names(sources) == ["a.py:_dead:4", "b.py:_Box:2"]
+
+
+def element_mutations(source: str) -> list:
+    """Lines that store to or delete an attribute num or den, or name one
+    in a setattr call, outside FieldElement.__init__.  Elements are shared
+    (a field handle hands out one cached inverse to every caller), so
+    they must never change after construction."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "FieldElement":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and item.name == "__init__":
+                    exempt.update(map(id, ast.walk(item)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            name = node.attr
+        elif isinstance(node, ast.Call) and node.args[1:] and isinstance(
+                node.args[1], ast.Constant) and (
+                getattr(node.func, "id", None) == "setattr"
+                or getattr(node.func, "attr", None) == "__setattr__"):
+            name = node.args[1].value
+        else:
+            continue
+        if name in ("num", "den"):
+            found.append((node.lineno, name))
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
+def test_package_never_mutates_an_element():
+    package = Path(quasitoric.__file__).parent
+    found = [f"{path.name}:{entry}"
+             for path in sorted(package.glob("*.py"))
+             for entry in element_mutations(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_mutation_check_sees_a_store_outside_init():
+    source = ("class FieldElement:\n"
+              "    def __init__(self, num, den):\n"
+              "        self.num = num\n"
+              "        self.den = den\n"
+              "    def scale(self, c):\n"
+              "        self.num = tuple(c * x for x in self.num)\n"
+              "def bump(x):\n"
+              "    x.den += 1\n"
+              "    del x.num\n"
+              "    setattr(x, 'den', 2)\n"
+              "    object.__setattr__(x, 'num', ())\n"
+              "    x.field = None\n")
+    assert element_mutations(source) == ["6:num", "8:den", "9:num",
+                                         "10:den", "11:num"]

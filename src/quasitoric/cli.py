@@ -309,7 +309,9 @@ def _cmd_augment(args):
         # interval, which the configuration document writes (without them
         # the thin-rhombus triple writes ["9/10", "1"], not ["19/20",
         # "77/80"]); it goes once fields write their declared interval.
-        redundant_facets_lp(triple.body)
+        # Over Q no sign refines an interval, so the LP is not run there.
+        if triple.body.field.degree > 1:
+            redundant_facets_lp(triple.body)
         fan = normal_fan(triple.body)
         triple = FundamentalTriple(fan, triple.quasilattice, triple.normals)
     elif not fan_is_valid(triple.body):

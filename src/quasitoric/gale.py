@@ -18,9 +18,10 @@ The virtual chamber is realized as the complements of the maximal
 simplices; the interior condition checked per member is a Siegel-type
 test (0 strictly inside the convex hull of the chosen dual points) and
 is reported, never enforced, because the defining condition lives in the
-cited construction papers rather than here.  Each member's test is one
-LP in the n variables of A's row space, not in its p - n dual
-coordinates (see chamber_check).
+cited construction papers rather than here.  Each member's test works
+in the n variables of A's row space, not in its p - n dual coordinates:
+one solve when the member's complement fixes them, else one LP (see
+chamber_check).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 
 from .configuration import Triangulation, VectorConfiguration
 from .errors import InternalInvariantError, NotBalanced, NotOdd, NotSpanning
-from .linalg import dot, rank_kernel_solve
+from .linalg import dot, rank_kernel_solve, solve_unique
 from .lp import strict_lp_feasible
 
 
@@ -122,9 +123,13 @@ def chamber_check(gale: GaleDualConfiguration,
     member and > 0 on it.  y -> (e_0 + yA) restricted to the member is an
     affine bijection onto the weights above, so the verdict, and the
     number of variables left free by the equalities (what the LP's
-    variable budget counts), are those of the LP in the weights.  A
-    repeated index counts once: its weights could split any positive
-    value.  Raises ValueError for an index outside range(p)."""
+    variable budget counts), are those of the LP in the weights.  When
+    the complement has n indices with independent columns, its equalities
+    fix y by one solve, and the member is interior iff every weight on it
+    is positive; no LP is run.  Any other complement (dependent, or with
+    fewer or more than n indices) goes to the LP.  A repeated index counts
+    once: its weights could split any positive value.  Raises ValueError
+    for an index outside range(p)."""
     members = chamber if chamber is not None else gale.virtual_chamber
     field = gale.kernel_rows[0][0].field
     one, zero = field.one, field.zero
@@ -143,17 +148,37 @@ def chamber_check(gale: GaleDualConfiguration,
                 f"chamber member {sigma} has an index out of range "
                 f"0..{p - 1}")
         chosen = set(sigma)
-        constraints = [(columns[j], shifts[j], ">" if j in chosen else "=")
-                       for j in range(p)]
-        y = strict_lp_feasible(constraints, n, field)
-        ok = y is not None
+        member = sorted(chosen)
+        rest = [j for j in range(p) if j not in chosen]
+        y = _solve_equalities(columns, shifts, rest)
+        if y is not None:
+            # the equalities fix y, so the weights decide the member
+            w = [dot(columns[j], y) - shifts[j] for j in member]
+            ok = all(x.sign() > 0 for x in w)
+        else:
+            constraints = [(columns[j], shifts[j],
+                            ">" if j in chosen else "=") for j in range(p)]
+            y = strict_lp_feasible(constraints, n, field)
+            ok = y is not None
+            if ok:
+                w = [dot(columns[j], y) - shifts[j] for j in member]
         if ok:
-            member = sorted(chosen)
-            _check_weights(gale, member, [dot(columns[j], y) - shifts[j]
-                                          for j in member])
+            _check_weights(gale, member, w)
         reports.append(ChamberMemberReport(sigma, len(sigma), ok))
         all_ok = all_ok and ok
     return ChamberReport(tuple(reports), all_ok)
+
+
+def _solve_equalities(columns, shifts, rest):
+    """The one y with <column j, y> = shift j for every j in rest when
+    rest has n indices with independent columns, else None (solve_unique
+    refuses every other system)."""
+    try:
+        (y,) = solve_unique([columns[j] for j in rest],
+                            [[shifts[j] for j in rest]])
+    except ValueError:
+        return None
+    return y
 
 
 def _check_weights(gale, member, w) -> None:

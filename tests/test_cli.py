@@ -1,5 +1,6 @@
 import argparse
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,9 +12,12 @@ import pytest
 from quasitoric import cli, lp, polytope
 from quasitoric.cli import main
 from quasitoric.corpus import corpus_entry
-from quasitoric.documents import dumps, fan_to_doc, polytope_to_doc
+from quasitoric.documents import (dumps, fan_to_doc, polytope_to_doc,
+                                  triple_to_doc)
 from quasitoric.fan import normal_fan
 from quasitoric.field import format_rational, rational_field
+from quasitoric.quasilattice import Quasilattice
+from quasitoric.triple import FundamentalTriple
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,6 +60,24 @@ def count_calls(monkeypatch, function):
                 module, function.__name__, None) is function:
             monkeypatch.setattr(module, function.__name__, counting)
     return calls
+
+
+def integral_octagon_triple():
+    """The triple document of the integral 8-gon with the primitive normals
+    (1, 0) and (1, 1) turned by quarter turns, unit edges and Z^2."""
+    Q = rational_field()
+    normals, quarter = [], [(1, 0), (1, 1)]
+    for _ in range(4):
+        normals += quarter
+        quarter = [(-y, x) for x, y in quarter]
+    vertex, facets = (0, 0), []
+    for x, y in normals:
+        facets.append(((Q.element(x), Q.element(y)),
+                       Q.element(vertex[0] * x + vertex[1] * y)))
+        vertex = (vertex[0] + y, vertex[1] - x)
+    H = polytope.HalfspaceRep(2, facets)
+    ql = Quasilattice([(Q.one, Q.zero), (Q.zero, Q.one)])
+    return triple_to_doc(FundamentalTriple(H, ql, H.normals))
 
 
 @pytest.fixture()
@@ -157,6 +179,32 @@ class TestWorkflows:
         directory = corpus(name, a="sqrt2")
         report = run_json(capsys, "augment", str(directory / "triple.json"))
         assert report["field"]["interval"] == interval
+
+    @pytest.mark.parametrize("name, digest", [
+        ("square",
+         "a36d0b5e22b151cd9d9f667b0ce2e0e2e950350d6830e41c9025c0ebf4581d78"),
+        ("hirzebruch-2_1",
+         "043216d0be415ebdf2023a89df15fab56302b1950a8947d02a1378792318c0ad"),
+        ("octagon",
+         "2bbab89c2e9cfe97f0bd23144d5fb2546843ae7eb26be0e86c2015ca302067ef"),
+    ])
+    def test_augment_over_q_runs_no_redundancy_lp(self, capsys, tmp_path,
+                                                  monkeypatch, name, digest):
+        # over Q no sign refines the interval the document writes, so the
+        # only LP left is HalfspaceRep's interior LP; the bytes are pinned
+        docs = {"square": corpus_entry("square")["triple.json"],
+                "hirzebruch-2_1":
+                    corpus_entry("hirzebruch", "2/1")["triple.json"],
+                "octagon": integral_octagon_triple()}
+        path = tmp_path / "triple.json"
+        path.write_text(dumps(docs[name]))
+        lps = count_calls(monkeypatch, lp.strict_lp_feasible)
+        interior = count_calls(monkeypatch, polytope._interior_lp)
+        code, out, err = run(capsys, "augment", str(path))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # each interior LP makes one LP call
+        assert len(lps) == len(interior) > 0
 
     def test_polytopal_verdicts(self, corpus, capsys):
         directory = corpus("twisted-cube")

@@ -1,8 +1,13 @@
+import json
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Q, qvec
+from quasitoric import cli
 from quasitoric import gale as gale_module
 from quasitoric.configuration import (
     Triangulation,
@@ -20,10 +25,11 @@ from quasitoric.corpus import (
     thin_rhombus_facets,
     unit_square_facets,
 )
+from quasitoric.documents import configuration_to_doc, dumps
 from quasitoric.errors import NotBalanced, NotOdd, NotSpanning
 from quasitoric.fan import normal_fan
 from quasitoric.gale import chamber_check, gale_dual
-from quasitoric.linalg import dot, rank_kernel_solve, rref_rows
+from quasitoric.linalg import dot, mat_rank, rank_kernel_solve, rref_rows
 from quasitoric.lp import strict_lp_feasible
 from quasitoric.polytope import HalfspaceRep
 from quasitoric.quasilattice import ql_span
@@ -233,11 +239,45 @@ def balanced_configurations(draw):
     members += draw(st.lists(
         st.lists(st.integers(0, p - 1), unique=True, max_size=p).map(
             lambda s: tuple(sorted(s))), max_size=4))
+    # complements of n indices: one solve when independent, else the LP
+    rests = draw(st.lists(st.lists(st.integers(0, p - 1), unique=True,
+                                   min_size=n, max_size=n), max_size=3))
+    members += [complement(p, rest) for rest in rests]
     return VectorConfiguration(n, vectors), members
+
+
+def complement(p, rest) -> tuple:
+    return tuple(j for j in range(p) if j not in rest)
+
+
+def both_paths(config):
+    """config with the complement of every n-subset of its indices (one
+    solve each when independent, the LP when dependent) and that of the
+    first index alone, which has fewer than n indices (the LP).  The
+    configuration must have a dependent n-subset."""
+    p, n = config.count, config.dimension
+    rests = list(combinations(range(p), n))
+    assert any(mat_rank([config.vectors[j] for j in rest]) < n
+               for rest in rests)
+    return config, [complement(p, rest) for rest in rests + [(0,)]]
+
+
+def five_vectors(field):
+    """e_1, e_2, (-1/3, a) and twice (-1/3, -(1 + a)/2), a = alpha: the
+    complement (0, 1) fixes y = (-1, 0), so the member (2, 3, 4) is
+    interior with weights 1/3 by one solve; (3, 4) is a dependent pair."""
+    a, third = field.alpha, field.element(Fraction(-1, 3))
+    low = (third, -(field.one + a) / 2)
+    return VectorConfiguration(2, [(field.one, field.zero),
+                                   (field.zero, field.one),
+                                   (third, a), low, low])
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(balanced_configurations())
+@example(both_paths(five_vectors(FIELDS["Q"])))
+@example(both_paths(five_vectors(FIELDS["sqrt2"])))
+@example(both_paths(five_vectors(FIELDS["pentagon"])))
 def test_gale_dual_matches_dual_coordinates(case):
     config, members = case
     matrix = [list(row) for row in zip(*config.vectors)]
@@ -272,12 +312,8 @@ def integral_16gon_facets():
     return facets
 
 
-def test_chamber_lps_have_n_variables(monkeypatch):
-    fan = normal_fan(HalfspaceRep(2, integral_16gon_facets()))
-    aug = augment(FundamentalTriple(fan, ql_span(
-        [qvec(1, 0), qvec(0, 1)]), fan.rays))
-    gale = gale_dual(aug.configuration, aug.triangulation)
-    assert (gale.count, aug.configuration.dimension) == (19, 2)
+def lp_widths(monkeypatch):
+    """The number of variables of each later LP that gale runs."""
     widths = []
 
     def recording(constraints, num_vars, field=None):
@@ -285,6 +321,56 @@ def test_chamber_lps_have_n_variables(monkeypatch):
         return strict_lp_feasible(constraints, num_vars, field)
 
     monkeypatch.setattr(gale_module, "strict_lp_feasible", recording)
+    return widths
+
+
+def test_chamber_lps_have_n_variables(monkeypatch):
+    """Every member of the augmented 16-gon's chamber is the complement of
+    n independent indices, so one solve decides it and no LP runs; a
+    complement that is dependent, or has fewer than n indices, still
+    takes exactly one LP, in n variables."""
+    fan = normal_fan(HalfspaceRep(2, integral_16gon_facets()))
+    aug = augment(FundamentalTriple(fan, ql_span(
+        [qvec(1, 0), qvec(0, 1)]), fan.rays))
+    gale = gale_dual(aug.configuration, aug.triangulation)
+    p, n = gale.count, aug.configuration.dimension
+    assert (p, n) == (19, 2)
+    widths = lp_widths(monkeypatch)
     report = chamber_check(gale)
-    assert len(report.members) == len(gale.virtual_chamber) > 0
-    assert widths == [2] * len(report.members)
+    assert len(report.members) == len(gale.virtual_chamber) == 16
+    assert widths == []
+    assert [r.zero_in_interior for r in report.members] == [
+        reference_interior(gale, sigma) for sigma in gale.virtual_chamber]
+    vectors = aug.configuration.vectors
+    dependent = next(rest for rest in combinations(range(p), n)
+                     if mat_rank([vectors[j] for j in rest]) < n)
+    for rest in (dependent, (0,)):
+        sigma = complement(p, rest)
+        widths.clear()
+        report = chamber_check(gale, chamber=(sigma,))
+        assert widths == [n]
+        assert report.members[0].zero_in_interior == reference_interior(
+            gale, sigma)
+
+
+def test_gale_cli_runs_the_lp_for_a_dependent_simplex(monkeypatch, capsys,
+                                                      tmp_path):
+    """A configuration document whose triangulation has the dependent
+    maximal simplex (3, 4): its member (0, 1, 2) takes the one LP of the
+    run, the members of (0, 1) and (1, 2) one solve each."""
+    k = FIELDS["sqrt2"]
+    config = five_vectors(k)
+    tri = Triangulation([(0, 1), (1, 2), (3, 4)])
+    path = tmp_path / "configuration.json"
+    path.write_text(dumps(configuration_to_doc(config, tri)))
+    widths = lp_widths(monkeypatch)
+    assert cli.main(["gale", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert widths == [2]
+    gale = gale_dual(config, tri)
+    members = [tuple(i - 1 for i in r["member"])
+               for r in report["chamber_check"]]
+    assert members == list(gale.virtual_chamber)
+    verdicts = [r["zero_in_interior"] for r in report["chamber_check"]]
+    assert verdicts == [reference_interior(gale, sigma) for sigma in members]
+    assert verdicts == [True, False, True]

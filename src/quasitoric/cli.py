@@ -66,6 +66,9 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"InternalInvariantError: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("MemoryError: out of memory", file=sys.stderr)
+        return 1
     sys.stdout.write(docs.dumps(report))
     return 0
 
@@ -275,7 +278,7 @@ def _cmd_quasirational(args):
             "in_quasilattice": ok,
             "witness": docs.vector_to_doc(witness.vector) if ok else None,
             "coefficients": list(witness.coefficients) if ok else None,
-            "non_canonical": True if ok else None,
+            "non_canonical": witness.non_canonical if ok else None,
         })
     return {"command": "quasirational", "quasirational": overall,
             "rays": ray_reports}

@@ -203,9 +203,9 @@ def vector_from_doc(field, doc, dimension=None) -> tuple:
 
 # ---- polytope ----------------------------------------------------------------
 
-def polytope_to_doc(H: HalfspaceRep, field=None) -> dict:
+def polytope_to_doc(H: HalfspaceRep) -> dict:
     return {
-        "field": field_to_doc(field if field is not None else H.field),
+        "field": field_to_doc(H.field),
         "n": H.dimension,
         "facets": [
             {"normal": vector_to_doc(n), "offset": element_to_doc(o)}

@@ -157,6 +157,18 @@ def _interval_eval(nums, den: int, lo: Fraction, hi: Fraction):
     return alo, ahi, den * power // q
 
 
+def _interval_sign(alo: int, ahi: int, scale: int):
+    """The sign an enclosure from _interval_eval decides, or None."""
+    return 1 if alo > 0 else -1 if ahi < 0 else None
+
+
+def _interval_floor(alo: int, ahi: int, scale: int):
+    """The floor an enclosure from _interval_eval decides, or None; a
+    decided floor may be 0."""
+    flo = alo // scale
+    return flo if flo == ahi // scale else None
+
+
 # Sturm sequences run on primitive integer polynomials: each remainder is
 # a signed pseudo-remainder made primitive, so every member is a positive
 # multiple of the Euclidean member and has its signs (Basu, Pollack and
@@ -580,14 +592,19 @@ class FieldElement:
         if self.is_rational():
             head = self.num[0]
             return (head > 0) - (head < 0)
+        return self._bisect(_interval_sign)
+
+    def _bisect(self, decide):
+        """The first value decide(alo, ahi, scale) that is not None, for
+        the enclosure [alo / scale, ahi / scale] of the element on the
+        field's interval, refined until it decides; an element that
+        vanishes at alpha raises NotInvertible."""
         rounds = 0
         while True:
             lo, hi = self.field.interval
-            alo, ahi, _ = _interval_eval(self.num, self.den, lo, hi)
-            if alo > 0:
-                return 1
-            if ahi < 0:
-                return -1
+            decided = decide(*_interval_eval(self.num, self.den, lo, hi))
+            if decided is not None:
+                return decided
             if lo == hi:
                 # alpha is the rational point lo and the element vanishes
                 # there: only possible for a reducible modulus.
@@ -629,17 +646,7 @@ class FieldElement:
     def floor(self) -> int:
         if self.is_rational():
             return self.num[0] // self.den
-        rounds = 0
-        while True:
-            lo, hi = self.field.interval
-            alo, ahi, scale = _interval_eval(self.num, self.den, lo, hi)
-            flo = alo // scale
-            if flo == ahi // scale:
-                return flo
-            rounds += 1
-            if rounds == _REDUCIBILITY_CHECK_AFTER:
-                self._check_not_root(lo, hi)
-            self.field.refine()
+        return self._bisect(_interval_floor)
 
     def decimal(self, significant: int = 12) -> str:
         """Plain-decimal approximation at the given number of significant

@@ -1,6 +1,7 @@
-"""Exact linear algebra: Gaussian elimination over a field, Hermite and
-Smith normal forms over Z, and integral linear-system solving: one
-Hermite form per integer matrix serves every right-hand side.
+"""Exact linear algebra: Gaussian elimination over a field, Hermite
+normal forms over Z with the Smith form built on them, and integral
+linear-system solving: one Hermite form per integer matrix serves every
+right-hand side.
 
 Field matrices are plain lists of rows of FieldElement; integer matrices
 are lists of rows of int.  Everything is deterministic for a fixed input:
@@ -182,79 +183,38 @@ def hnf(A: Sequence[Sequence[int]]):
 
 def snf(A: Sequence[Sequence[int]]):
     """Smith normal form: returns (D, U, V) with U, V unimodular,
-    U*A*V = D diagonal, entries nonnegative, d1 | d2 | ..."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    D = [list(map(int, row)) for row in A]
-    U = _identity(rows)
-    V = _identity(cols)
+    U*A*V = D diagonal, entries nonnegative, d1 | d2 | ...
 
-    def col_combine(M, i, j, a, b, c, d):
-        for row in M:
-            x, y = row[i], row[j]
-            row[i] = a * x + b * y
-            row[j] = c * x + d * y
-
-    k = 0
-    while k < min(rows, cols):
-        # move a nonzero entry into the (k, k) position
-        found = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if D[i][j] != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
+    Kannan and Bachem (SIAM J. Comput. 8, 1979): alternate a row Hermite
+    form of D and one of its transpose until D is diagonal.  Each pass
+    replaces the leading entry by a divisor of it, and once it divides
+    its row and column they stay clear.  The passes leave the nonzero
+    diagonal entries first and positive; one unimodular 2x2 step on rows
+    and one on columns then turn each pair a, b into gcd(a, b),
+    ab / gcd(a, b).  Vt is V transposed, so both steps are row steps."""
+    U, Vt = _identity(len(A)), _identity(len(A[0]) if A else 0)
+    D, flipped = A, False
+    while True:
+        D, W = hnf(D)
+        U = [[sum(w * u for w, u in zip(row, col)) for col in zip(*U)]
+             for row in W]
+        if not any(x for i, row in enumerate(D)
+                   for j, x in enumerate(row) if i != j):
             break
-        i, j = found
-        if i != k:
-            D[k], D[i] = D[i], D[k]
-            U[k], U[i] = U[i], U[k]
-        if j != k:
-            col_combine(D, k, j, 0, 1, 1, 0)
-            col_combine(V, k, j, 0, 1, 1, 0)
-        while True:
-            # clear column k
-            for i in range(k + 1, rows):
-                if D[i][k] == 0:
-                    continue
-                a, b = D[k][k], D[i][k]
+        # U A V = D is V^T A^T U^T = D^T: the next pass works on D^T
+        D, U, Vt, flipped = [list(c) for c in zip(*D)], Vt, U, not flipped
+    if flipped:
+        D, U, Vt = [list(c) for c in zip(*D)], Vt, U
+    diagonal = range(min(len(U), len(Vt)))
+    for i in diagonal:
+        for j in diagonal[i + 1:]:
+            a, b = D[i][i], D[j][j]
+            if a and b % a:
                 g, x, y = xgcd(a, b)
-                _combine_rows(D, k, i, x, y, -(b // g), a // g)
-                _combine_rows(U, k, i, x, y, -(b // g), a // g)
-            # clear row k
-            row_clear = all(D[k][j] == 0 for j in range(k + 1, cols))
-            if row_clear:
-                if all(D[i][k] == 0 for i in range(k + 1, rows)):
-                    break
-                continue
-            for j in range(k + 1, cols):
-                if D[k][j] == 0:
-                    continue
-                a, b = D[k][k], D[k][j]
-                g, x, y = xgcd(a, b)
-                col_combine(D, k, j, x, y, -(b // g), a // g)
-                col_combine(V, k, j, x, y, -(b // g), a // g)
-        # divisibility: D[k][k] must divide the rest of the block
-        bad = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if D[i][j] % D[k][k] != 0:
-                    bad = i
-                    break
-            if bad:
-                break
-        if bad is not None:
-            D[k] = [x + y for x, y in zip(D[k], D[bad])]
-            U[k] = [x + y for x, y in zip(U[k], U[bad])]
-            continue  # redo the clearing at the same k
-        if D[k][k] < 0:
-            D[k] = [-x for x in D[k]]
-            U[k] = [-x for x in U[k]]
-        k += 1
-    return D, U, V
+                _combine_rows(U, i, j, x, y, -(b // g), a // g)
+                _combine_rows(Vt, i, j, 1, 1, -(y * b // g), x * a // g)
+                D[i][i], D[j][j] = g, a // g * b
+    return D, U, [list(c) for c in zip(*Vt)]
 
 
 def _kernel_rows(H, U):

@@ -251,7 +251,8 @@ def halfspaces_from_vertices(points: Sequence[tuple]) -> HalfspaceRep:
     if lines:
         raise NotFullDimensional("points do not span the space affinely")
     facets = [(ray[1:], -ray[0]) for ray, _ in rays]
-    return HalfspaceRep(len(pts[0]), _canonical_facets(facets))
+    field = rows[0][0].field
+    return HalfspaceRep(len(pts[0]), _canonical_facets(field, facets))
 
 
 def face_lattice(H: HalfspaceRep, V: VertexRep) -> FaceLattice:
@@ -376,16 +377,10 @@ def _unit_lead(field, nums) -> tuple:
     """The vector of the canonical numerator vector nums
     (field.ray_numerators) scaled to a leading +-1: its first nonzero
     coordinate is rational, so that is one division of every numerator
-    by the size of that coordinate's integer, the vector _scaled gives."""
+    by the size of that coordinate's integer: the positive multiple of the
+    ray whose first nonzero coordinate is +-1."""
     lead = next(x for x in nums[::field.degree] if x)
     return from_numerators(field, nums, abs(lead))
-
-
-def _scaled(ray) -> tuple:
-    """The positive multiple of ray whose first nonzero coordinate is +-1."""
-    lead = next(x for x in ray if not x.is_zero())
-    scale = abs(lead).inverse()
-    return tuple(scale * x for x in ray)
 
 
 def _cmp_vec(u, v) -> int:
@@ -396,7 +391,8 @@ def _cmp_vec(u, v) -> int:
     return 0
 
 
-def _canonical_facets(facets):
-    keys = sorted((_scaled(tuple(n) + (o,)) for n, o in facets),
-                  key=cmp_to_key(_cmp_vec))
+def _canonical_facets(field, facets):
+    keys = sorted((_unit_lead(field, ray_numerators(
+        field, numerators(field, tuple(n) + (o,)))) for n, o in facets),
+        key=cmp_to_key(_cmp_vec))
     return [(key[:-1], key[-1]) for key in keys]

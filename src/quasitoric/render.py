@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
 
-from .configuration import Triangulation, VectorConfiguration
+from .configuration import VectorConfiguration
 from .errors import DimensionTooHigh
 from .fan import Fan
 from .field import FieldElement, rational_field
@@ -53,14 +53,11 @@ def render_svg(target, spec: RenderSpec = RenderSpec()) -> str:
         return _render_fan(target, spec)
     if isinstance(target, tuple) and isinstance(target[0],
                                                 VectorConfiguration):
-        config, triangulation = target
-        if config.dimension != 2:
-            raise DimensionTooHigh("only n = 2 configurations render")
-        return _render_configuration(config, triangulation, spec)
+        target, _ = target  # the triangulation is not drawn
     if isinstance(target, VectorConfiguration):
         if target.dimension != 2:
             raise DimensionTooHigh("only n = 2 configurations render")
-        return _render_configuration(target, None, spec)
+        return _render_configuration(target, spec)
     raise TypeError(f"cannot render {type(target).__name__}")
 
 
@@ -113,7 +110,6 @@ def _render_fan(fan: Fan, spec: RenderSpec) -> str:
 
 
 def _render_configuration(config: VectorConfiguration,
-                          triangulation: Optional[Triangulation],
                           spec: RenderSpec) -> str:
     scale = _uniform_scale(config.vectors)
     tips = [_xy([scale * x for x in v]) for v in config.vectors]

@@ -6,7 +6,7 @@ the torus R^n/Z^n generated by the images A_v^{-1} q of the quasilattice
 generators q, reduced mod Z^n.  All images integral gives the trivial
 group (manifold point); all rational gives a finite group (orbifold
 point) whose order is the index [L : Z^n] of the lattice L generated by
-Z^n and the images, computed through the Smith normal form after
+Z^n and the images, read off the diagonal of a Hermite form after
 clearing denominators; any irrational coordinate gives an infinite group
 (quasifold point).
 
@@ -16,7 +16,7 @@ The images at a vertex all come from one solve of its frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Union
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fan import Fan, fan_is_simplicial, positively_proportional
 from .field import FieldElement
-from .linalg import snf, solve_unique
+from .linalg import hnf, solve_unique
 from .polytope import (
     HalfspaceRep,
     is_simple,
@@ -150,20 +150,15 @@ def _classify(images, n):
 
 def _finite_order(images, n) -> int:
     """Order of the subgroup of (Q/Z)^n generated by rational images:
-    the index [Z^n + sum(Z y_g) : Z^n] via the Smith normal form of the
-    denominator-cleared column matrix against D * Z^n."""
+    the index [L : Z^n] of L = Z^n + sum(Z y_g).  With D the common
+    denominator, D*L lies in Z^n and holds D*Z^n, so it has rank n: the
+    n pivots of its Hermite form lie on the diagonal, and their product
+    is [Z^n : D*L] = D^n / [L : Z^n]."""
     denom = lcm(*(x.den for img in images for x in img))
-    cols = [[x.num[0] * (denom // x.den) for x in img] for img in images]
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = denom
-        cols.append(unit)
-    matrix = [[col[i] for col in cols] for i in range(n)]
-    D, _, _ = snf(matrix)
-    index = 1
-    for i in range(n):
-        index *= D[i][i]
-    order, remainder = divmod(denom ** n, index)
+    rows = [[x.num[0] * (denom // x.den) for x in img] for img in images]
+    rows += [[denom if i == j else 0 for j in range(n)] for i in range(n)]
+    H, _ = hnf(rows)
+    order, remainder = divmod(denom ** n, prod(H[i][i] for i in range(n)))
     if remainder != 0:
         raise InternalInvariantError("group order index must divide D^n")
     return order

@@ -599,6 +599,19 @@ class TestErrorHandling:
             "InternalInvariantError: face numbers break the "
             "Dehn-Sommerville equations"]
 
+    def test_out_of_memory_is_one_line_and_exit_1(self, capsys, corpus,
+                                                   monkeypatch):
+        directory = corpus("twisted-cube")
+
+        def exhausted(fan):
+            raise MemoryError
+
+        monkeypatch.setattr("quasitoric.cli.is_polytopal", exhausted)
+        code, out, err = run(capsys, "polytopal", str(directory / "fan.json"))
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == ["MemoryError: out of memory"]
+
 
 
 def single_error(code, out, err, prefix):

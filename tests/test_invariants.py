@@ -116,6 +116,66 @@ def test_dead_helper_check_sees_an_unread_helper():
     assert dead_private_names(sources) == ["a.py:_dead:4", "b.py:_Box:2"]
 
 
+def unreferenced_private_definitions(sources: dict) -> list:
+    """Private functions and classes (one leading underscore, no dunder),
+    at module level or as methods, that no module of sources references
+    outside their own definition: not as a name, an attribute or an
+    imported name.  sources maps a module's file name to its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    references = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                references.setdefault(name, []).append(id(node))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for item in (node, *methods):
+                if not isinstance(item, kinds) \
+                        or not item.name.startswith("_") \
+                        or item.name.startswith("__"):
+                    continue
+                inside = set(map(id, ast.walk(item)))
+                if all(ref in inside
+                       for ref in references.get(item.name, ())):
+                    found.append(f"{name}:{item.name}:{item.lineno}")
+    return found
+
+
+def test_private_definitions_are_referenced_elsewhere():
+    package = Path(quasitoric.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_reference_check_sees_recursion_and_methods():
+    sources = {"a.py": "def _gcd(a, b):\n"
+                       "    return _gcd(b, a % b) if b else a\n"
+                       "class _Unused:\n    pass\n"
+                       "class Box:\n"
+                       "    def _used(self):\n        return 1\n"
+                       "    def _unread(self):\n        return self._used()\n"
+                       "    def __len__(self):\n        return 0\n",
+               "b.py": "from .a import Box\n"
+                       "def _scaled(ray):\n    return ray\n"
+                       "def _wrapped(ray):\n    return ray\n"
+                       "spans = [_wrapped]\n"}
+    assert unreferenced_private_definitions(sources) == [
+        "a.py:_gcd:1", "a.py:_Unused:3", "a.py:_unread:8",
+        "b.py:_scaled:2"]
+
+
 def element_mutations(source: str) -> list:
     """Lines that store to or delete an attribute num or den, or name one
     in a setattr call, outside FieldElement.__init__.  Elements are shared

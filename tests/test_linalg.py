@@ -369,6 +369,120 @@ class TestSNF:
                     assert b % a == 0
 
 
+def reference_snf(A):
+    """The Smith form by its own row and column clearing loops, as snf
+    computed it before it was built on hnf: returns (D, U, V)."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    D = [list(map(int, row)) for row in A]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_combine(M, i, j, a, b, c, d):
+        ri, rj = M[i], M[j]
+        M[i] = [a * x + b * y for x, y in zip(ri, rj)]
+        M[j] = [c * x + d * y for x, y in zip(ri, rj)]
+
+    def col_combine(M, i, j, a, b, c, d):
+        for row in M:
+            x, y = row[i], row[j]
+            row[i] = a * x + b * y
+            row[j] = c * x + d * y
+
+    k = 0
+    while k < min(rows, cols):
+        # move a nonzero entry into the (k, k) position
+        found = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                if D[i][j] != 0:
+                    found = (i, j)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        i, j = found
+        if i != k:
+            D[k], D[i] = D[i], D[k]
+            U[k], U[i] = U[i], U[k]
+        if j != k:
+            col_combine(D, k, j, 0, 1, 1, 0)
+            col_combine(V, k, j, 0, 1, 1, 0)
+        while True:
+            # clear column k
+            for i in range(k + 1, rows):
+                if D[i][k] == 0:
+                    continue
+                a, b = D[k][k], D[i][k]
+                g, x, y = xgcd(a, b)
+                row_combine(D, k, i, x, y, -(b // g), a // g)
+                row_combine(U, k, i, x, y, -(b // g), a // g)
+            # clear row k
+            row_clear = all(D[k][j] == 0 for j in range(k + 1, cols))
+            if row_clear:
+                if all(D[i][k] == 0 for i in range(k + 1, rows)):
+                    break
+                continue
+            for j in range(k + 1, cols):
+                if D[k][j] == 0:
+                    continue
+                a, b = D[k][k], D[k][j]
+                g, x, y = xgcd(a, b)
+                col_combine(D, k, j, x, y, -(b // g), a // g)
+                col_combine(V, k, j, x, y, -(b // g), a // g)
+        # divisibility: D[k][k] must divide the rest of the block
+        bad = None
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                if D[i][j] % D[k][k] != 0:
+                    bad = i
+                    break
+            if bad:
+                break
+        if bad is not None:
+            D[k] = [x + y for x, y in zip(D[k], D[bad])]
+            U[k] = [x + y for x, y in zip(U[k], U[bad])]
+            continue  # redo the clearing at the same k
+        if D[k][k] < 0:
+            D[k] = [-x for x in D[k]]
+            U[k] = [-x for x in U[k]]
+        k += 1
+    return D, U, V
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 4 x 5 with zero rows, zero columns and
+    negative entries among them."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    A = draw(st.lists(st.lists(st.integers(-12, 12), min_size=cols,
+                               max_size=cols),
+                      min_size=rows, max_size=rows))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        A[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in A:
+            row[j] = 0
+    return A
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(integer_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 2, 0], [0, 0, 0], [0, 0, -3]])
+@example([[4, 6, 0], [6, 9, 0], [0, 0, 0], [-8, 0, 0]])
+@example([[4, 0], [0, -6]])  # diagonal already: only the 2x2 steps run
+@example([[0, 6, 0, 0], [10, 0, 0, 0], [0, 0, 15, 0]])
+def test_snf_matches_clearing_loop_reference(A):
+    D, U, V = snf(A)
+    assert D == reference_snf(A)[0]
+    assert mat_mul_int(mat_mul_int(U, A), V) == D
+    assert abs(det_oracle(U)) == 1
+    assert abs(det_oracle(V)) == 1
+
+
 class TestIntegerSolve:
     def test_even(self):
         assert integer_solve([[2]], [4]) == (2,)

@@ -825,12 +825,12 @@ def test_recheck_refuses_a_wrong_ray(monkeypatch):
 
 
 def fieldelement_recheck(field, rays, row_nums):
-    """polytope._recheck with each returned ray scaled by _scaled, an
+    """polytope._recheck with each returned ray scaled by scalar_scaled, an
     inverse and n + 1 products, and each sign asked of an element built
     over 1: the reference of the rays built from their numerators."""
     checked = []
     for ray, mask in rays:
-        ray = polytope_module._scaled(from_numerators(field, ray))
+        ray = scalar_scaled(from_numerators(field, ray))
         nums = numerators(field, ray)
         signs = [FieldElement(field, numerator_dot(field, h, nums), 1).sign()
                  for h in row_nums]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Q, qvec
 from quasitoric import linalg as linalg_module
@@ -32,7 +34,12 @@ from quasitoric.polytope import (
     vertices_from_halfspaces,
 )
 from quasitoric.quasilattice import ql_span
-from quasitoric.triple import FundamentalTriple, chart_groups, triple_validate
+from quasitoric.triple import (
+    FundamentalTriple,
+    _finite_order,
+    chart_groups,
+    triple_validate,
+)
 
 
 def z2():
@@ -41,7 +48,7 @@ def z2():
 
 def subgroup_order_oracle(images):
     """BFS enumeration of the subgroup of (Q/Z)^n generated by rational
-    images; independent of the SNF path."""
+    images; independent of the Hermite path."""
     gens = [tuple(x.as_fraction() % 1 for x in img) for img in images]
     seen = {tuple(Fraction(0) for _ in gens[0])}
     frontier = list(seen)
@@ -55,6 +62,23 @@ def subgroup_order_oracle(images):
                     nxt.append(candidate)
         frontier = nxt
     return len(seen)
+
+
+@st.composite
+def rational_images(draw):
+    """(images, n): at most 3 images in Q^n, n <= 3, denominators <= 6."""
+    n = draw(st.integers(1, 3))
+    coordinate = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    images = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n),
+                           min_size=1, max_size=3))
+    return [tuple(Q.element(x) for x in img) for img in images], n
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rational_images())
+def test_finite_order_matches_subgroup_enumeration(case):
+    images, n = case
+    assert _finite_order(images, n) == subgroup_order_oracle(images)
 
 
 class TestValidate:

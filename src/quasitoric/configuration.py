@@ -207,7 +207,7 @@ def _fan_from(config: VectorConfiguration,
     indexed = triangulation.indexed()
     position = {i: k for k, i in enumerate(indexed)}
     rays = [config.vectors[i] for i in indexed]
-    cones = [tuple(position[i] for i in s) for s in triangulation.simplices]
+    cones = [tuple(position[i] for i in s) for s in triangulation.maximal()]
     return Fan(config.dimension, rays, cones)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import documents as docs
 from .configuration import Triangulation, VectorConfiguration
 from .errors import ParseError
 from .fan import Fan
@@ -187,7 +188,10 @@ def twisted_cube_fan_data(field):
     """A complete simplicial non-polytopal fan: rays at the eight cube
     vertices, each square face split by a diagonal so that opposite faces
     carry non-parallel diagonals (a pinwheel pattern).  No offset vector
-    makes the support function strictly convex across every wall."""
+    makes the support function strictly convex across every wall.
+
+    Returns the rays and the 12 maximal cones, which generate the fan:
+    Fan closes them under faces."""
     signs = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
              (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)]
     rays = [tuple(field.element(s) for s in triple) for triple in signs]
@@ -199,12 +203,7 @@ def twisted_cube_fan_data(field):
         (0, 2, 4), (2, 4, 6),   # z = +1 face, diagonal 2-4
         (1, 3, 7), (1, 5, 7),   # z = -1 face, diagonal 1-7
     ]
-    cones = set()
-    from itertools import combinations
-    for c in maximal:
-        for r in range(len(c) + 1):
-            cones.update(combinations(c, r))
-    return rays, sorted(cones)
+    return rays, maximal
 
 
 # ---------------------------------------------------------------------------
@@ -225,91 +224,68 @@ ENTRY_NAMES = (
 )
 
 
+_PENTAGON_FAMILY = {
+    # name: (facets, configuration data or None), over pentagon_field()
+    "pentagon": (pentagon_facets, None),
+    "kite": (kite_facets, kite_configuration_data),
+    "thick-rhombus": (thick_rhombus_facets,
+                      thick_rhombus_configuration_data),
+    "thin-rhombus": (thin_rhombus_facets, None),
+}
+
+
 def corpus_entry(name: str, a_text: str = "sqrt2") -> dict:
     """Documents for a named entry, keyed by file name.
 
     The parameter a only applies to the parametric families and accepts
-    "p/q" text or "sqrt2"."""
-    from . import documents as docs
-
-    if name == "interval":
-        field = rational_field()
-        H = HalfspaceRep(1, unit_interval_facets(field))
-        ql = Quasilattice([(field.one,)])
-        return _entry_docs(H, ql, H.normals)
-    if name == "interval-za":
-        field = field_for_parameter(a_text)
-        a = hirzebruch_parameter(field, a_text)
-        H = HalfspaceRep(1, unit_interval_facets(field))
-        ql = Quasilattice(interval_za_generators(field, a))
-        return _entry_docs(H, ql, H.normals)
-    if name == "orbifold-interval":
-        field = rational_field()
-        H = HalfspaceRep(1, orbifold_interval_facets(field))
-        ql = Quasilattice([(field.one,)])
-        return _entry_docs(H, ql, H.normals)
-    if name == "square":
-        field = rational_field()
-        H = HalfspaceRep(2, unit_square_facets(field))
-        ql = Quasilattice([(field.one, field.zero),
-                           (field.zero, field.one)])
-        return _entry_docs(H, ql, H.normals)
-    if name == "pentagon":
-        field = pentagon_field()
-        H = HalfspaceRep(2, pentagon_facets(field))
-        ql = Quasilattice(pentagon_quasilattice_generators(field))
-        return _entry_docs(H, ql, H.normals)
-    if name == "kite":
-        field = pentagon_field()
-        H = HalfspaceRep(2, kite_facets(field))
-        ql = Quasilattice(pentagon_quasilattice_generators(field))
-        out = _entry_docs(H, ql, H.normals)
-        vectors, maximal, ghosts = kite_configuration_data(field)
-        config = VectorConfiguration(2, vectors, ghosts)
-        out["configuration.json"] = docs.configuration_to_doc(
-            config, Triangulation(maximal))
-        return out
-    if name == "thick-rhombus":
-        field = pentagon_field()
-        H = HalfspaceRep(2, thick_rhombus_facets(field))
-        ql = Quasilattice(pentagon_quasilattice_generators(field))
-        out = _entry_docs(H, ql, H.normals)
-        vectors, maximal, ghosts = thick_rhombus_configuration_data(field)
-        config = VectorConfiguration(2, vectors, ghosts)
-        out["configuration.json"] = docs.configuration_to_doc(
-            config, Triangulation(maximal))
-        return out
-    if name == "thin-rhombus":
-        field = pentagon_field()
-        H = HalfspaceRep(2, thin_rhombus_facets(field))
-        ql = Quasilattice(pentagon_quasilattice_generators(field))
-        return _entry_docs(H, ql, H.normals)
-    if name == "hirzebruch":
-        field = field_for_parameter(a_text)
-        a = hirzebruch_parameter(field, a_text)
-        H = HalfspaceRep(2, trapezoid_facets(field, a))
-        ql = Quasilattice(trapezoid_quasilattice_generators(field, a))
-        out = _entry_docs(H, ql, H.normals)
-        vectors, maximal, ghosts = hirzebruch_configuration_data(field, a)
-        config = VectorConfiguration(2, vectors, ghosts)
-        out["configuration.json"] = docs.configuration_to_doc(
-            config, Triangulation(maximal))
-        return out
+    "p/q" text or "sqrt2".  Each polytope entry names its field, facets,
+    quasilattice generators and configuration data, if any; the
+    documents are written in one tail after HalfspaceRep, the only step
+    that asks signs, so that every document writes the same isolating
+    interval of the field."""
     if name == "twisted-cube":
+        rays, cones = twisted_cube_fan_data(rational_field())
+        return {"fan.json": docs.fan_to_doc(Fan(3, rays, cones))}
+    config = None
+    if name in ("interval", "orbifold-interval"):
         field = rational_field()
-        rays, cones = twisted_cube_fan_data(field)
-        fan = Fan(3, rays, cones)
-        return {"fan.json": docs.fan_to_doc(fan)}
-    raise ParseError(f"unknown corpus entry {name!r}; "
-                     f"choose one of {', '.join(ENTRY_NAMES)}")
-
-
-def _entry_docs(H, ql, normals) -> dict:
-    from . import documents as docs
-
-    triple = FundamentalTriple(H, ql, normals)
-    return {
+        facets = (unit_interval_facets if name == "interval"
+                  else orbifold_interval_facets)(field)
+        n, generators = 1, [(field.one,)]
+    elif name == "interval-za":
+        field = field_for_parameter(a_text)
+        a = hirzebruch_parameter(field, a_text)
+        n, facets = 1, unit_interval_facets(field)
+        generators = interval_za_generators(field, a)
+    elif name == "square":
+        field = rational_field()
+        n, facets = 2, unit_square_facets(field)
+        generators = [(field.one, field.zero), (field.zero, field.one)]
+    elif name in _PENTAGON_FAMILY:
+        field = pentagon_field()
+        facets_of, config_of = _PENTAGON_FAMILY[name]
+        n, facets = 2, facets_of(field)
+        generators = pentagon_quasilattice_generators(field)
+        config = config_of and config_of(field)
+    elif name == "hirzebruch":
+        field = field_for_parameter(a_text)
+        a = hirzebruch_parameter(field, a_text)
+        n, facets = 2, trapezoid_facets(field, a)
+        generators = trapezoid_quasilattice_generators(field, a)
+        config = hirzebruch_configuration_data(field, a)
+    else:
+        raise ParseError(f"unknown corpus entry {name!r}; "
+                         f"choose one of {', '.join(ENTRY_NAMES)}")
+    H = HalfspaceRep(n, facets)
+    ql = Quasilattice(generators)
+    triple = FundamentalTriple(H, ql, H.normals)
+    out = {
         "polytope.json": docs.polytope_to_doc(H),
         "quasilattice.json": docs.quasilattice_to_doc(ql),
         "triple.json": docs.triple_to_doc(triple),
     }
+    if config is not None:
+        vectors, maximal, ghosts = config
+        out["configuration.json"] = docs.configuration_to_doc(
+            VectorConfiguration(n, vectors, ghosts), Triangulation(maximal))
+    return out

@@ -236,7 +236,7 @@ def fan_to_doc(fan: Fan) -> dict:
         "field": field_to_doc(fan.field),
         "n": fan.dimension,
         "rays": [vector_to_doc(r) for r in fan.rays],
-        "cones": [[i + 1 for i in cone] for cone in fan.maximal_cones()],
+        "cones": [[i + 1 for i in cone] for cone in fan.generating_cones()],
     }
 
 
@@ -250,7 +250,7 @@ def fan_from_doc(doc, field=None) -> Fan:
         raise ParseError("fan document needs integer n, rays, and cones")
     rays = [vector_from_doc(field, r, n) for r in rays_doc]
     cones = [_indices_from_doc(c, len(rays)) for c in cones_doc]
-    return Fan(n, rays, cones).face_closure()
+    return Fan(n, rays, cones)
 
 
 def _indices_from_doc(doc, count) -> tuple:

@@ -28,7 +28,9 @@ maximal cone is full-dimensional and each of its walls lies in exactly
 two maximal cones.  Only polytopality and the redundancy of facets ask
 an LP.
 
-Validity uses the standard fan lemma (Ziegler, Lectures on Polytopes,
+A fan is given by its generating cones: Fan closes them under faces on
+construction, once, and every cone is a face of a cone given.  Validity
+then uses the standard fan lemma (Ziegler, Lectures on Polytopes,
 Ch. 7): a collection closed under faces in which every cone is a face of
 a maximal cone is a fan as soon as every two maximal cones meet in a
 common face.  "Maximal" is taken in the face order, not by index sets:
@@ -38,7 +40,6 @@ cone, and every cone is a face of one of them.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import NamedTuple, Optional
 
@@ -58,19 +59,24 @@ from .polytope import (
 class Fan:
     """Shared ray list plus cones as sorted ray-index tuples.
 
-    Construction rejects zero rays and repeated rays (equal up to positive
-    scaling); the origin cone () is always included.  Face closure and the
-    pairwise-intersection axiom are checked by fan_is_valid, not here.
+    The cones given generate the fan: construction closes them under
+    faces (cone_faces), as loading a fan document does, and the origin
+    cone () is always included.  It rejects zero rays and repeated rays
+    (equal up to positive scaling); the pairwise-intersection axiom is
+    checked by fan_is_valid, not here.
+
     polytope, set by normal_fan only, is the certified polytope whose
     normal fan this is.  Its rays are the irredundant facet normals the
     certificate has just proved, and two of them are never positive
     multiples of each other, since one facet's halfspace would then
     contain the other's; so a marked fan skips the repeated-ray check.
-    Every other fan checks its rays in one keyed pass: rays are grouped
-    by the line they span, keyed in the field of the first ray, which
-    asks no sign and raises MixedFields for a ray of another field; only
-    rays on one line have the sign of their dot product asked, in the
-    order of all pairs.
+    Its cones, the facet sets of the polytope's faces, are closed under
+    faces already, and are taken as given, with no rank asked.  Every
+    other fan checks its rays in one keyed pass: rays are grouped by the
+    line they span, keyed in the field of the first ray, which asks no
+    sign and raises MixedFields for a ray of another field; only rays on
+    one line have the sign of their dot product asked, in the order of
+    all pairs.
     """
 
     def __init__(self, dimension: int, rays, cones,
@@ -101,10 +107,8 @@ class Fan:
             if t and (t[0] < 0 or t[-1] >= len(rays)):
                 raise InvalidFan(f"cone {cone} indexes a missing ray")
             cone_set.add(t)
-        cone_set.add(())
         self.dimension = dimension
         self.rays = rays
-        self.cones = tuple(sorted(cone_set))
         self.field = field
         self.polytope = polytope
         self._maximal = None
@@ -112,22 +116,33 @@ class Fan:
         self._dual_cache = {}
         self._face_cache = {}
         self._rank_cache = {}
+        # longest first, a cone already in closed is a face of one taken
+        # before, and so are its own faces.  A marked fan's cones are its
+        # polytope's faces, closed already
+        self._generators = None
+        closed = {(), *cone_set}
+        if polytope is None:
+            closed, self._generators = set(), set()
+            for cone in sorted(cone_set | {()}, key=lambda c: (-len(c), c)):
+                if cone not in closed:
+                    self._generators.add(cone)
+                    closed |= self.cone_faces(cone)
+        self.cones = tuple(sorted(closed))
 
     @property
     def ray_count(self) -> int:
         return len(self.rays)
 
-    def face_closure(self) -> "Fan":
-        """The fan of these cones and all their faces: a copy of this fan,
-        so it keeps the rays this one accepted and shares its caches,
-        which depend on the rays alone.  The added faces are index subsets
-        of the cones, so the maximal cones are this fan's too, and so are
-        the wall relations once taken."""
-        closed = set().union(*(self.cone_faces(c) for c in self.cones))
-        fan = copy.copy(self)
-        fan.cones = tuple(sorted(closed))
-        fan._maximal = self.maximal_cones()
-        return fan
+    def generating_cones(self) -> tuple:
+        """The cones that are no proper face of another cone, in the order
+        of self.cones: the fewest cones that generate the fan, and those
+        a fan document lists.  A proper face has fewer rays, so they are
+        the cones construction took faces of, longest first.  A marked
+        fan's are its maximal cones: a cone of a normal fan inside
+        another lists the facets on a larger face, and is a face of it."""
+        if self._generators is None:
+            return self.maximal_cones()
+        return tuple(c for c in self.cones if c in self._generators)
 
     def maximal_cones(self):
         """Cones not properly contained (as index sets) in another cone,
@@ -440,7 +455,8 @@ def fan_is_simplicial(fan: Fan) -> bool:
 
 
 def fan_is_valid(fan: Fan) -> bool:
-    """Face closure plus the pairwise-intersection axiom.
+    """The pairwise-intersection axiom: construction has closed the cones
+    under faces, so each is a face of a cone given.
 
     By the fan lemma (Ziegler, Lectures on Polytopes, Ch. 7) the axiom
     need only be checked on pairs of cones that are maximal in the face
@@ -451,23 +467,15 @@ def fan_is_valid(fan: Fan) -> bool:
     (0,1,2) but not a face of it, and must be checked against it.
 
     A normal fan of a polytope is a fan by construction.  So is a
-    face-closed collection with wall relations: its maximal cones pass
+    collection with wall relations: its maximal cones pass
     complete_fan_certificate, so they are simplicial, every index subset
     of one is a face of it, and they are exactly the cones maximal in the
-    face order.  Otherwise every pair of those is decided by
-    cones_meet_in_common_face, on the duals cone_faces took."""
-    if fan.polytope is not None:
+    face order.  Otherwise every pair of those, Fan.generating_cones, is
+    decided by cones_meet_in_common_face, on the duals of the fan's
+    cache."""
+    if fan.polytope is not None or fan.wall_relations():
         return True
-    cone_set = set(fan.cones)
-    # longest first: a simplicial cone's faces take their rank from it
-    for cone in sorted(fan.cones, key=len, reverse=True):
-        if not fan.cone_faces(cone) <= cone_set:
-            return False
-    if fan.wall_relations():
-        return True
-    proper = set().union(*(fan.cone_faces(c) - {c} for c in fan.cones))
-    candidates = [c for c in fan.cones if c not in proper]
-    for a, b in itertools.combinations(candidates, 2):
+    for a, b in itertools.combinations(fan.generating_cones(), 2):
         if not cones_meet_in_common_face(fan.rays, a, b, fan._dual_cache):
             return False
     return True

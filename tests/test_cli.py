@@ -12,11 +12,14 @@ import pytest
 from quasitoric import cli, lp, polytope
 from quasitoric.cli import main
 from quasitoric.corpus import corpus_entry
-from quasitoric.documents import (dumps, fan_to_doc, polytope_to_doc,
-                                  triple_to_doc)
+from quasitoric.documents import (configuration_from_doc, dumps,
+                                  fan_from_doc, fan_to_doc,
+                                  polytope_from_doc, polytope_to_doc,
+                                  quasilattice_to_doc, triple_to_doc)
 from quasitoric.fan import normal_fan
 from quasitoric.field import format_rational, rational_field
 from quasitoric.quasilattice import Quasilattice
+from quasitoric.render import render_svg
 from quasitoric.triple import FundamentalTriple
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,6 +148,22 @@ class TestWorkflows:
                           "--ql", str(directory / "quasilattice.json"))
         assert report["quasirational"] is True
         assert all(r["non_canonical"] for r in report["rays"])
+
+    def test_twisted_cube_fan_quasirational(self, corpus, capsys,
+                                            tmp_path):
+        # a fan body: its rays, the cube's vertices, are primitive in Z^3
+        fan_path = corpus("twisted-cube") / "fan.json"
+        Q = rational_field()
+        ql = Quasilattice([tuple(Q.one if i == j else Q.zero
+                                 for j in range(3)) for i in range(3)])
+        ql_path = tmp_path / "z3.json"
+        ql_path.write_text(dumps(quasilattice_to_doc(ql)))
+        report = run_json(capsys, "quasirational", str(fan_path),
+                          "--ql", str(ql_path))
+        assert report["quasirational"] is True
+        rays = json.loads(fan_path.read_text())["rays"]
+        assert [r["ray"] for r in report["rays"]] == list(range(1, 9))
+        assert [r["witness"] for r in report["rays"]] == rays
 
     def test_thick_rhombus_validate(self, corpus, capsys):
         directory = corpus("thick-rhombus")
@@ -315,6 +334,30 @@ class TestWorkflows:
         assert report["target"] == "polytope"
         assert out.exists()
         assert out.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize("kind", ["fan", "configuration", "empty"])
+    def test_render_fan_configuration_and_empty(self, corpus, capsys,
+                                                tmp_path, kind):
+        # the report names the target and counts the bytes render_svg
+        # writes for the object the same document loads to
+        if kind == "fan":
+            square = corpus_entry("square")["polytope.json"]
+            doc = fan_to_doc(normal_fan(polytope_from_doc(square)))
+            target = fan_from_doc(doc)
+        elif kind == "configuration":
+            doc = json.loads((corpus("kite") / "configuration.json")
+                             .read_text())
+            target = configuration_from_doc(doc)
+        else:
+            doc, target = {}, None
+        path = tmp_path / f"{kind}.json"
+        path.write_text(dumps(doc))
+        out = tmp_path / f"{kind}.svg"
+        report = run_json(capsys, "render", str(path), "--out", str(out))
+        svg = render_svg(target)
+        assert report["target"] == kind
+        assert report["bytes"] == len(svg.encode("utf-8"))
+        assert out.read_text(encoding="utf-8") == svg
 
 
 class TestParserReuse:

@@ -11,8 +11,10 @@ from quasitoric import documents as docs
 from quasitoric.cli import main
 from quasitoric.corpus import ENTRY_NAMES, corpus_entry, pentagon_field
 from quasitoric.errors import ParseError
-from quasitoric.fan import fans_equivalent
+from quasitoric.fan import Fan, fans_equivalent
 from quasitoric.field import RealAlgebraicField, format_rational
+from quasitoric.quasilattice import Quasilattice
+from quasitoric.triple import FundamentalTriple
 
 
 class TestFieldDocs:
@@ -87,6 +89,21 @@ class TestCorpusRoundtrip:
         assert all(len(c) <= 3 for c in fan.cones)
         fan2 = docs.fan_from_doc(docs.fan_to_doc(fan))
         assert fans_equivalent(fan, fan2)
+
+    def test_fan_triple_object_roundtrip(self):
+        # a triple over the twisted-cube fan, with its rays as normals and
+        # the lattice Z^3, written and read back
+        fan = docs.fan_from_doc(corpus_entry("twisted-cube")["fan.json"])
+        ql = Quasilattice([qvec(1, 0, 0), qvec(0, 1, 0), qvec(0, 0, 1)])
+        doc = docs.triple_to_doc(FundamentalTriple(fan, ql, fan.rays))
+        assert "polytope" not in doc and "field" not in doc["fan"]
+        assert len(doc["fan"]["cones"]) == 12
+        triple = docs.triple_from_doc(docs.parse_json(docs.dumps(doc)))
+        assert isinstance(triple.body, Fan)
+        assert triple.body.cones == fan.cones
+        assert triple.normals == fan.rays
+        assert triple.quasilattice.generators == ql.generators
+        assert docs.triple_to_doc(triple) == doc
 
 
 class TestDocumentKind:

@@ -113,18 +113,9 @@ NON_FANS_WITH_PAIRED_WALLS = {
 }
 
 
-def face_closed(n, rays, cones):
-    """The fan of the given cones and all their faces."""
-    generating = Fan(n, rays, cones)
-    closed = set()
-    for cone in generating.cones:
-        closed |= generating.cone_faces(cone)
-    return Fan(n, rays, closed)
-
-
 def non_fan_with_paired_walls(name):
     rays, cones = NON_FANS_WITH_PAIRED_WALLS[name]
-    return face_closed(2, [qvec(*r) for r in rays], cones)
+    return Fan(2, [qvec(*r) for r in rays], cones)
 
 
 def verdicts(fan):
@@ -158,8 +149,8 @@ class TestFanConstruction:
     def test_twisted_cube_document_keys_each_ray_once(self, monkeypatch):
         # the rays of the twisted cube are the cube's vertices, so only
         # its 4 antiparallel pairs share a line and are pair-tested, not
-        # all C(8, 2); the face closure of the loaded fan keeps the rays
-        # the fan accepted: one line key per ray, not two
+        # all C(8, 2); the loaded fan is closed under faces as it is
+        # built, with no second fan: one line key per ray, not two
         doc = parse_json(dumps(fan_to_doc(
             Fan(3, *twisted_cube_fan_data(Q)))))
         keys = counting(monkeypatch, "_line_key")
@@ -334,10 +325,13 @@ class TestPredicates:
                   [(0, 1), (2,), (0,), (1,)])
         assert not fan_is_valid(fan)
 
-    def test_missing_face_invalid(self):
+    def test_missing_face_is_generated(self):
+        # the ray (1,) is a face of (0,1), not listed: the fan of the
+        # cones given has it
         fan = Fan(2, [qvec(1, 0), qvec(0, 1)], [(0, 1), (0,)])
-        # the ray (1,) is a face of (0,1) but missing from the fan
-        assert not fan_is_valid(fan)
+        assert fan.cones == ((), (0,), (0, 1), (1,))
+        assert fan.generating_cones() == ((0, 1),)
+        assert fan_is_valid(fan)
 
     def test_index_subset_that_is_not_a_face_invalid(self):
         # (1,1) lies inside cone(e1, e2): (1,) is an index subset of the
@@ -356,9 +350,9 @@ class TestPredicates:
                 for i in range(4) for s in (1, -1)]
         orthants = list(itertools.product(*[(2 * i, 2 * i + 1)
                                             for i in range(4)]))
-        fan = face_closed(4, rays, orthants)
+        fan = Fan(4, rays, orthants)
         assert fan_predicates(fan) == (True, True, True)
-        half = face_closed(4, rays[:7], [c for c in orthants if 7 not in c])
+        half = Fan(4, rays[:7], [c for c in orthants if 7 not in c])
         assert fan_is_valid(half)
         assert not fan_is_complete(half)
 
@@ -385,7 +379,7 @@ class TestPredicates:
                 qvec(1, 1, 0)]
         octants = [c + (6,) if c == (0, 1, 2) else c
                    for c in itertools.product((0, 3), (1, 4), (2, 5))]
-        fan = face_closed(3, rays, octants)
+        fan = Fan(3, rays, octants)
         assert (0, 1, 6) in fan.cone_faces((0, 1, 2, 6))
         assert (6,) not in fan.cones
         assert fan_predicates(fan) == (True, False, True)
@@ -417,10 +411,10 @@ class TestPredicates:
         walls = [(q, q + 1, (q + 2) % 8) for q in range(0, 8, 2)]
         upper = [w + (8,) for w in walls]
         lower = [w + (9,) for w in walls]
-        half = face_closed(3, rays, upper)
+        half = Fan(3, rays, upper)
         assert fan_is_valid(half)
         assert not fan_is_complete(half)
-        full = face_closed(3, rays, upper + lower)
+        full = Fan(3, rays, upper + lower)
         assert fan_predicates(full) == (True, False, True)
 
     @pytest.mark.parametrize("name", list(NON_FANS_WITH_PAIRED_WALLS))
@@ -482,7 +476,8 @@ class TestPolytopality:
     def test_twisted_cube_takes_one_rank_per_maximal_cone(
             self, monkeypatch, from_document):
         # every face of a simplicial maximal cone takes its rank from it,
-        # and a loaded document's faces share the ranks of its cones
+        # in construction and in loading a document alike; only the ranks
+        # of the fan decided are counted
         calls = []
         mat_rank = fan_module.mat_rank
 
@@ -493,7 +488,9 @@ class TestPolytopality:
         monkeypatch.setattr(fan_module, "mat_rank", counting)
         fan = Fan(3, *twisted_cube_fan_data(Q))
         if from_document:
-            fan = fan_from_doc(parse_json(dumps(fan_to_doc(fan))))
+            text = dumps(fan_to_doc(fan))
+            calls.clear()
+            fan = fan_from_doc(parse_json(text))
         assert is_polytopal(fan) is None
         assert 0 < len(calls) <= len(fan.maximal_cones())
 
@@ -601,9 +598,9 @@ def primitive(v):
 
 
 @st.composite
-def small_fans(draw):
-    """Random rays in a small box and random pointed cones on them,
-    closed under faces."""
+def small_fan_data(draw):
+    """Random rays in a small box and random pointed cones on them:
+    (n, rays, cones)."""
     n = draw(st.sampled_from([2, 3]))
     coords = st.lists(st.integers(-2, 2), min_size=n,
                       max_size=n).filter(any)
@@ -616,7 +613,12 @@ def small_fans(draw):
     subsets = [tuple(i for i in range(len(rays)) if mask >> i & 1)
                for mask in masks]
     cones = [c for c in subsets if len(c) <= n + 1 and is_pointed(rays, c)]
-    return face_closed(n, rays, cones)
+    return n, rays, cones
+
+
+def small_fans():
+    """The fans the cones of small_fan_data generate."""
+    return small_fan_data().map(lambda case: Fan(*case))
 
 
 @settings(max_examples=80, deadline=None, database=None,
@@ -624,6 +626,26 @@ def small_fans(draw):
 @given(small_fans())
 def test_maximal_pairs_agree_with_all_pairs(fan):
     assert fan_is_valid(fan) == all_pairs_valid(fan)
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_fan_data())
+@example((2, [qvec(1, 0), qvec(1, 1), qvec(0, 1)], [(0, 1, 2), (0, 2)]))
+@example((2, [qvec(1, 0), qvec(1, 1), qvec(0, 1)], [(0, 1, 2), (1,)]))
+def test_construction_closes_the_given_cones_under_faces(case):
+    # the faces by the LP rule, which shares no code with the double
+    # description; the cones that are no proper face of another generate
+    # the same fan, and a fan document lists them
+    n, rays, cones = case
+    fan = Fan(n, rays, cones)
+    faces = set().union({()}, *(lp_cone_faces(rays, c) for c in cones))
+    assert fan.cones == tuple(sorted(faces))
+    generated = Fan(n, rays, fan.generating_cones())
+    assert generated.cones == fan.cones
+    assert generated.generating_cones() == fan.generating_cones()
+    assert fan_predicates(generated) == fan_predicates(fan)
+    assert fan_from_doc(fan_to_doc(fan)).cones == fan.cones
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +887,7 @@ def cone_over_20_gon(apex):
     pointed cone with 20 facets, and the ray apex, face-closed."""
     rays = [qvec(1 - t * t, 2 * t, 1 + t * t)
             for t in (Fraction(k, 5) for k in range(-10, 10))]
-    return face_closed(3, rays + [qvec(*apex)], [tuple(range(20)), (20,)])
+    return Fan(3, rays + [qvec(*apex)], [tuple(range(20)), (20,)])
 
 
 def test_cone_over_20_gon_and_its_opposite_ray_is_a_fan(monkeypatch):
@@ -1566,7 +1588,7 @@ def test_maximal_cones_agree_with_index_set_definition(case):
     fan = Fan(n, rays, cones)
     assert fan.maximal_cones() == index_set_maximal(fan.cones)
     pointed = [c for c in fan.cones if is_pointed(rays, c)]
-    closed = Fan(n, rays, pointed).face_closure()
+    closed = Fan(n, rays, pointed)
     assert closed.maximal_cones() == index_set_maximal(closed.cones)
 
 

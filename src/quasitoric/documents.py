@@ -236,7 +236,7 @@ def fan_to_doc(fan: Fan) -> dict:
         "field": field_to_doc(fan.field),
         "n": fan.dimension,
         "rays": [vector_to_doc(r) for r in fan.rays],
-        "cones": [[i + 1 for i in cone] for cone in fan.generating_cones()],
+        "cones": [[i + 1 for i in cone] for cone in fan.maximal_cones()],
     }
 
 

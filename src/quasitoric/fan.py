@@ -8,17 +8,16 @@ Lectures on Polytopes, Ch. 7).  normal_fan reads the irredundancy of the
 facets and the cones off the vertex incidences of the polytope's
 certificate and marks the fan it builds, and the predicates answer for a
 marked fan by that theorem.  The bookkeeping needs no pair loop either:
-a marked fan's rays need no repeated-ray check, any other fan's rays
-are grouped by the line they span in one dict pass, and maximal cones
-are computed once per fan.  A complete simplicial fan needs no LP
-either: complete_fan_certificate proves it a fan from its walls and one
-point, by linear algebra alone, with one elimination per maximal cone.
-The linear relation it finds among each wall's rays and its two apexes is
-kept by the fan (Fan.wall_relations), and it serves validity,
-completeness and the rows of the polytopality system alike.  On any
-other fan the predicates read each cone off its dual cone, which
-polytope.extreme_rays enumerates in any dimension by exact double
-description, splitting off its lines when the cone is not
+a marked fan's rays need no repeated-ray check, and any other fan's
+rays are grouped by the line they span in one dict pass.  A complete
+simplicial fan needs no LP either: complete_fan_certificate proves it a
+fan from its walls and one point, by linear algebra alone, with one
+elimination per maximal cone.  The linear relation it finds among each
+wall's rays and its two apexes is kept by the fan (Fan.wall_relations),
+and it serves validity, completeness and the rows of the polytopality
+system alike.  On any other fan the predicates read each cone off its
+dual cone, which polytope.extreme_rays enumerates in any dimension by
+exact double description, splitting off its lines when the cone is not
 full-dimensional, and which is computed once per cone (cone_dual).  The
 dual gives the faces of a cone, membership of a point in it, and, with
 one more double description of the two duals together, whether two
@@ -28,14 +27,19 @@ maximal cone is full-dimensional and each of its walls lies in exactly
 two maximal cones.  Only polytopality and the redundancy of facets ask
 an LP.
 
-A fan is given by its generating cones: Fan closes them under faces on
-construction, once, and every cone is a face of a cone given.  Validity
-then uses the standard fan lemma (Ziegler, Lectures on Polytopes,
-Ch. 7): a collection closed under faces in which every cone is a face of
-a maximal cone is a fan as soon as every two maximal cones meet in a
-common face.  "Maximal" is taken in the face order, not by index sets:
-the cones checked pairwise are those that are no proper face of another
-cone, and every cone is a face of one of them.
+A fan is given by its maximal cones, and one rule finds them
+(close_under_faces): the cells given, longest first, each one not yet
+in the closure maximal and its faces added.  Fan takes its faces from
+cone_faces, a normal fan is given by the facet sets of its polytope's
+vertices, and configuration.Triangulation takes every index subset.
+Validity then uses the standard fan lemma (Ziegler, Lectures on
+Polytopes, Ch. 7): a collection closed under faces in which every cone
+is a face of a maximal cone is a fan as soon as every two maximal cones
+meet in a common face.  "Maximal" is taken in the face order: the cones
+checked pairwise are those that are no proper face of another cone.  On
+a fan whose maximal cones list only their extreme rays, a cone whose
+rays are an index subset of another's is a face of it, so maximality by
+index sets picks the same cones; on other collections it may not.
 """
 
 from __future__ import annotations
@@ -59,24 +63,29 @@ from .polytope import (
 class Fan:
     """Shared ray list plus cones as sorted ray-index tuples.
 
-    The cones given generate the fan: construction closes them under
-    faces (cone_faces), as loading a fan document does, and the origin
-    cone () is always included.  It rejects zero rays and repeated rays
-    (equal up to positive scaling); the pairwise-intersection axiom is
-    checked by fan_is_valid, not here.
+    A fan is given by its maximal cones.  An unmarked fan closes the
+    cones given under faces on construction (close_under_faces with
+    cone_faces), as loading a fan document does, and keeps those it took
+    faces of as its maximal cones; the origin cone () is always included.
+    It rejects zero rays and repeated rays (equal up to positive
+    scaling); the pairwise-intersection axiom is checked by fan_is_valid,
+    not here.
 
     polytope, set by normal_fan only, is the certified polytope whose
     normal fan this is.  Its rays are the irredundant facet normals the
     certificate has just proved, and two of them are never positive
     multiples of each other, since one facet's halfspace would then
     contain the other's; so a marked fan skips the repeated-ray check.
-    Its cones, the facet sets of the polytope's faces, are closed under
-    faces already, and are taken as given, with no rank asked.  Every
-    other fan checks its rays in one keyed pass: rays are grouped by the
-    line they span, keyed in the field of the first ray, which asks no
-    sign and raises MixedFields for a ray of another field; only rays on
-    one line have the sign of their dot product asked, in the order of
-    all pairs.
+    Its cones given are the facet sets of the polytope's vertices, its
+    maximal cones: the facets through a vertex meet in it alone, so no
+    vertex's facet set lies inside another's.  Its cones are those and
+    every intersection of them, the facet sets of the polytope's faces
+    (polytope.intersection_closure), with no rank asked.  Every other fan
+    checks its rays in one keyed pass: rays are grouped by the line they
+    span, keyed in the field of the first ray, which asks no sign and
+    raises MixedFields for a ray of another field; only rays on one line
+    have the sign of their dot product asked, in the order of all
+    pairs.
     """
 
     def __init__(self, dimension: int, rays, cones,
@@ -111,44 +120,29 @@ class Fan:
         self.rays = rays
         self.field = field
         self.polytope = polytope
-        self._maximal = None
         self._relations = None
         self._dual_cache = {}
         self._face_cache = {}
         self._rank_cache = {}
-        # longest first, a cone already in closed is a face of one taken
-        # before, and so are its own faces.  A marked fan's cones are its
-        # polytope's faces, closed already
-        self._generators = None
-        closed = {(), *cone_set}
         if polytope is None:
-            closed, self._generators = set(), set()
-            for cone in sorted(cone_set | {()}, key=lambda c: (-len(c), c)):
-                if cone not in closed:
-                    self._generators.add(cone)
-                    closed |= self.cone_faces(cone)
+            closed, self._maximal = close_under_faces(cone_set | {()},
+                                                      self.cone_faces)
+        else:
+            faces = intersection_closure({frozenset(c) for c in cone_set})
+            closed = {(), *(tuple(sorted(face)) for face in faces)}
+            self._maximal = tuple(sorted(cone_set))
         self.cones = tuple(sorted(closed))
 
     @property
     def ray_count(self) -> int:
         return len(self.rays)
 
-    def generating_cones(self) -> tuple:
+    def maximal_cones(self) -> tuple:
         """The cones that are no proper face of another cone, in the order
-        of self.cones: the fewest cones that generate the fan, and those
-        a fan document lists.  A proper face has fewer rays, so they are
-        the cones construction took faces of, longest first.  A marked
-        fan's are its maximal cones: a cone of a normal fan inside
-        another lists the facets on a larger face, and is a face of it."""
-        if self._generators is None:
-            return self.maximal_cones()
-        return tuple(c for c in self.cones if c in self._generators)
-
-    def maximal_cones(self):
-        """Cones not properly contained (as index sets) in another cone,
-        in the order of self.cones, computed once."""
-        if self._maximal is None:
-            self._maximal = maximal_index_sets(self.cones)
+        of self.cones: the cones the fan was built from, and those a fan
+        document lists.  A fan may list one cone twice, under two index
+        sets, one with a ray inside the cone; both are maximal, and
+        walls_paired counts the cone once."""
         return self._maximal
 
     def wall_relations(self) -> tuple:
@@ -199,18 +193,19 @@ class Fan:
         return faces
 
 
-def maximal_index_sets(cones) -> tuple:
-    """The index tuples in cones not properly contained in another one,
-    in the order of cones.  A tuple properly inside another lies inside
-    a longer maximal one, so each, longest first, is compared only with
-    the maximal ones kept."""
-    kept, maximal = [], set()
-    for cone in sorted(cones, key=len, reverse=True):
-        s = frozenset(cone)
-        if not any(s < m for m in kept):
-            kept.append(s)
-            maximal.add(cone)
-    return tuple(c for c in cones if c in maximal)
+def close_under_faces(cells, faces) -> tuple:
+    """(closed, maximal): the closure of the given cells, sorted index
+    tuples, under faces(cell), which holds the cell and all of its faces,
+    and the cells maximal in it, in sorted order.  Taken longest first, a
+    cell already in the closure is a face of one taken before, since a
+    proper face has fewer indices, and so are its own faces; any other
+    cell is maximal, and its faces join the closure."""
+    closed, maximal = set(), []
+    for cell in sorted(cells, key=lambda c: (-len(c), c)):
+        if cell not in closed:
+            maximal.append(cell)
+            closed |= faces(cell)
+    return closed, tuple(sorted(maximal))
 
 
 def _line_key(field, ray) -> tuple:
@@ -426,13 +421,12 @@ def redundant_facets_lp(H: HalfspaceRep):
 
 def normal_fan(H: HalfspaceRep) -> Fan:
     """Rays are the facet normals with input scaling preserved; cones are
-    spanned by the normals of the facets containing each face.  The facet
-    sets of the faces are the intersections of the vertex active sets,
-    and that of the whole polytope, the origin cone, is in every Fan."""
+    spanned by the normals of the facets containing each face.  The fan
+    is given by its maximal cones, the facet sets of the vertices, and
+    marked with H, which closes them under intersection."""
     require_irredundant(H)
-    faces = intersection_closure(vertices_from_halfspaces(H).active)
-    cones = {tuple(sorted(face)) for face in faces}
-    return Fan(H.dimension, H.normals, cones, polytope=H)
+    return Fan(H.dimension, H.normals, vertices_from_halfspaces(H).active,
+               polytope=H)
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +450,24 @@ def fan_is_simplicial(fan: Fan) -> bool:
 
 def fan_is_valid(fan: Fan) -> bool:
     """The pairwise-intersection axiom: construction has closed the cones
-    under faces, so each is a face of a cone given.
+    under faces, so each is a face of a maximal cone.
 
     By the fan lemma (Ziegler, Lectures on Polytopes, Ch. 7) the axiom
-    need only be checked on pairs of cones that are maximal in the face
-    order, i.e. no proper face of another cone: proper faces have fewer
-    rays and a face of a face is a face, so every cone is a face of such
-    a cone.  Maximality by index sets would not do: with rays e1, (1,1),
-    e2 and cones (0,1,2) and (1,), the cone (1,) is an index subset of
-    (0,1,2) but not a face of it, and must be checked against it.
+    need only be checked on pairs of maximal cones, Fan.maximal_cones,
+    the cones that are no proper face of another.  Maximality by index
+    sets would not do: with rays e1, (1,1), e2 and cones (0,1,2) and
+    (1,), the cone (1,) is an index subset of (0,1,2) but not a face of
+    it, so both are maximal and are checked against each other.
 
     A normal fan of a polytope is a fan by construction.  So is a
     collection with wall relations: its maximal cones pass
-    complete_fan_certificate, so they are simplicial, every index subset
-    of one is a face of it, and they are exactly the cones maximal in the
-    face order.  Otherwise every pair of those, Fan.generating_cones, is
-    decided by cones_meet_in_common_face, on the duals of the fan's
-    cache."""
+    complete_fan_certificate, so they are simplicial cones of a complete
+    fan, and every other cone is a face of one.  Otherwise every pair of
+    maximal cones is decided by cones_meet_in_common_face, on the duals
+    of the fan's cache."""
     if fan.polytope is not None or fan.wall_relations():
         return True
-    for a, b in itertools.combinations(fan.generating_cones(), 2):
+    for a, b in itertools.combinations(fan.maximal_cones(), 2):
         if not cones_meet_in_common_face(fan.rays, a, b, fan._dual_cache):
             return False
     return True
@@ -506,13 +498,20 @@ def walls_paired(fan: Fan) -> bool:
     its inclusion-maximal proper faces.  A wall is keyed by its extreme
     rays, the rays i of the wall with (i,) a face of the cone, which name
     each geometric cone once even when a cone lists a ray inside one of
-    its walls."""
+    its walls.  So is a pointed maximal cone, () among its faces, and
+    counted once: two maximal cones of a fan with one set of extreme
+    rays are one cone, listed with different rays inside it."""
     n = fan.dimension
-    wall_owners = {}
+    wall_owners, counted = {}, set()
     for cone in fan.maximal_cones():
         if len(cone) < n or fan.cone_rank(cone) != n:
             return False
         faces = fan.cone_faces(cone)
+        key = frozenset(i for i in cone if (i,) in faces) \
+            if () in faces else cone
+        if key in counted:
+            continue
+        counted.add(key)
         proper = faces - {cone}
         for face in proper:
             if not any(set(face) < set(other) for other in proper):

@@ -99,10 +99,8 @@ class HalfspaceRep:
             raise InternalInvariantError("vertex ray off the chart t = 1")
         found = sorted(((ray[1:], active) for ray, active in rays),
                        key=lambda item: sorted(item[1]))
-        active_sets = tuple(active for _, active in found)
-        used = set().union(*active_sets)
-        redundant = tuple(j for j in range(len(rows) - 1) if j not in used)
-        return VertexRep(tuple(v for v, _ in found), active_sets, redundant)
+        return VertexRep(tuple(v for v, _ in found),
+                         tuple(active for _, active in found))
 
     @property
     def facet_count(self) -> int:
@@ -115,9 +113,12 @@ class HalfspaceRep:
 
 @dataclass(frozen=True)
 class VertexRep:
+    """The vertices of a polytope with their active sets.  Which facets
+    are redundant is redundant_facets(H), read off the active sets: a
+    facet active at no vertex is redundant, and so is one that touches
+    the polytope only in a face of lower dimension."""
     vertices: tuple          # coordinate tuples
     active: tuple            # per vertex, frozenset of facet indices
-    redundant_facets: tuple  # facet indices active at no vertex
 
 
 @dataclass(frozen=True)

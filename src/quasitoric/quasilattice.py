@@ -158,8 +158,6 @@ def integral_membership(vectors, target) -> Optional[tuple]:
 class RayWitness(NamedTuple):
     vector: tuple          # the quasilattice member on the ray
     coefficients: tuple    # integer coefficients over the generators
-    non_canonical: bool    # no canonical choice exists; this is the
-    #                        first row of the canonical HNF basis
 
 
 def ray_generator(ql: Quasilattice, direction) -> Optional[RayWitness]:
@@ -197,7 +195,7 @@ def ray_generator(ql: Quasilattice, direction) -> Optional[RayWitness]:
         if t.sign() < 0:
             row = [-x for x in row]
             w = tuple(-x for x in w)
-        return RayWitness(w, tuple(row), True)
+        return RayWitness(w, tuple(row))
     return None
 
 

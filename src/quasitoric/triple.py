@@ -22,11 +22,17 @@ from typing import Optional, Union
 from .errors import (
     CountMismatch,
     InternalInvariantError,
+    InvalidFan,
     NormalNotInQuasilattice,
     NormalWrongDirection,
     SingularVertexFrame,
 )
-from .fan import Fan, fan_is_simplicial, positively_proportional
+from .fan import (
+    Fan,
+    fan_is_simplicial,
+    fan_is_valid,
+    positively_proportional,
+)
 from .field import FieldElement
 from .linalg import hnf, solve_unique
 from .polytope import (
@@ -40,6 +46,9 @@ from .quasilattice import Quasilattice, integral_memberships
 
 @dataclass(frozen=True)
 class FundamentalTriple:
+    """A body, a polytope or a fan, with a quasilattice and one normal per
+    facet or ray.  A fan body must be a fan: construction raises
+    InvalidFan unless fan_is_valid, which a normal fan answers at once."""
     body: Union[HalfspaceRep, Fan]
     quasilattice: Quasilattice
     normals: tuple
@@ -47,11 +56,12 @@ class FundamentalTriple:
     def __post_init__(self):
         object.__setattr__(self, "normals",
                            tuple(tuple(x) for x in self.normals))
+        if isinstance(self.body, Fan) and not fan_is_valid(self.body):
+            raise InvalidFan("triple needs a valid fan")
 
 
 @dataclass(frozen=True)
 class TripleReport:
-    valid: bool
     simple: bool
     warning: Optional[str]
     normal_coefficients: tuple   # membership witnesses, one per normal
@@ -59,11 +69,12 @@ class TripleReport:
 
 
 def triple_validate(triple: FundamentalTriple) -> TripleReport:
-    """Checks normals against the body and the quasilattice.
+    """Checks normals against the body and the quasilattice; a fan body
+    is a fan already (FundamentalTriple).
 
     Nonsimple bodies are accepted with a warning (the stratified case is
     out of the chart pipeline); a missing membership or a misdirected
-    normal is an error.
+    normal is an error, so a returned report is that of a valid triple.
     """
     body = triple.body
     if isinstance(body, HalfspaceRep):
@@ -92,14 +103,12 @@ def triple_validate(triple: FundamentalTriple) -> TripleReport:
     warning = None if simple else "stratified case, out of scope"
     spans = None not in integral_memberships(
         triple.normals, triple.quasilattice.generators)
-    return TripleReport(True, simple, warning, tuple(witnesses), spans)
+    return TripleReport(simple, warning, tuple(witnesses), spans)
 
 
 @dataclass(frozen=True)
 class ChartGroupReport:
-    vertex_id: int
     vertex: tuple            # coordinates (polytope) or ray indices (fan)
-    frame: tuple             # the n active normals, as matrix rows
     images: tuple            # quasilattice generator images mod Z^n
     classification: str      # "trivial" | "finite" | "infinite"
     order: Optional[int]     # set for trivial (1) and finite groups
@@ -111,14 +120,12 @@ def chart_groups(triple: FundamentalTriple) -> list:
     n = body.dimension
     if isinstance(body, HalfspaceRep):
         V = vertices_from_halfspaces(body)
-        charts = [(idx, tuple(v), sorted(act))
-                  for idx, (v, act) in enumerate(zip(V.vertices, V.active))]
+        charts = [(tuple(v), sorted(act))
+                  for v, act in zip(V.vertices, V.active)]
     else:
-        maximal = [c for c in body.maximal_cones() if c]
-        charts = [(idx, cone, list(cone)) for idx, cone in
-                  enumerate(maximal)]
+        charts = [(cone, list(cone)) for cone in body.maximal_cones() if cone]
     reports = []
-    for vertex_id, vertex, active in charts:
+    for vertex_id, (vertex, active) in enumerate(charts):
         if len(active) != n:
             raise SingularVertexFrame(
                 f"vertex {vertex_id} meets {len(active)} facets, "
@@ -131,8 +138,8 @@ def chart_groups(triple: FundamentalTriple) -> list:
                 f"normals at vertex {vertex_id} are dependent") from None
         images = [tuple(_reduce_mod_one(y) for y in x) for x in solutions]
         classification, order = _classify(images, n)
-        reports.append(ChartGroupReport(vertex_id, vertex, tuple(
-            tuple(r) for r in frame), tuple(images), classification, order))
+        reports.append(ChartGroupReport(vertex, tuple(images),
+                                        classification, order))
     return reports
 
 

@@ -16,6 +16,7 @@ from quasitoric.documents import (configuration_from_doc, dumps,
                                   fan_from_doc, fan_to_doc,
                                   polytope_from_doc, polytope_to_doc,
                                   quasilattice_to_doc, triple_to_doc)
+from quasitoric.errors import InvalidFan
 from quasitoric.fan import normal_fan
 from quasitoric.field import format_rational, rational_field
 from quasitoric.quasilattice import Quasilattice
@@ -566,25 +567,34 @@ class TestErrorHandling:
         assert out == ""
         assert err.strip().splitlines() == [message]
 
-    def test_augment_refuses_a_non_fan(self, capsys, tmp_path):
-        # three 2-cones on rays at 0, 27 and 63 degrees: every ray lies in
-        # two cones, but the cones overlap and cover only one sector
-        rays = [[["1"], ["0"]], [["2"], ["1"]], [["1"], ["2"]]]
-        doc = {
-            "field": {"minpoly": ["0", "1"], "interval": ["-1", "1"]},
-            "n": 2,
-            "fan": {"rays": rays, "cones": [[1, 2], [2, 3], [1, 3]]},
-            "quasilattice": {"generators": [[["1"], ["0"]],
-                                            [["0"], ["1"]]]},
-            "normals": rays,
-        }
+    # three 2-cones on rays at 0, 27 and 63 degrees: every ray lies in two
+    # cones, but the cones overlap and cover only one sector
+    ZIG_ZAG_RAYS = [[["1"], ["0"]], [["2"], ["1"]], [["1"], ["2"]]]
+    ZIG_ZAG = {
+        "field": {"minpoly": ["0", "1"], "interval": ["-1", "1"]},
+        "n": 2,
+        "fan": {"rays": ZIG_ZAG_RAYS, "cones": [[1, 2], [2, 3], [1, 3]]},
+        "quasilattice": {"generators": [[["1"], ["0"]], [["0"], ["1"]]]},
+        "normals": ZIG_ZAG_RAYS,
+    }
+
+    @pytest.mark.parametrize("command", ["augment", "check-triple",
+                                         "charts"])
+    def test_triple_commands_refuse_a_non_fan(self, capsys, tmp_path,
+                                              command):
         path = tmp_path / "zig-zag.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "augment", str(path))
+        path.write_text(json.dumps(self.ZIG_ZAG))
+        code, out, err = run(capsys, command, str(path))
         assert code == 1
         assert out == ""
         assert err.strip().splitlines() == [
-            "InvalidFan: augment needs a valid fan"]
+            "InvalidFan: triple needs a valid fan"]
+
+    def test_library_triple_refuses_a_non_fan(self):
+        fan = fan_from_doc(self.ZIG_ZAG["fan"] | {"n": 2})
+        ql = Quasilattice(fan.rays)
+        with pytest.raises(InvalidFan, match="triple needs a valid fan"):
+            FundamentalTriple(fan, ql, fan.rays)
 
     def test_failed_invariant_exits_3(self, capsys, corpus, monkeypatch):
         directory = corpus("thin-rhombus")

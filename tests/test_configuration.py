@@ -286,9 +286,10 @@ class TestAugment:
     def test_nonsimplicial_fan_rejected(self):
         rays = [qvec(1, 0), qvec(0, 1), qvec(-1, 0), qvec(0, -1),
                 qvec(1, 1)]
-        # the 3-ray upper cone is not simplicial
+        # the 3-ray upper cone is not simplicial; the ray (1, 1) inside it
+        # is no face of it, so it is not listed as a cone
         fan = Fan(2, rays, [(0, 1, 4), (1, 2), (2, 3), (0, 3),
-                            (0,), (1,), (2,), (3,), (4,)])
+                            (0,), (1,), (2,), (3,)])
         ql = ql_span(rays[:2])
         with pytest.raises(FanNotSimplicial):
             augment(FundamentalTriple(fan, ql, rays))
@@ -354,7 +355,14 @@ def test_maximal_pairs_decide_compatibility(case):
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(st.sets(st.integers(0, 6), max_size=5), max_size=7))
 def test_maximal_simplices_agree_with_pair_loop(simplices):
+    # the closure by a loop over every subset of every given simplex, the
+    # construction before the maximal ones came out of the same pass
+    closure = {()}
+    for s in simplices:
+        for r in range(len(s) + 1):
+            closure.update(itertools.combinations(sorted(s), r))
     tri = Triangulation([tuple(s) for s in simplices])
+    assert tri.simplices == closure
     assert tri.maximal() == tuple(sorted(
         s for s in tri.simplices
         if not any(set(s) < set(t) for t in tri.simplices)))

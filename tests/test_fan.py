@@ -168,15 +168,16 @@ class TestFanConstruction:
         H = {"cube-8": lambda: truncated_cube(8),
              "decagon": decagon}[name]()
         cones = normal_fan(H).cones
+        active = vertices_from_halfspaces(H).active
         asked = []
         sign = FieldElement.sign
         monkeypatch.setattr(FieldElement, "sign",
                             lambda x: asked.append(x) or sign(x))
         dots = counting(monkeypatch, "dot")
-        fan = Fan(H.dimension, H.normals, cones, polytope=H)
+        fan = Fan(H.dimension, H.normals, active, polytope=H)
         assert fan.cones == cones
         assert asked == [] and dots == []
-        Fan(H.dimension, H.normals, cones)
+        Fan(H.dimension, H.normals, active)
         assert len(dots) == len(asked) == pairs
 
     def test_rays_from_different_fields_rejected(self):
@@ -330,17 +331,19 @@ class TestPredicates:
         # cones given has it
         fan = Fan(2, [qvec(1, 0), qvec(0, 1)], [(0, 1), (0,)])
         assert fan.cones == ((), (0,), (0, 1), (1,))
-        assert fan.generating_cones() == ((0, 1),)
+        assert fan.maximal_cones() == ((0, 1),)
         assert fan_is_valid(fan)
 
     def test_index_subset_that_is_not_a_face_invalid(self):
         # (1,1) lies inside cone(e1, e2): (1,) is an index subset of the
-        # maximal cone (0,1,2) but not one of its faces, so the collection
-        # is face-closed yet not a fan
+        # maximal cone (0,1,2) but not one of its faces, so it is a
+        # maximal cone too, and the collection is face-closed yet not a
+        # fan; the wall certificate refuses the non-simplicial (0,1,2)
         fan = Fan(2, [qvec(1, 0), qvec(1, 1), qvec(0, 1)],
                   [(0, 1, 2), (0,), (2,), (1,)])
-        assert fan.maximal_cones() == ((0, 1, 2),)
+        assert fan.maximal_cones() == ((0, 1, 2), (1,))
         assert (1,) not in fan.cone_faces((0, 1, 2))
+        assert fan.wall_relations() == ()
         assert not fan_is_valid(fan)
 
     def test_four_dimensional_coordinate_fan(self):
@@ -368,6 +371,18 @@ class TestPredicates:
         assert fan.polytope is None
         maximal = fan.maximal_cones()
         assert len(maximal) == 8 and all(len(c) == 8 for c in maximal)
+        assert fan_predicates(fan) == (True, False, True)
+
+    @pytest.mark.parametrize("again", [(0, 1), (0, 1, 5)])
+    def test_cone_listed_twice_is_counted_once(self, again):
+        # the first quadrant listed as (0,1,4) and again as (0,1) or
+        # (0,1,5), with (1,1) and (2,1) inside it: both index sets are
+        # maximal cones, neither a face of the other, but they are one
+        # cone, which wall pairing counts once
+        rays = [qvec(1, 0), qvec(0, 1), qvec(-1, 0), qvec(0, -1),
+                qvec(1, 1), qvec(2, 1)]
+        fan = Fan(2, rays, [(0, 1, 4), again, (1, 2), (2, 3), (0, 3)])
+        assert len(fan.maximal_cones()) == 5
         assert fan_predicates(fan) == (True, False, True)
 
     def test_cone_listing_a_ray_inside_its_wall(self):
@@ -641,9 +656,9 @@ def test_construction_closes_the_given_cones_under_faces(case):
     fan = Fan(n, rays, cones)
     faces = set().union({()}, *(lp_cone_faces(rays, c) for c in cones))
     assert fan.cones == tuple(sorted(faces))
-    generated = Fan(n, rays, fan.generating_cones())
+    generated = Fan(n, rays, fan.maximal_cones())
     assert generated.cones == fan.cones
-    assert generated.generating_cones() == fan.generating_cones()
+    assert generated.maximal_cones() == fan.maximal_cones()
     assert fan_predicates(generated) == fan_predicates(fan)
     assert fan_from_doc(fan_to_doc(fan)).cones == fan.cones
 
@@ -1565,31 +1580,72 @@ def index_set_maximal(cones):
                  if not any(set(c) < set(d) for d in cones))
 
 
-@st.composite
-def cone_collections(draw):
-    """Random rays in a small box and random index sets on them, not
-    closed under faces."""
-    n = draw(st.sampled_from([2, 3]))
-    coords = st.lists(st.integers(-2, 2), min_size=n,
-                      max_size=n).filter(any)
-    raw = draw(st.lists(coords, min_size=1, max_size=6,
-                        unique_by=primitive))
-    masks = draw(st.lists(st.integers(1, 2 ** len(raw) - 1), max_size=8))
-    cones = [tuple(i for i in range(len(raw)) if mask >> i & 1)
-             for mask in masks]
-    return n, [qvec(*r) for r in raw], cones
+def face_order_maximal(fan, given):
+    """The cones of fan that are no proper face of another cone, with the
+    faces from the LP rule.  Every cone is a face of a given one and a
+    face of a face is a face, so the given cones are the only candidates
+    for the larger cone."""
+    faces = {d: lp_cone_faces(fan.rays, d) for d in given}
+    return tuple(c for c in fan.cones
+                 if not any(c != d and c in faces[d] for d in given))
 
 
-@settings(max_examples=100, deadline=None, database=None,
+@settings(max_examples=80, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cone_collections())
-def test_maximal_cones_agree_with_index_set_definition(case):
+@given(small_fan_data())
+@example((2, [qvec(1, 0), qvec(1, 1), qvec(0, 1)], [(0, 1, 2), (1,)]))
+@example((2, [qvec(1, 0), qvec(1, 1), qvec(0, 1)], [(0, 1, 2), (0, 1)]))
+@example((2, [qvec(1, 0), qvec(0, 1), qvec(-1, 0)], []))
+@example((3, [qvec(0, 0, 1), qvec(0, 1, 0), qvec(1, 0, 1), qvec(1, 1, 1)],
+          [(1, 2), (1, 2, 3)]))
+def test_maximal_cones_are_no_proper_face_of_another(case):
+    # the construction keeps the cones it took the faces of.  On a fan
+    # whose maximal cones list only their extreme rays, a cone whose rays
+    # are an index subset of another's is a face of it, so maximality by
+    # index sets picks the same cones; the last example lists one cone
+    # twice, once with a ray inside it, and both are maximal
     n, rays, cones = case
     fan = Fan(n, rays, cones)
-    assert fan.maximal_cones() == index_set_maximal(fan.cones)
-    pointed = [c for c in fan.cones if is_pointed(rays, c)]
-    closed = Fan(n, rays, pointed)
-    assert closed.maximal_cones() == index_set_maximal(closed.cones)
+    maximal = fan.maximal_cones()
+    assert maximal == face_order_maximal(fan, {(), *cones})
+    if fan_is_valid(fan) and all((i,) in fan.cone_faces(c)
+                                 for c in maximal for i in c):
+        assert maximal == index_set_maximal(fan.cones)
+
+
+def parent_normal_fan_cones(H):
+    """The cones of the normal fan as normal_fan built them before a
+    normal fan was given by its maximal cones: every intersection of the
+    vertex facet sets, and the origin cone."""
+    faces = intersection_closure(vertices_from_halfspaces(H).active)
+    return tuple(sorted({(), *(tuple(sorted(face)) for face in faces)}))
+
+
+def assert_normal_fan_from_vertex_facet_sets(H):
+    fan = normal_fan(H)
+    assert fan.cones == parent_normal_fan_cones(H)
+    assert fan.maximal_cones() == tuple(sorted(
+        tuple(sorted(a)) for a in vertices_from_halfspaces(H).active))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_polytopes()]
+                         + [f"cube-{k}" for k in (0, 1, 4, 8)])
+def test_normal_fan_cones_from_vertex_facet_sets(name):
+    H = (truncated_cube(int(name[5:])) if name.startswith("cube-")
+         else dict(corpus_polytopes())[name])
+    assert_normal_fan_from_vertex_facet_sets(H)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                min_size=3, max_size=8, unique_by=tuple))
+def test_normal_fan_cones_from_vertex_facet_sets_on_polygons(points):
+    try:
+        H = halfspaces_from_vertices([qvec(*p) for p in points])
+    except NotFullDimensional:
+        assume(False)
+    assert_normal_fan_from_vertex_facet_sets(H)
 
 
 def wall_crossing_rows(fan):

@@ -116,14 +116,11 @@ def test_dead_helper_check_sees_an_unread_helper():
     assert dead_private_names(sources) == ["a.py:_dead:4", "b.py:_Box:2"]
 
 
-def unreferenced_private_definitions(sources: dict) -> list:
-    """Private functions and classes (one leading underscore, no dunder),
-    at module level or as methods, that no module of sources references
-    outside their own definition: not as a name, an attribute or an
-    imported name.  sources maps a module's file name to its text."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
+def name_references(trees) -> dict:
+    """Each name the syntax trees use as a name, an attribute or an
+    imported name, mapped to the ids of the nodes that use it."""
     references = {}
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names = [node.id]
@@ -135,6 +132,16 @@ def unreferenced_private_definitions(sources: dict) -> list:
                 continue
             for name in names:
                 references.setdefault(name, []).append(id(node))
+    return references
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """Private functions and classes (one leading underscore, no dunder),
+    at module level or as methods, that no module of sources references
+    outside their own definition: not as a name, an attribute or an
+    imported name.  sources maps a module's file name to its text."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    references = name_references(trees.values())
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
     for name, tree in sorted(trees.items()):
@@ -174,6 +181,54 @@ def test_reference_check_sees_recursion_and_methods():
     assert unreferenced_private_definitions(sources) == [
         "a.py:_gcd:1", "a.py:_Unused:3", "a.py:_unread:8",
         "b.py:_scaled:2"]
+
+
+def unnamed_public_definitions(package: dict, others: dict) -> list:
+    """Public module-level functions and classes of the package (no
+    leading underscore) that nothing names outside their own definition:
+    no module of the package, its own included, and no file of others,
+    the tests and the benchmark, as a name, an attribute or an imported
+    name.  Both map a file name to its text.  A helper left behind when
+    its callers move to another rule is one."""
+    trees = {name: ast.parse(text)
+             for name, text in {**others, **package}.items()}
+    references = name_references(trees.values())
+    found = []
+    for name in sorted(package):
+        for node in trees[name].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if all(ref in inside for ref in references.get(node.name, ())):
+                found.append(f"{name}:{node.name}:{node.lineno}")
+    return found
+
+
+def test_public_definitions_are_named_outside_their_definition():
+    package = Path(quasitoric.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    others = {str(path.relative_to(root)): path.read_text(encoding="utf-8")
+              for directory in ("tests", "perfbench")
+              for path in sorted((root / directory).glob("*.py"))}
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert unnamed_public_definitions(sources, others) == []
+
+
+def test_public_name_check_sees_a_helper_left_behind():
+    package = {"a.py": "def kept(cells):\n    return kept(cells[1:])\n"
+                       "class Report:\n    pass\n"
+                       "def tested():\n    pass\n"
+                       "def once():\n    return 1\n"
+                       "LIMIT = once()\n"
+                       "def _private():\n    pass\n",
+               "b.py": "from .a import Report\n"
+                       "def orphan():\n    return orphan\n"}
+    others = {"tests/test_a.py": "import a\nassert a.tested() is None\n"}
+    assert unnamed_public_definitions(package, others) == [
+        "a.py:kept:1", "b.py:orphan:2"]
 
 
 def element_mutations(source: str) -> list:

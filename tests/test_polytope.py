@@ -37,6 +37,7 @@ from quasitoric.polytope import (
     face_lattice,
     halfspaces_from_vertices,
     is_simple,
+    redundant_facets,
     vertices_from_halfspaces,
 )
 
@@ -62,7 +63,7 @@ class TestVertexEnumeration:
         coords = {as_fractions(v) for v in V.vertices}
         assert coords == {(0, 0), (1, 0), (0, 1), (1, 1)}
         assert all(len(a) == 2 for a in V.active)
-        assert V.redundant_facets == ()
+        assert redundant_facets(square()) == []
 
     @pytest.mark.parametrize("a_text", ["1", "2", "3", "1/2", "sqrt2"])
     def test_trapezoid_vertices(self, a_text):
@@ -111,15 +112,14 @@ class TestVertexEnumeration:
     def test_redundant_facet_reported(self):
         facets = unit_square_facets(Q) + [(qvec(1, 1), Q.element(-1))]
         H = HalfspaceRep(2, facets)
-        V = vertices_from_halfspaces(H)
-        assert V.redundant_facets == (4,)
+        assert redundant_facets(H) == [4]
 
     def test_tangent_facet_is_active_but_not_a_facet(self):
         # x + y >= 0 touches the square only at the origin
         facets = unit_square_facets(Q) + [(qvec(1, 1), Q.zero)]
         H = HalfspaceRep(2, facets)
         V = vertices_from_halfspaces(H)
-        assert V.redundant_facets == ()
+        assert redundant_facets(H) == [4]
         origin = next(a for v, a in zip(V.vertices, V.active)
                       if as_fractions(v) == (0, 0))
         assert 4 in origin and len(origin) == 3
@@ -133,7 +133,7 @@ class TestVertexEnumeration:
         V = vertices_from_halfspaces(H)
         assert {as_fractions(v) for v in V.vertices} == {
             (-1, 0), (-1, 1), (1, 0), (1, 1)}
-        assert V.redundant_facets == tuple(range(1, 28))
+        assert redundant_facets(H) == list(range(1, 28))
 
 
 class TestHull:
@@ -331,9 +331,7 @@ def subset_scan(H):
                  for j in range(d)]
         if min(signs) >= 0:
             seen[mu] = frozenset(j for j in range(d) if signs[j] == 0)
-    used = set().union(*seen.values())
-    return VertexRep(tuple(seen), tuple(seen.values()),
-                     tuple(j for j in range(d) if j not in used))
+    return VertexRep(tuple(seen), tuple(seen.values()))
 
 
 @st.composite
@@ -361,8 +359,7 @@ def small_polytopes(draw):
 
 class TestSubsetScanOracle:
     """The double-description engine gives the subset scan's VertexRep:
-    the same vertices in the same order, active sets and redundant
-    facets."""
+    the same vertices in the same order, with the same active sets."""
 
     @settings(max_examples=60, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -396,10 +393,8 @@ def pre_certificate_vertices(H):
         assert ray[0] == H.field.one
         found.append((ray[1:], active))
     found.sort(key=lambda item: sorted(item[1]))
-    active_sets = tuple(active for _, active in found)
-    used = set().union(*active_sets)
-    redundant = tuple(j for j in range(H.facet_count) if j not in used)
-    return VertexRep(tuple(v for v, _ in found), active_sets, redundant)
+    return VertexRep(tuple(v for v, _ in found),
+                     tuple(active for _, active in found))
 
 
 SYSTEM_CASES = ("bounded", "dropped", "point", "flat", "empty", "rank")

@@ -160,7 +160,6 @@ class TestRayGenerator:
         witness = ray_generator(ql, qvec(2, 4))
         assert witness is not None
         assert tuple(c.as_fraction() for c in witness.vector) == (1, 2)
-        assert witness.non_canonical
 
     def test_irrational_slope_absent(self):
         k = sqrt2_field()
@@ -297,7 +296,7 @@ def reference_ray_generator(ql, direction):
         if t.sign() < 0:
             row = [-x for x in row]
             w = tuple(-x for x in w)
-        return RayWitness(w, tuple(row), True)
+        return RayWitness(w, tuple(row))
     return None
 
 
